@@ -2,10 +2,11 @@
 
 Subalgebra types are partitions of n (Jordan block sizes of the nilpotent
 element); restrictions decompose as sparse {j: multiplicity} maps over the
-sl_2 irreducibles F_j.  Fundamental representations branch by weight-multiset
-enumeration with closed-form cross-checks; arbitrary highest weights branch
-by a memoized Pieri/Clebsch-Gordan recursion; an independent semistandard
-tableau oracle recomputes everything from first principles.
+sl_2 irreducibles F_j.  Fundamental representations branch by a subset-sum
+dynamic program for the wedge-power weight multiset, with closed-form
+cross-checks; arbitrary highest weights branch by a memoized
+Pieri/Clebsch-Gordan recursion; an independent semistandard tableau oracle
+recomputes everything from first principles.
 """
 
 from .branching import (

@@ -11,7 +11,7 @@ order on partitions with a bounded first row, so the recursion bottoms out at
 the fundamental representations and the trivial weight.
 """
 
-from .fundamental import fundamental_branching
+from .fundamental import _FUND_CACHE, fundamental_branching
 from .pieri import pieri_set
 from .sl2 import (
     MultVector,
@@ -109,7 +109,9 @@ def branch(t: SubalgebraType, w: DominantWeight) -> MultVector:
 
 
 def clear_cache():
+    """Forget every memoized branching: the shared engine's and the fundamentals'."""
     _DEFAULT_ENGINE.cache.clear()
+    _FUND_CACHE.clear()
 
 
 def principal_highest_component(w: DominantWeight) -> int:

@@ -2,7 +2,8 @@
 
 Subcommands: branch, fundamental, table, pieri, triple, verify.  Data goes to
 stdout, diagnostics to stderr.  Exit codes: 0 success, 1 verification
-mismatch, 2 invalid input, 3 internal consistency failure, 4 oracle budget
+mismatch (a closed form or the oracle disagrees), 2 invalid input, 3 internal
+failure (a consistency check or any unexpected exception), 4 oracle budget
 exceeded.
 """
 
@@ -13,7 +14,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .branching import BranchEngine, branch
-from .fundamental import fundamental_branching
+from .fundamental import ClosedFormMismatchError, fundamental_branching
 from .oracle import DEFAULT_BUDGET, BudgetExceededError, oracle_branch
 from .pieri import pieri_set
 from .sl2 import (
@@ -383,9 +384,15 @@ def main(argv=None) -> int:
     except InternalConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except ClosedFormMismatchError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # any other failure is a bug: report it, no traceback
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -4,6 +4,10 @@ The universal method: the H-eigenvalue of a natural basis vector
 e_{i_1} ^ ... ^ e_{i_k} is the sum of the k chosen diagonal entries of H, so
 the full weight multiset of Res L(w_k) is the multiset of k-subset sums of
 h_diagonal, and the multiplicity of F_j falls out as dim V_j - dim V_{j+2}.
+That multiset is the z^k coefficient of prod_i (1 + z q^{h_i}) (Macdonald,
+Symmetric Functions and Hall Polynomials, I.2), which a subset-sum dynamic
+program reads off in O(n k span) integer additions without listing the
+C(n, k) subsets; there is no rank cap.
 
 Closed forms double as fast paths and cross-checks:
   * principal type: strict-tuple counts, the Cayley-Sylvester partition-count
@@ -13,8 +17,8 @@ Closed forms double as fast paths and cross-checks:
 """
 
 from collections import Counter
-from itertools import combinations
 from math import comb
+from operator import add
 
 from .qcomb import p_k_n, pi
 from .sl2 import MultVector, cg_convolve
@@ -22,26 +26,36 @@ from .subalgebra import SubalgebraType, h_diagonal, is_principal
 
 WeightMultiset = Counter
 
-# enumeration guard: C(n, k) subsets get generated explicitly
-DEFAULT_MAX_RANK = 30
-
 
 class CorruptMultisetError(ValueError):
     """The multiset is not the weight system of any sl_2 representation."""
 
 
-def wedge_weight_multiset(t: SubalgebraType, k: int, max_rank: int = DEFAULT_MAX_RANK) -> WeightMultiset:
+class ClosedFormMismatchError(AssertionError):
+    """A closed form disagrees with the weight-multiset branching."""
+
+
+def wedge_weight_multiset(t: SubalgebraType, k: int) -> WeightMultiset:
     """Multiset of k-subset sums of the diagonal of H; total count C(n, k)."""
     n = t.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"wedge power index {k} out of range for rank {n}")
-    if n > max_rank:
-        raise ValueError(
-            f"rank {n} exceeds the enumeration cap {max_rank}; "
-            f"raise max_rank to force the computation"
-        )
     h = h_diagonal(t)
-    return Counter(sum(c) for c in combinations(h, k))
+    low = min(h)
+    # dp[j][s] counts the j-subsets of the entries folded in so far whose
+    # shifted weights h_i - low sum to s; Python ints, since C(n, k) outgrows
+    # 64 bits near n = 67
+    dp = [[1]] + [[] for _ in range(k)]
+    for i, x in enumerate(v - low for v in h):
+        # a j-subset that cannot still grow to k with the n - 1 - i entries
+        # left is never read, so j stops at k - (n - 1 - i)
+        for j in range(min(i + 1, k), max(1, k - (n - 1 - i)) - 1, -1):
+            src, dst = dp[j - 1], dp[j]
+            end = x + len(src)
+            if len(dst) < end:
+                dst.extend([0] * (end - len(dst)))
+            dst[x:end] = map(add, dst[x:end], src)
+    return Counter({s + k * low: c for s, c in enumerate(dp[k]) if c})
 
 
 def mult_from_multiset(ms: WeightMultiset) -> MultVector:
@@ -125,17 +139,13 @@ def mult_macdonald(n: int, k: int, j: int) -> int:
 _FUND_CACHE: dict[tuple[tuple[int, ...], int], MultVector] = {}
 
 
-def fundamental_branching(
-    t: SubalgebraType,
-    k: int,
-    verify: bool = False,
-    max_rank: int = DEFAULT_MAX_RANK,
-) -> MultVector:
+def fundamental_branching(t: SubalgebraType, k: int, verify: bool = False) -> MultVector:
     """Decomposition of Res L(w_k) as a multiplicity vector.
 
     Always computed from the weight multiset (defined for every type and k);
     with verify=True every applicable closed form is evaluated as well and a
-    disagreement raises.  Results are memoized per (type, k).
+    disagreement raises ClosedFormMismatchError.  Results are memoized per
+    (type, k).
     """
     n = t.n
     if not 1 <= k <= n - 1:
@@ -143,7 +153,7 @@ def fundamental_branching(
     key = (t.blocks, k)
     cached = _FUND_CACHE.get(key)
     if cached is None:
-        cached = mult_from_multiset(wedge_weight_multiset(t, k, max_rank=max_rank))
+        cached = mult_from_multiset(wedge_weight_multiset(t, k))
         _FUND_CACHE[key] = cached
     result = dict(cached)
     if verify:
@@ -171,7 +181,7 @@ def _verify_closed_forms(t, k, result):
         checks.append(("hook", branching_hook(t, k)))
     for name, other in checks:
         if other != result:
-            raise AssertionError(
+            raise ClosedFormMismatchError(
                 f"closed form {name} disagrees with weight multiset for {t}, k={k}: "
                 f"{other} vs {result}"
             )

@@ -9,6 +9,7 @@ from branchkit import (
     all_types,
     branch,
     cg_convolve,
+    clear_cache,
     dim_irrep,
     dual_weight,
     highest_component,
@@ -19,6 +20,7 @@ from branchkit import (
     rep_dimension,
     select_pivot,
 )
+from branchkit import fundamental
 from branchkit.sl2 import mv_subtract
 
 
@@ -174,3 +176,20 @@ def test_warm_cache_can_be_transplanted():
     recipient = BranchEngine(cache=dict(donor.cache))
     assert recipient.branch(t, w) == expected
     assert recipient.stats["computed"] == 0
+
+
+def test_clear_cache_forgets_fundamentals(monkeypatch):
+    t = SubalgebraType((5,))
+    w = DominantWeight(5, (0, 1, 0, 0))
+    assert branch(t, w) == {2: 1, 6: 1}
+    clear_cache()
+    calls = []
+    real = fundamental.wedge_weight_multiset
+
+    def counting(t, k):
+        calls.append(k)
+        return real(t, k)
+
+    monkeypatch.setattr(fundamental, "wedge_weight_multiset", counting)
+    assert branch(t, w) == {2: 1, 6: 1}
+    assert calls == [2]  # neither the engine nor the fundamental memo served it

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 
+from branchkit import fundamental
 from branchkit.cli import main
 
 
@@ -120,6 +121,31 @@ def test_fundamental_verify_flag(capsys):
         capsys, "fundamental", "--n", "7", "--type", "4,3", "--k", "3", "--verify",
     )
     assert code == 0
+
+
+def test_fundamental_verify_mismatch_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(fundamental, "mult_strict_count", lambda n, k, j: int(j == 0))
+    code, _, err = run(capsys, "fundamental", "--n", "5", "--type", "5", "--k", "2", "--verify")
+    assert code == 1
+    assert err.startswith("error: closed form strict-count disagrees")
+    assert "Traceback" not in err
+
+
+def test_fundamental_beyond_old_rank_cap(capsys):
+    code, out, _ = run(
+        capsys, "fundamental", "--n", "40", "--type", "40", "--k", "20", "--verify",
+        "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["dimension"] == str(137846528820)  # C(40, 20)
+
+
+def test_unexpected_exception_exits_3(capsys):
+    # the recursion is deeper than the interpreter's recursion limit here
+    code, _, err = run(capsys, "branch", "--n", "2", "--type", "2", "--partition", "1000")
+    assert code == 3
+    assert err.startswith("error: internal error: RecursionError")
+    assert "Traceback" not in err
 
 
 def test_table_json(capsys):

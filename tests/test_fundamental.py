@@ -1,7 +1,9 @@
 from collections import Counter
+from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from branchkit import (
     CorruptMultisetError,
@@ -11,6 +13,7 @@ from branchkit import (
     branching_k2_general,
     branching_two_blocks,
     fundamental_branching,
+    h_diagonal,
     mult_cayley_sylvester,
     mult_from_multiset,
     mult_macdonald,
@@ -43,16 +46,49 @@ def test_wedge_weight_multiset_smallest_case():
     assert wedge_weight_multiset(SubalgebraType((2,)), 1) == Counter([1, -1])
 
 
-def test_wedge_weight_multiset_range_and_cap():
+def brute_force_multiset(t, k):
+    """Reference: list every k-subset of the H diagonal and sum it."""
+    return Counter(sum(c) for c in combinations(h_diagonal(t), k))
+
+
+def test_wedge_weight_multiset_matches_brute_force():
+    for n in range(2, 11):
+        for t in all_types(n):
+            for k in range(1, n):
+                assert wedge_weight_multiset(t, k) == brute_force_multiset(t, k), (t, k)
+
+
+@st.composite
+def types_and_k(draw, max_rank=14):
+    n = draw(st.integers(min_value=2, max_value=max_rank))
+    first = draw(st.integers(min_value=2, max_value=n))
+    blocks = [first]
+    while sum(blocks) < n:
+        blocks.append(draw(st.integers(min_value=1, max_value=min(first, n - sum(blocks)))))
+    return SubalgebraType(tuple(blocks)), draw(st.integers(min_value=1, max_value=n - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(types_and_k())
+def test_wedge_weight_multiset_matches_brute_force_random(case):
+    t, k = case
+    assert wedge_weight_multiset(t, k) == brute_force_multiset(t, k)
+
+
+def test_wedge_weight_multiset_range_and_rank_40():
     t = SubalgebraType((3, 2))
     with pytest.raises(ValueError):
         wedge_weight_multiset(t, 0)
     with pytest.raises(ValueError):
         wedge_weight_multiset(t, 5)
-    big = SubalgebraType((31,))
-    with pytest.raises(ValueError):
-        wedge_weight_multiset(big, 1)
-    assert wedge_weight_multiset(big, 1, max_rank=31)[30] == 1
+    # well past the old n <= 30 enumeration cap
+    for blocks, k in (((40,), 20), ((40,), 13), ((20, 12, 8), 15)):
+        t = SubalgebraType(blocks)
+        mv = fundamental_branching(t, k, verify=True)
+        assert rep_dimension(mv) == comb(40, k)
+        # Hermite reciprocity: L(w_k) and L(w_{n-k}) are dual, and sl_2
+        # modules are self-dual
+        assert fundamental_branching(t, 40 - k) == mv
 
 
 def test_mult_from_multiset_examples():
