@@ -4,6 +4,9 @@ Tensoring an irreducible L(lambda) of sl_n with a wedge power L(w_k) is
 multiplicity-free: the summands are indexed by the ways of adding k boxes to
 the diagram of lambda with at most one new box per row.  A full column of
 height n is the determinant and gets erased.
+
+pieri_set works on padded partitions (lambda_1, ..., lambda_n), lambda_n = 0;
+the demo converts its weights to that form and back for printing.
 """
 
 from branchkit import (
@@ -11,6 +14,8 @@ from branchkit import (
     dim_irrep,
     lex_max_member,
     omega_to_partition,
+    padded_partition,
+    partition_to_omega,
     pieri_set,
 )
 
@@ -26,13 +31,16 @@ def show(w, k):
     print(f"lambda = {w} in sl_{w.rank}, partition {lam or '()'}:")
     print(diagram(lam))
     print(f"\nadding a vertical strip of {k} boxes gives P(lambda, {k}):\n")
-    members = sorted(pieri_set(w, k), key=omega_to_partition, reverse=True)
+    members = [
+        partition_to_omega(mu, w.rank)
+        for mu in sorted(pieri_set(padded_partition(w), k), reverse=True)
+    ]
     for m in members:
         mu = omega_to_partition(m)
         print(f"  {m}   partition {mu or '()'}")
         print("\n".join("  " + line for line in diagram(mu).splitlines()))
         print()
-    top = lex_max_member(w, k)
+    top = partition_to_omega(lex_max_member(padded_partition(w), k), w.rank)
     print(f"the lex-largest member is always lambda + w_{k} = {top}")
     total = sum(dim_irrep(m) for m in members)
     print(

@@ -6,6 +6,9 @@ Clebsch-Gordan product of the two restrictions.  Hence
 
     m_d(lambda) = [cg_convolve(Res lambda', Res w_k)]_d
                   - sum of m_d(mu) over the other Pieri members mu.
+
+pieri_set works on padded partitions (lambda_1, ..., lambda_n), lambda_n = 0;
+the demo converts at that call and keeps DominantWeight everywhere else.
 """
 
 from branchkit import (
@@ -14,7 +17,8 @@ from branchkit import (
     branch,
     cg_convolve,
     fundamental_branching,
-    omega_to_partition,
+    padded_partition,
+    partition_to_omega,
     pieri_set,
 )
 
@@ -26,7 +30,10 @@ def walkthrough(t, lam, k, d):
     ))
     print(f"target: m_{d}(lambda) for lambda = {lam}, type {t} in sl_{n}")
     print(f"  split lambda = lambda' + w_{k} with lambda' = {prev}")
-    members = sorted(pieri_set(prev, k), key=omega_to_partition, reverse=True)
+    members = [
+        partition_to_omega(mu, n)
+        for mu in sorted(pieri_set(padded_partition(prev), k), reverse=True)
+    ]
     print(f"  P(lambda', {k}) = {{{', '.join(str(m) for m in members)}}}")
 
     res_prev = branch(t, prev)

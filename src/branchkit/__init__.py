@@ -48,6 +48,7 @@ from .weights import (
     iter_partitions,
     lex_compare,
     omega_to_partition,
+    padded_partition,
     partition_to_omega,
 )
 
@@ -88,6 +89,7 @@ __all__ = [
     "omega_to_partition",
     "oracle_branch",
     "p_k_n",
+    "padded_partition",
     "partition_to_omega",
     "pi",
     "pieri_set",

@@ -8,20 +8,16 @@ terms across gives every multiplicity of Res L(lambda).
 
 All mu != lambda in P(lambda', k) are strictly lower in the lexicographic
 order on partitions with a bounded first row, so the recursion bottoms out at
-the fundamental representations and the trivial weight.
+the fundamental representations and the trivial weight.  The engine works on
+padded partitions (`weights.padded_partition`); DominantWeight appears only in
+the public entry points.
 """
 
 from .fundamental import _FUND_CACHE, fundamental_branching
 from .pieri import pieri_set
-from .sl2 import (
-    MultVector,
-    cg_convolve,
-    highest_component,
-    lowest_component,
-    mv_subtract,
-)
+from .sl2 import MultVector, cg_convolve, mv_subtract
 from .subalgebra import SubalgebraType
-from .weights import DominantWeight, omega_to_partition, partition_to_omega
+from .weights import DominantWeight, Partition, padded_partition
 
 __all__ = [
     "BranchEngine",
@@ -29,27 +25,26 @@ __all__ = [
     "clear_cache",
     "select_pivot",
     "principal_highest_component",
-    "cg_convolve",
-    "highest_component",
-    "lowest_component",
 ]
 
 
-def select_pivot(w: DominantWeight) -> int:
-    """Largest k with a_k > 0, so that w - w_k stays dominant."""
-    for k in range(w.rank - 1, 0, -1):
-        if w.coeffs[k - 1] > 0:
-            return k
-    raise ValueError("zero weight has no pivot")
+def select_pivot(lam: Partition, largest: bool = True) -> int:
+    """Largest (its row count) or smallest (its first descent) k with a_k > 0 in padded lam."""
+    if not lam[0]:
+        raise ValueError("zero weight has no pivot")
+    if largest:
+        return lam.index(0)
+    return next(k for k in range(1, len(lam)) if lam[k - 1] > lam[k])
 
 
 class BranchEngine:
     """Memoized branching calculator.
 
-    Entries are keyed by (n, blocks, lambda-partition) so every weight ever
-    requested shares subproblems.  `pivot` selects which w_k is split off at
-    each step ("largest" or "smallest" coefficient index); the result is the
-    same either way, which the test suite checks, but distinct engines keep
+    Entries are keyed by (n, blocks, lambda-partition without trailing zeros),
+    the form cache files store, so every weight ever requested shares
+    subproblems.  `pivot` selects which w_k is split off at each step
+    ("largest" or "smallest" coefficient index); the result is the same
+    either way, which the test suite checks, but distinct engines keep
     distinct caches so the comparison is honest.
     """
 
@@ -64,10 +59,10 @@ class BranchEngine:
         """Multiplicity vector of Res L(w) restricted to the subalgebra of type t."""
         if w.rank != t.n:
             raise ValueError(f"weight rank {w.rank} does not match type {t} of sl_{t.n}")
-        return dict(self._branch(t, omega_to_partition(w)))
+        return dict(self._branch(t, padded_partition(w)))
 
     def _branch(self, t, lam):
-        key = (t.n, t.blocks, lam)
+        key = (t.n, t.blocks, lam[: lam.index(0)])
         hit = self.cache.get(key)
         if hit is not None:
             self.stats["hits"] += 1
@@ -78,25 +73,17 @@ class BranchEngine:
         return result
 
     def _compute(self, t, lam):
-        n = t.n
-        if not lam:
+        if lam[0] == 0:
             return {0: 1}
-        w = partition_to_omega(lam, n)
-        support = [k for k in range(1, n) if w.coeffs[k - 1]]
-        if len(support) == 1 and w.coeffs[support[0] - 1] == 1:
-            return fundamental_branching(t, support[0])
-        k = support[-1] if self.pivot == "largest" else support[0]
-        prev_coeffs = list(w.coeffs)
-        prev_coeffs[k - 1] -= 1
-        prev = DominantWeight(n, tuple(prev_coeffs))
-        result = cg_convolve(self._branch(t, omega_to_partition(prev)), fundamental_branching(t, k))
+        if lam[0] == 1:
+            return fundamental_branching(t, lam.index(0))
+        k = select_pivot(lam, largest=self.pivot == "largest")
+        prev = tuple(x - 1 for x in lam[:k]) + lam[k:]
+        result = cg_convolve(self._branch(t, prev), fundamental_branching(t, k))
+        context = f"branch({t}, {lam[: lam.index(0)]})"
         for mu in pieri_set(prev, k):
-            mu_lam = omega_to_partition(mu)
-            if mu_lam == lam:
-                continue
-            result = mv_subtract(
-                result, self._branch(t, mu_lam), context=f"branch({t}, {lam})"
-            )
+            if mu != lam:
+                result = mv_subtract(result, self._branch(t, mu), context=context)
         return dict(sorted(result.items()))
 
 
@@ -121,6 +108,5 @@ def principal_highest_component(w: DominantWeight) -> int:
     sum_{i<j} (lambda_i - lambda_j) with lambda_n = 0.
     """
     n = w.rank
-    lam = omega_to_partition(w)
-    padded = list(lam) + [0] * (n - len(lam))
-    return sum(padded[i] - padded[j] for i in range(n) for j in range(i + 1, n))
+    lam = padded_partition(w)
+    return sum(lam[i] - lam[j] for i in range(n) for j in range(i + 1, n))

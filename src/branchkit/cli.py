@@ -12,6 +12,8 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import islice
+from multiprocessing import get_context
 
 from .branching import BranchEngine, branch
 from .fundamental import ClosedFormMismatchError, fundamental_branching
@@ -29,6 +31,7 @@ from .weights import (
     dim_irrep,
     iter_dominant_weights,
     omega_to_partition,
+    padded_partition,
     partition_to_omega,
 )
 
@@ -52,11 +55,10 @@ def _parse_ints(text, what):
         raise ValueError(f"{what} must be comma separated integers, got {text!r}")
 
 
-def _parse_type(args) -> SubalgebraType:
-    blocks = _parse_ints(args.type, "--type")
-    t = SubalgebraType(blocks)
-    if t.n != args.n:
-        raise ValueError(f"type {t} is a partition of {t.n}, not of n={args.n}")
+def _parse_type(text, n) -> SubalgebraType:
+    t = SubalgebraType(_parse_ints(text, "type"))
+    if t.n != n:
+        raise ValueError(f"type {t} is a partition of {t.n}, not of n={n}")
     return t
 
 
@@ -126,37 +128,49 @@ def _cache_key_str(key) -> str:
 
 def _cache_key_parse(text):
     n_str, blocks_str, lam_str = text.split("|")
-    blocks = tuple(int(x) for x in blocks_str.split(",")) if blocks_str else ()
-    lam = tuple(int(x) for x in lam_str.split(",")) if lam_str else ()
-    return int(n_str), blocks, lam
+    return int(n_str), _parse_ints(blocks_str, "cache key"), _parse_ints(lam_str, "cache key")
 
 
 def load_cache(path) -> dict:
+    """Read a memo cache file; any malformed shape raises ValueError."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    if data.get("version") != CACHE_VERSION:
-        raise ValueError(f"cache {path} has version {data.get('version')}, expected {CACHE_VERSION}")
+    version = data.get("version") if isinstance(data, dict) else None
+    if version != CACHE_VERSION:
+        raise ValueError(f"cache {path} has version {version}, expected {CACHE_VERSION}")
     cache = {}
-    for key_str, mults in data["entries"].items():
-        cache[_cache_key_parse(key_str)] = {int(j): int(m) for j, m in mults.items()}
+    try:
+        for key_str, mults in data["entries"].items():
+            mv = {int(j): m for j, m in mults.items()}
+            if set(map(type, mv.values())) != {int} or min(mv.values()) < 1:
+                raise ValueError(f"entry {key_str!r} needs positive integer multiplicities")
+            cache[_cache_key_parse(key_str)] = mv
+    except (AttributeError, KeyError, ValueError) as exc:
+        raise ValueError(f"cache {path} is malformed ({type(exc).__name__}: {exc})") from None
     return cache
 
 
 def save_cache(path, cache):
+    """Write the memo cache to a temporary file beside path, then rename it over path."""
     entries = {
         _cache_key_str(key): {str(j): m for j, m in sorted(mv.items())}
         for key, mv in cache.items()
     }
     payload = {"version": CACHE_VERSION, "entries": entries}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(payload))
-        fh.write("\n")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(canonical_json(payload) + "\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 # ----------------------------------------------------------------- commands
 
 def cmd_branch(args) -> int:
-    t = _parse_type(args)
+    t = _parse_type(args.type, args.n)
     w = _parse_weight(args)
     cache_path = args.cache or os.environ.get(CACHE_ENV_VAR)
     engine = BranchEngine()
@@ -192,7 +206,7 @@ def cmd_branch(args) -> int:
 
 
 def cmd_fundamental(args) -> int:
-    t = _parse_type(args)
+    t = _parse_type(args.type, args.n)
     mv = fundamental_branching(t, args.k, verify=args.verify)
     _emit_multvector(
         args.format,
@@ -204,7 +218,7 @@ def cmd_fundamental(args) -> int:
 
 
 def cmd_table(args) -> int:
-    t = _parse_type(args)
+    t = _parse_type(args.type, args.n)
     table = {k: fundamental_branching(t, k) for k in range(1, args.n)}
     if args.format == "json":
         payload = {
@@ -234,19 +248,16 @@ def cmd_table(args) -> int:
 
 def cmd_pieri(args) -> int:
     w = DominantWeight(args.n, _parse_ints(args.weight, "--weight"))
-    members = pieri_set(w, args.k)
-    decorated = sorted(
-        ((omega_to_partition(m), m) for m in members), reverse=True
-    )
-    for lam, m in decorated:
+    for mu in sorted(pieri_set(padded_partition(w), args.k), reverse=True):
+        m = partition_to_omega(mu, args.n)
         omega_str = ",".join(str(a) for a in m.coeffs)
-        part_str = "(" + ",".join(str(x) for x in lam) + ")"
+        part_str = "(" + ",".join(str(x) for x in omega_to_partition(m)) + ")"
         print(f"{omega_str}  {part_str}")
     return EXIT_OK
 
 
 def cmd_triple(args) -> int:
-    t = _parse_type(args)
+    t = _parse_type(args.type, args.n)
     H, X, Y = build_triple(t)
     payload = {
         "n": args.n,
@@ -271,26 +282,32 @@ def _verify_task(task):
     return lam, got, want
 
 
+def _verify_results(tasks, jobs):
+    """_verify_task over tasks, in order; one pool of `jobs` processes serves all."""
+    if jobs == 1:
+        yield from map(_verify_task, tasks)
+        return
+    pool = ProcessPoolExecutor(max_workers=jobs, mp_context=get_context("spawn"))
+    try:
+        yield from pool.map(_verify_task, tasks)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def cmd_verify(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     if args.types == "all":
         types = all_types(args.n)
     else:
-        types = []
-        for part in args.types.split(";"):
-            t = SubalgebraType(_parse_ints(part, "--types"))
-            if t.n != args.n:
-                raise ValueError(f"type {t} is not a partition of n={args.n}")
-            types.append(t)
+        types = [_parse_type(part, args.n) for part in args.types.split(";")]
     lambdas = [omega_to_partition(w) for w in iter_dominant_weights(args.n, args.max_boxes)]
+    results = _verify_results(
+        [(t.blocks, lam, args.budget) for t in types for lam in lambdas], args.jobs
+    )
     mismatches = 0
     for t in types:
-        tasks = [(t.blocks, lam, args.budget) for lam in lambdas]
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(_verify_task, tasks))
-        else:
-            results = [_verify_task(task) for task in tasks]
-        bad = [(lam, got, want) for lam, got, want in results if got != want]
+        bad = [(lam, got, want) for lam, got, want in islice(results, len(lambdas)) if got != want]
         if bad:
             mismatches += len(bad)
             print(f"type {t}: {len(bad)} MISMATCH of {len(lambdas)}")

@@ -1,30 +1,29 @@
-"""Vertical-strip Pieri sets.
+"""Vertical-strip Pieri sets on padded partitions.
 
 Tensoring L(lambda) with the wedge power L(w_k) decomposes multiplicity-free
 over the set P(lambda, k): add k boxes to the Young diagram of lambda, at
 most one per row (rows 1..n, row n starting empty), keep the results that
 are still diagrams, and remove the full column of height n whenever row n
-received a box (the determinant twist e_1 + ... + e_n = 0).
+received a box (the determinant twist e_1 + ... + e_n = 0).  Weights are
+padded partitions (lambda_1, ..., lambda_n), lambda_n = 0, of length n.
 """
 
-from .weights import DominantWeight, omega_to_partition, partition_to_omega
+from .weights import Partition
 
 
-def pieri_set(w: DominantWeight, k: int) -> set[DominantWeight]:
-    """All dominant weights obtained from w by adding a k-box vertical strip.
+def pieri_set(lam: Partition, k: int) -> set[Partition]:
+    """All padded partitions obtained from lam by adding a k-box vertical strip.
 
     Enumerates the row subsets receiving a box in row order, pruning choices
     that break weak decrease or cannot place the remaining boxes.  Distinct
-    subsets give distinct reduced weights, so the set size equals the number
-    of valid subsets.
+    subsets give distinct reduced partitions, so the set size equals the
+    number of valid subsets.
     """
-    n = w.rank
+    n = len(lam)
     if not 1 <= k <= n - 1:
         raise ValueError(f"strip size {k} out of range for rank {n}")
-    lam = omega_to_partition(w)
-    lam = list(lam) + [0] * (n - len(lam))
 
-    out: set[DominantWeight] = set()
+    out: set[Partition] = set()
 
     def place(row, prev, left, acc):
         if n - row < left:
@@ -34,7 +33,7 @@ def pieri_set(w: DominantWeight, k: int) -> set[DominantWeight]:
             if mu[-1]:
                 # row n got a box: full column of height n, subtract it off
                 mu = tuple(x - mu[-1] for x in mu)
-            out.add(partition_to_omega(mu, n))
+            out.add(mu)
             return
         if lam[row] <= prev:
             place(row + 1, lam[row], left, acc + (lam[row],))
@@ -45,11 +44,9 @@ def pieri_set(w: DominantWeight, k: int) -> set[DominantWeight]:
     return out
 
 
-def lex_max_member(w: DominantWeight, k: int) -> DominantWeight:
+def lex_max_member(lam: Partition, k: int) -> Partition:
     """lambda + w_k: one box into each of rows 1..k, the lex maximum of the Pieri set."""
-    n = w.rank
+    n = len(lam)
     if not 1 <= k <= n - 1:
         raise ValueError(f"strip size {k} out of range for rank {n}")
-    coeffs = list(w.coeffs)
-    coeffs[k - 1] += 1
-    return DominantWeight(n, tuple(coeffs))
+    return tuple(x + 1 for x in lam[:k]) + lam[k:]

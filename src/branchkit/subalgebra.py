@@ -11,8 +11,6 @@ and export.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .weights import iter_partitions
 
 
@@ -55,6 +53,8 @@ def build_triple(t: SubalgebraType):
     the superdiagonal, and Y_r has i(r-i) at subdiagonal position (i+1, i) --
     exactly the entries that make [H,X] = 2X, [H,Y] = -2Y, [X,Y] = H hold.
     """
+    import numpy as np  # only the triple needs it; keeps `import branchkit` light
+
     n = t.n
     H = np.zeros((n, n), dtype=np.int64)
     X = np.zeros((n, n), dtype=np.int64)

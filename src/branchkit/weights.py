@@ -4,14 +4,15 @@ A dominant integral weight lambda = a_1 w_1 + ... + a_{n-1} w_{n-1} (w_i the
 fundamental weights, a_i >= 0) corresponds to the partition of suffix sums
 lambda_i = a_i + a_{i+1} + ... + a_{n-1}.  Partitions are plain tuples in
 canonical form (weakly decreasing, no trailing zeros), so one type serves as
-Young diagram shape, highest weight, and Jordan type alike.
+Young diagram shape, highest weight, and Jordan type alike.  The recursion core
+works on the padded form (lambda_1, ..., lambda_n), lambda_n = 0, instead.
 
 Everything here is pure and exact; dimensions use Python's arbitrary
 precision integers.
 """
 
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from math import prod
 
 Partition = tuple[int, ...]
@@ -59,9 +60,6 @@ class DominantWeight:
             raise ValueError(f"omega index {k} out of range for rank {rank}")
         return cls(rank, tuple(1 if i == k else 0 for i in range(1, rank)))
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def __str__(self):
         terms = []
         for i, a in enumerate(self.coeffs, start=1):
@@ -72,15 +70,15 @@ class DominantWeight:
         return " + ".join(terms) if terms else "0"
 
 
+def padded_partition(w: DominantWeight) -> Partition:
+    """(lambda_1, ..., lambda_n) with lambda_n = 0: the suffix sums of w.coeffs, then 0."""
+    return tuple(accumulate(reversed(w.coeffs), initial=0))[::-1]
+
+
 def omega_to_partition(w: DominantWeight) -> Partition:
-    """Partition (lambda_1, ..., lambda_{n-1}) of suffix sums of the coefficients."""
-    parts = []
-    total = 0
-    for a in reversed(w.coeffs):
-        total += a
-        parts.append(total)
-    parts.reverse()
-    return canonical_partition(parts)
+    """Canonical partition of w: its padded partition without trailing zeros."""
+    lam = padded_partition(w)
+    return lam[: lam.index(0)]
 
 
 def partition_to_omega(parts, rank: int) -> DominantWeight:
@@ -117,8 +115,7 @@ def dim_irrep(w: DominantWeight) -> int:
     so all arithmetic stays integral.
     """
     n = w.rank
-    lam = omega_to_partition(w)
-    l = [(lam[i] if i < len(lam) else 0) + n - 1 - i for i in range(n)]
+    l = [x + n - 1 - i for i, x in enumerate(padded_partition(w))]
     num = prod(l[i] - l[j] for i in range(n) for j in range(i + 1, n))
     den = prod(j - i for i in range(n) for j in range(i + 1, n))
     return num // den

@@ -52,11 +52,13 @@ def test_mv_subtract_raises_on_negative():
 
 
 def test_select_pivot():
-    assert select_pivot(DominantWeight(5, (2, 0, 1, 0))) == 3
-    assert select_pivot(DominantWeight.omega(5, 2)) == 2
-    assert select_pivot(DominantWeight(4, (3, 0, 0))) == 1
+    assert select_pivot((3, 1, 1, 0, 0)) == 3  # 2w1 + w3
+    assert select_pivot((1, 1, 0, 0, 0)) == 2  # w2
+    assert select_pivot((3, 0, 0, 0)) == 1  # 3w1
     with pytest.raises(ValueError):
-        select_pivot(DominantWeight.zero(4))
+        select_pivot((0, 0, 0, 0))
+    assert select_pivot((3, 1, 1, 0, 0), largest=False) == 1
+    assert select_pivot((2, 2, 1, 0), largest=False) == 2  # w2 + w3
 
 
 def test_branch_principal_sl5_spot_values():
@@ -153,6 +155,23 @@ def small_weights(draw):
 def test_branch_dimension_matches_weyl(w):
     for t in all_types(w.rank)[:2]:
         assert rep_dimension(branch(t, w)) == dim_irrep(w)
+
+
+@st.composite
+def small_type_and_weight(draw):
+    n = draw(st.integers(3, 5))
+    t = draw(st.sampled_from(all_types(n)))
+    w = draw(st.sampled_from(list(iter_dominant_weights(n, 6))))
+    return t, w
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_type_and_weight())
+def test_both_pivots_match_oracle(case):
+    t, w = case
+    want = oracle_branch(t, w)
+    assert BranchEngine(pivot="largest").branch(t, w) == want
+    assert BranchEngine(pivot="smallest").branch(t, w) == want
 
 
 def test_engine_cache_statistics():

@@ -1,8 +1,9 @@
 import json
 
 import numpy as np
+import pytest
 
-from branchkit import fundamental
+from branchkit import cli, fundamental
 from branchkit.cli import main
 
 
@@ -178,13 +179,34 @@ def test_verify_small_sweep(capsys):
     assert any(line.startswith("type [2,1]") for line in lines)
 
 
-def test_verify_type_list_and_jobs(capsys):
+def test_verify_type_list_and_jobs(capsys, monkeypatch):
+    pools = []
+
+    class CountingPool(cli.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
     code, out, _ = run(
         capsys, "verify", "--n", "4", "--types", "4;2,2", "--max-boxes", "2",
         "--jobs", "2",
     )
     assert code == 0
     assert out.strip().splitlines()[-1] == "OK"
+    assert len(pools) == 1  # one pool serves every type of the sweep
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_rejects_jobs_below_one(capsys, monkeypatch, jobs):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("no pool may be built for an invalid --jobs")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    code, out, err = run(capsys, "verify", "--n", "3", "--max-boxes", "2", "--jobs", jobs)
+    assert code == 2
+    assert err.startswith("error: --jobs must be at least 1")
+    assert out == ""
 
 
 def test_verify_budget_exceeded_exits_4(capsys):
@@ -213,6 +235,28 @@ def test_cache_round_trip_and_warm_stats(tmp_path, capsys):
     assert "computed=0" not in err1
 
 
+def test_cache_keys_have_no_trailing_zeros(tmp_path, capsys):
+    # the engine works on padded partitions (2, 1, 0); the file keeps the
+    # canonical (2, 1), so files written before and after stay interchangeable
+    cache = tmp_path / "memo.json"
+    argv = [
+        "branch", "--n", "3", "--type", "3", "--partition", "2,1",
+        "--cache", str(cache), "--stats",
+    ]
+    code1, _, err1 = run(capsys, *argv)
+    assert code1 == 0
+    entries = json.loads(cache.read_text())["entries"]
+    assert "3|3|2,1" in entries
+    assert "3|3|" in entries  # the trivial weight
+    for key in entries:
+        lam = key.split("|")[2]
+        assert lam == "" or all(int(x) > 0 for x in lam.split(",")), key
+    code2, _, err2 = run(capsys, *argv)
+    assert code2 == 0
+    assert "computed=0" in err2
+    assert "computed=0" not in err1
+
+
 def test_cache_env_var_default(tmp_path, capsys, monkeypatch):
     cache = tmp_path / "env-cache.json"
     monkeypatch.setenv("BRANCHKIT_CACHE", str(cache))
@@ -230,3 +274,51 @@ def test_cache_version_mismatch_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "version" in err
+
+
+MALFORMED_CACHES = {
+    "not json": "{",
+    "top level a list": [],
+    "no entries": {"version": 1},
+    "entries not an object": {"version": 1, "entries": [1, 2]},
+    "key with two fields": {"version": 1, "entries": {"4|4": {"0": 1}}},
+    "key with four fields": {"version": 1, "entries": {"4|4|1|1": {"0": 1}}},
+    "key not integers": {"version": 1, "entries": {"4|four|1": {"0": 1}}},
+    "vector not an object": {"version": 1, "entries": {"4|4|1": [3]}},
+    "component not an integer": {"version": 1, "entries": {"4|4|1": {"x": 1}}},
+    "fractional multiplicity": {"version": 1, "entries": {"4|4|1": {"3": 1.5}}},
+    "string multiplicity": {"version": 1, "entries": {"4|4|1": {"3": "1"}}},
+    "boolean multiplicity": {"version": 1, "entries": {"4|4|1": {"3": True}}},
+    "zero multiplicity": {"version": 1, "entries": {"4|4|1": {"3": 0}}},
+    "negative multiplicity": {"version": 1, "entries": {"4|4|1": {"3": -1}}},
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED_CACHES))
+def test_malformed_cache_exits_2(tmp_path, capsys, shape):
+    content = MALFORMED_CACHES[shape]
+    cache = tmp_path / "bad.json"
+    cache.write_text(content if isinstance(content, str) else json.dumps(content))
+    code, _, err = run(
+        capsys, "branch", "--n", "4", "--type", "4", "--weight", "1,0,0",
+        "--cache", str(cache),
+    )
+    assert code == 2, err
+    assert err.startswith("error: ")
+    assert "internal error" not in err
+
+
+def test_save_cache_failure_keeps_old_file(tmp_path, monkeypatch):
+    cache = tmp_path / "memo.json"
+    cli.save_cache(cache, {(4, (4,), (1,)): {3: 1}})
+    before = cache.read_text()
+
+    def broken(payload):
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(cli, "canonical_json", broken)
+    with pytest.raises(RuntimeError):
+        cli.save_cache(cache, {(4, (4,), (2,)): {6: 1}})
+    assert cache.read_text() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["memo.json"]  # no temp file left
+    assert cli.load_cache(cache) == {(4, (4,), (1,)): {3: 1}}

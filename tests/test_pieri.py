@@ -4,58 +4,55 @@ from math import comb
 import pytest
 
 from branchkit import (
-    DominantWeight,
     dim_irrep,
     iter_dominant_weights,
     lex_compare,
     lex_max_member,
-    omega_to_partition,
+    padded_partition,
     partition_to_omega,
     pieri_set,
 )
 
 
-def strips_by_subset_enumeration(w, k):
+def strips_by_subset_enumeration(lam, k):
     """Independent route: try every k-subset of rows, keep valid diagrams."""
-    n = w.rank
-    lam = list(omega_to_partition(w)) + [0] * n
-    lam = lam[:n]
+    n = len(lam)
     out = set()
     for rows in combinations(range(n), k):
-        mu = lam[:]
+        mu = list(lam)
         for r in rows:
             mu[r] += 1
         if all(mu[i] >= mu[i + 1] for i in range(n - 1)):
             if mu[-1]:
                 mu = [x - mu[-1] for x in mu]
-            out.add(partition_to_omega(mu, n))
+            out.add(tuple(mu))
     return out
 
 
 def test_two_box_strip_example_sl4():
-    w = DominantWeight(4, (0, 2, 1))
+    w = (3, 3, 1, 0)  # 2w2 + w3
     expected = {
-        DominantWeight(4, (0, 3, 1)),
-        DominantWeight(4, (1, 1, 2)),
-        DominantWeight(4, (1, 2, 0)),
-        DominantWeight(4, (0, 1, 1)),
+        (4, 4, 1, 0),  # 3w2 + w3
+        (4, 3, 2, 0),  # w1 + w2 + 2w3
+        (3, 2, 0, 0),  # w1 + 2w2
+        (2, 2, 1, 0),  # w2 + w3
     }
     assert pieri_set(w, 2) == expected
 
 
 def test_strip_examples_sl5():
-    assert pieri_set(DominantWeight(5, (2, 0, 0, 0)), 3) == {
-        DominantWeight(5, (2, 0, 1, 0)),
-        DominantWeight(5, (1, 0, 0, 1)),
+    assert pieri_set((2, 0, 0, 0, 0), 3) == {
+        (3, 1, 1, 0, 0),  # 2w1 + w3
+        (2, 1, 1, 1, 0),  # w1 + w4
     }
-    assert pieri_set(DominantWeight(5, (1, 0, 0, 0)), 4) == {
-        DominantWeight(5, (1, 0, 0, 1)),
-        DominantWeight.zero(5),
+    assert pieri_set((1, 0, 0, 0, 0), 4) == {
+        (2, 1, 1, 1, 0),
+        (0, 0, 0, 0, 0),
     }
 
 
 def test_strip_size_out_of_range():
-    w = DominantWeight.zero(4)
+    w = (0, 0, 0, 0)
     with pytest.raises(ValueError):
         pieri_set(w, 0)
     with pytest.raises(ValueError):
@@ -65,21 +62,21 @@ def test_strip_size_out_of_range():
 
 
 def test_lex_max_member_examples():
-    assert lex_max_member(DominantWeight(4, (0, 2, 1)), 2) == DominantWeight(4, (0, 3, 1))
-    assert lex_max_member(DominantWeight.zero(5), 3) == DominantWeight.omega(5, 3)
+    assert lex_max_member((3, 3, 1, 0), 2) == (4, 4, 1, 0)
+    assert lex_max_member((0, 0, 0, 0, 0), 3) == (1, 1, 1, 0, 0)  # w3
 
 
 def test_pieri_of_zero_weight():
     for n in range(2, 6):
         for k in range(1, n):
-            assert pieri_set(DominantWeight.zero(n), k) == {DominantWeight.omega(n, k)}
+            assert pieri_set((0,) * n, k) == {(1,) * k + (0,) * (n - k)}
 
 
 def sweep_weights():
     for n in range(2, 7):
         for w in iter_dominant_weights(n, 6):
             for k in range(1, n):
-                yield n, w, k
+                yield n, padded_partition(w), k
 
 
 def test_membership_and_lex_maximality():
@@ -87,10 +84,9 @@ def test_membership_and_lex_maximality():
         members = pieri_set(w, k)
         top = lex_max_member(w, k)
         assert top in members
-        top_lam = omega_to_partition(top)
         for m in members:
             if m != top:
-                assert lex_compare(top_lam, omega_to_partition(m)) == 1, (w, k, m)
+                assert lex_compare(top, m) == 1, (w, k, m)
 
 
 def test_matches_subset_enumeration_and_distinctness():
@@ -102,13 +98,11 @@ def test_matches_subset_enumeration_and_distinctness():
 def test_dimension_additivity():
     # the strip decomposition is multiplicity-free, so dimensions add up
     for n, w, k in sweep_weights():
-        total = sum(dim_irrep(m) for m in pieri_set(w, k))
-        assert total == dim_irrep(w) * comb(n, k), (w, k)
+        total = sum(dim_irrep(partition_to_omega(m, n)) for m in pieri_set(w, k))
+        assert total == dim_irrep(partition_to_omega(w, n)) * comb(n, k), (w, k)
 
 
 def test_first_row_grows_by_at_most_one():
     for n, w, k in sweep_weights():
-        lam1 = (omega_to_partition(w) or (0,))[0]
-        for m in pieri_set(w, k):
-            mu = omega_to_partition(m)
-            assert (mu[0] if mu else 0) <= lam1 + 1
+        for mu in pieri_set(w, k):
+            assert mu[0] <= w[0] + 1

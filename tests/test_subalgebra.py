@@ -1,7 +1,24 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import branchkit
 from branchkit import SubalgebraType, all_types, build_triple, h_diagonal, is_principal
+
+
+def test_import_does_not_load_numpy():
+    # only build_triple needs numpy; importing the package and the CLI must not
+    src = os.path.dirname(os.path.dirname(branchkit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, branchkit, branchkit.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_h_diagonal_examples():
