@@ -5,15 +5,21 @@ stdout, diagnostics to stderr.  Exit codes: 0 success, 1 verification
 mismatch (a closed form or the oracle disagrees), 2 invalid input, 3 internal
 failure (a consistency check or any unexpected exception), 4 oracle budget
 exceeded.
+
+`branch --cache` keeps the engine's memo table in a version-tagged file of
+compact JSON with sorted keys, checked on load and replaced atomically.  The
+file is rewritten only when a run computed a new entry.  A run that loaded
+the file and then fails a consistency check is repeated once without it; if
+that run passes, the file holds a wrong entry and is rejected (exit 2).
+`verify --jobs N` runs min(N, CPU count) worker processes and imports the
+process pool only when that is more than one.
 """
 
 import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from itertools import islice
-from multiprocessing import get_context
 
 from .branching import BranchEngine, branch
 from .fundamental import ClosedFormMismatchError, fundamental_branching
@@ -151,16 +157,19 @@ def load_cache(path) -> dict:
 
 
 def save_cache(path, cache):
-    """Write the memo cache to a temporary file beside path, then rename it over path."""
+    """Write the memo cache to a temporary file beside path, then rename it over path.
+
+    Compact separators keep json.dumps on its C encoder (indent forces the
+    pure-Python one); sort_keys orders entries and components as before.
+    """
     entries = {
-        _cache_key_str(key): {str(j): m for j, m in sorted(mv.items())}
-        for key, mv in cache.items()
+        _cache_key_str(key): {str(j): m for j, m in mv.items()} for key, mv in cache.items()
     }
     payload = {"version": CACHE_VERSION, "entries": entries}
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(payload) + "\n")
+            fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -169,19 +178,35 @@ def save_cache(path, cache):
 
 # ----------------------------------------------------------------- commands
 
-def cmd_branch(args) -> int:
-    t = _parse_type(args.type, args.n)
-    w = _parse_weight(args)
-    cache_path = args.cache or os.environ.get(CACHE_ENV_VAR)
-    engine = BranchEngine()
-    if cache_path and os.path.exists(cache_path):
-        engine.cache = load_cache(cache_path)
+def _checked_branch(engine, t, w):
     mv = engine.branch(t, w)
     dim = dim_irrep(w)
     if rep_dimension(mv) != dim:
         raise InternalConsistencyError(
             f"dimension mismatch: sum m_j(j+1) = {rep_dimension(mv)}, dim L(lambda) = {dim}"
         )
+    return mv, dim
+
+
+def cmd_branch(args) -> int:
+    t = _parse_type(args.type, args.n)
+    w = _parse_weight(args)
+    cache_path = args.cache or os.environ.get(CACHE_ENV_VAR)
+    engine = BranchEngine()
+    loaded = bool(cache_path) and os.path.exists(cache_path)
+    if loaded:
+        engine.cache = load_cache(cache_path)
+    try:
+        mv, dim = _checked_branch(engine, t, w)
+    except InternalConsistencyError:
+        if not loaded:
+            raise
+        # a failure that a run without the file does not repeat is the file's
+        _checked_branch(BranchEngine(), t, w)
+        raise ValueError(
+            f"cache {cache_path} holds a wrong entry: branch({t}, {w}) fails its "
+            "consistency checks with it and passes them without it"
+        ) from None
     lam = omega_to_partition(w)
     _emit_multvector(
         args.format,
@@ -194,12 +219,14 @@ def cmd_branch(args) -> int:
             "lambda_partition": list(lam),
         },
     )
-    if cache_path:
+    # with nothing computed, the file already holds every entry of the memo
+    saved = bool(cache_path) and engine.stats["computed"] > 0
+    if saved:
         save_cache(cache_path, engine.cache)
     if args.stats:
         print(
             f"computed={engine.stats['computed']} hits={engine.stats['hits']} "
-            f"cache_entries={len(engine.cache)}",
+            f"cache_entries={len(engine.cache)} cache_saved={int(saved)}",
             file=sys.stderr,
         )
     return EXIT_OK
@@ -287,6 +314,9 @@ def _verify_results(tasks, jobs):
     if jobs == 1:
         yield from map(_verify_task, tasks)
         return
+    from concurrent.futures import ProcessPoolExecutor  # only here: costly to import
+    from multiprocessing import get_context
+
     pool = ProcessPoolExecutor(max_workers=jobs, mp_context=get_context("spawn"))
     try:
         yield from pool.map(_verify_task, tasks)
@@ -297,13 +327,14 @@ def _verify_results(tasks, jobs):
 def cmd_verify(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    jobs = min(args.jobs, os.cpu_count() or 1)
     if args.types == "all":
         types = all_types(args.n)
     else:
         types = [_parse_type(part, args.n) for part in args.types.split(";")]
     lambdas = [omega_to_partition(w) for w in iter_dominant_weights(args.n, args.max_boxes)]
     results = _verify_results(
-        [(t.blocks, lam, args.budget) for t in types for lam in lambdas], args.jobs
+        [(t.blocks, lam, args.budget) for t in types for lam in lambdas], jobs
     )
     mismatches = 0
     for t in types:

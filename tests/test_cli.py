@@ -1,9 +1,13 @@
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from branchkit import cli, fundamental
+from branchkit import BranchEngine, SubalgebraType, cli, fundamental, partition_to_omega
 from branchkit.cli import main
 
 
@@ -182,12 +186,13 @@ def test_verify_small_sweep(capsys):
 def test_verify_type_list_and_jobs(capsys, monkeypatch):
     pools = []
 
-    class CountingPool(cli.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(self)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # so the clamp keeps --jobs 2
     code, out, _ = run(
         capsys, "verify", "--n", "4", "--types", "4;2,2", "--max-boxes", "2",
         "--jobs", "2",
@@ -202,11 +207,51 @@ def test_verify_rejects_jobs_below_one(capsys, monkeypatch, jobs):
     def no_pool(*args, **kwargs):
         raise AssertionError("no pool may be built for an invalid --jobs")
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     code, out, err = run(capsys, "verify", "--n", "3", "--max-boxes", "2", "--jobs", jobs)
     assert code == 2
     assert err.startswith("error: --jobs must be at least 1")
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "cpus, jobs, workers",
+    [(2, "16", [2]), (8, "3", [3]), (1, "4", []), (None, "3", [])],
+)
+def test_verify_jobs_clamped_to_cpu_count(capsys, monkeypatch, cpus, jobs, workers):
+    built = []
+
+    class SerialPool:  # records the pool size and spawns nothing
+        def __init__(self, max_workers, mp_context):
+            built.append(max_workers)
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+        def shutdown(self, cancel_futures):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    code, out, _ = run(capsys, "verify", "--n", "3", "--max-boxes", "2", "--jobs", jobs)
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "OK"
+    assert built == workers  # clamped to the CPU count; one CPU runs serially
+
+
+def test_import_cli_does_not_load_process_pool():
+    # only verify --jobs > 1 needs a pool; every other command skips the import
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, branchkit.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_verify_budget_exceeded_exits_4(capsys):
@@ -233,6 +278,59 @@ def test_cache_round_trip_and_warm_stats(tmp_path, capsys):
     assert out2 == out1
     assert "computed=0" in err2
     assert "computed=0" not in err1
+    assert err1.strip().endswith("cache_saved=1")
+    assert err2.strip().endswith("cache_saved=0")
+
+
+BRANCH_5 = ["branch", "--n", "5", "--type", "3,2", "--partition", "3,2,1", "--format", "json"]
+
+
+def test_warm_run_leaves_cache_file_untouched(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "memo.json"
+    code1, out1, _ = run(capsys, *BRANCH_5, "--cache", str(cache))
+    assert code1 == 0
+    before, mtime = cache.read_bytes(), cache.stat().st_mtime_ns
+
+    def no_save(path, memo):
+        raise AssertionError("a run that computed nothing must not save")
+
+    monkeypatch.setattr(cli, "save_cache", no_save)
+    code2, out2, err2 = run(capsys, *BRANCH_5, "--cache", str(cache), "--stats")
+    assert code2 == 0, err2
+    assert out2 == out1
+    assert "computed=0" in err2 and "cache_saved=0" in err2
+    assert cache.read_bytes() == before
+    assert cache.stat().st_mtime_ns == mtime
+
+
+def test_cache_file_is_compact_sorted_version_1(tmp_path, capsys):
+    cache = tmp_path / "memo.json"
+    code, _, _ = run(capsys, *BRANCH_5, "--cache", str(cache))
+    assert code == 0
+    text = cache.read_text()
+    data = json.loads(text)
+    assert text == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+    assert data["version"] == 1
+    engine = BranchEngine()
+    engine.branch(SubalgebraType((3, 2)), partition_to_omega((3, 2, 1), 5))
+    assert data["entries"] == {
+        cli._cache_key_str(key): {str(j): m for j, m in mv.items()}
+        for key, mv in engine.cache.items()
+    }
+
+
+def test_indented_cache_file_still_loads(tmp_path, capsys):
+    # files written with indent=2, as before the compact format, stay readable
+    cache = tmp_path / "memo.json"
+    code1, out1, _ = run(capsys, *BRANCH_5, "--cache", str(cache))
+    assert code1 == 0
+    indented = json.dumps(json.loads(cache.read_text()), indent=2, sort_keys=True) + "\n"
+    cache.write_text(indented)
+    code2, out2, err2 = run(capsys, *BRANCH_5, "--cache", str(cache), "--stats")
+    assert code2 == 0
+    assert out2 == out1
+    assert "computed=0" in err2
+    assert cache.read_text() == indented
 
 
 def test_cache_keys_have_no_trailing_zeros(tmp_path, capsys):
@@ -308,15 +406,53 @@ def test_malformed_cache_exits_2(tmp_path, capsys, shape):
     assert "internal error" not in err
 
 
+# a well-formed entry with wrong multiplicities: for the weight itself (the
+# final dimension check fails), for a sub-weight the recursion uses (the
+# dimension check fails), and one that drives a subtraction negative
+WRONG_ENTRIES = {
+    "top level": ({"4|4|1": {"0": 5}}, ["--weight", "1,0,0"]),
+    "sub-weight, wrong dimension": ({"4|4|1,1": {"0": 1}}, ["--partition", "2"]),
+    "sub-weight, negative multiplicity": ({"4|4|1,1": {"8": 1}}, ["--partition", "2"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_ENTRIES))
+def test_wrong_cache_entry_exits_2(tmp_path, capsys, case):
+    entries, weight = WRONG_ENTRIES[case]
+    cache = tmp_path / "memo.json"
+    cache.write_text(json.dumps({"version": 1, "entries": entries}))
+    before = cache.read_bytes()
+    code, out, err = run(
+        capsys, "branch", "--n", "4", "--type", "4", *weight, "--cache", str(cache)
+    )
+    assert code == 2, err
+    assert err.startswith(f"error: cache {cache} holds a wrong entry")
+    assert out == ""
+    assert cache.read_bytes() == before
+
+
+def test_consistency_failure_without_cache_keeps_exit_3(tmp_path, capsys, monkeypatch):
+    # the run without the file fails too, so the file is not to blame
+    cache = tmp_path / "memo.json"
+    code, _, _ = run(capsys, "branch", "--n", "4", "--type", "4", "--partition", "2",
+                     "--cache", str(cache))
+    assert code == 0
+    monkeypatch.setattr(cli, "dim_irrep", lambda w: 0)
+    code, _, err = run(capsys, "branch", "--n", "4", "--type", "4", "--partition", "2",
+                       "--cache", str(cache))
+    assert code == 3
+    assert err.startswith("error: dimension mismatch")
+
+
 def test_save_cache_failure_keeps_old_file(tmp_path, monkeypatch):
     cache = tmp_path / "memo.json"
     cli.save_cache(cache, {(4, (4,), (1,)): {3: 1}})
     before = cache.read_text()
 
-    def broken(payload):
+    def broken(payload, **kwargs):
         raise RuntimeError("disk full")
 
-    monkeypatch.setattr(cli, "canonical_json", broken)
+    monkeypatch.setattr(cli.json, "dumps", broken)
     with pytest.raises(RuntimeError):
         cli.save_cache(cache, {(4, (4,), (2,)): {6: 1}})
     assert cache.read_text() == before
