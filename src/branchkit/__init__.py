@@ -7,6 +7,11 @@ dynamic program for the wedge-power weight multiset, with closed-form
 cross-checks; arbitrary highest weights branch by a memoized
 Pieri/Clebsch-Gordan recursion; an independent semistandard tableau oracle
 recomputes everything from first principles.
+
+The top level exports what the README, the demos and the benchmark use, plus
+the exception types.  Helpers such as the hook and two-block closed forms, the
+partition utilities and the tableau enumerator stay importable from their
+modules.
 """
 
 from .branching import (
@@ -17,36 +22,29 @@ from .branching import (
     select_pivot,
 )
 from .fundamental import (
-    CorruptMultisetError,
-    branching_hook,
-    branching_k2_general,
-    branching_two_blocks,
+    ClosedFormMismatchError,
     fundamental_branching,
     mult_cayley_sylvester,
-    mult_from_multiset,
     mult_macdonald,
     mult_strict_count,
     wedge_weight_multiset,
 )
-from .oracle import BudgetExceededError, oracle_branch, ssyt_count, tableau_weight_multiset
+from .oracle import BudgetExceededError, oracle_branch, ssyt_count
 from .pieri import lex_max_member, pieri_set
 from .qcomb import gaussian_binomial, p_k_n, pi, qpoly_str
 from .sl2 import (
+    CorruptMultisetError,
     InternalConsistencyError,
     cg_convolve,
     highest_component,
     lowest_component,
     rep_dimension,
 )
-from .subalgebra import SubalgebraType, all_types, build_triple, h_diagonal, is_principal
+from .subalgebra import SubalgebraType, all_types, build_triple, h_diagonal
 from .weights import (
     DominantWeight,
-    canonical_partition,
     dim_irrep,
-    dual_weight,
     iter_dominant_weights,
-    iter_partitions,
-    lex_compare,
     omega_to_partition,
     padded_partition,
     partition_to_omega,
@@ -57,33 +55,25 @@ __version__ = "0.1.0"
 __all__ = [
     "BranchEngine",
     "BudgetExceededError",
+    "ClosedFormMismatchError",
     "CorruptMultisetError",
     "DominantWeight",
     "InternalConsistencyError",
     "SubalgebraType",
     "all_types",
     "branch",
-    "branching_hook",
-    "branching_k2_general",
-    "branching_two_blocks",
     "build_triple",
-    "canonical_partition",
     "cg_convolve",
     "clear_cache",
     "dim_irrep",
-    "dual_weight",
     "fundamental_branching",
     "gaussian_binomial",
     "h_diagonal",
     "highest_component",
-    "is_principal",
     "iter_dominant_weights",
-    "iter_partitions",
-    "lex_compare",
     "lex_max_member",
     "lowest_component",
     "mult_cayley_sylvester",
-    "mult_from_multiset",
     "mult_macdonald",
     "mult_strict_count",
     "omega_to_partition",
@@ -98,6 +88,5 @@ __all__ = [
     "rep_dimension",
     "select_pivot",
     "ssyt_count",
-    "tableau_weight_multiset",
     "wedge_weight_multiset",
 ]

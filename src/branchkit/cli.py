@@ -10,7 +10,9 @@ exceeded.
 compact JSON with sorted keys, checked on load and replaced atomically.  The
 file is rewritten only when a run computed a new entry.  A run that loaded
 the file and then fails a consistency check is repeated once without it; if
-that run passes, the file holds a wrong entry and is rejected (exit 2).
+that run passes, the file holds a wrong entry and is rejected (exit 2).  On
+load, trivial and fundamental entries are compared with {0: 1} and
+fundamental_branching, and a mismatch is rejected the same way.
 `verify --jobs N` runs min(N, CPU count) worker processes and imports the
 process pool only when that is more than one.
 """
@@ -92,20 +94,6 @@ def _latex_multvector(mv) -> str:
     return "\\oplus ".join(terms) if terms else "0"
 
 
-def _pretty_multvector(mv) -> list[str]:
-    lines = ["j  multiplicity"]
-    for j in sorted(mv):
-        lines.append(f"{j}  {mv[j]}")
-    return lines
-
-
-def _csv_multvector(mv) -> list[str]:
-    lines = ["j,multiplicity"]
-    for j in sorted(mv):
-        lines.append(f"{j},{mv[j]}")
-    return lines
-
-
 def _emit_multvector(fmt, mv, dimension, json_extra):
     if fmt == "json":
         payload = dict(json_extra)
@@ -115,11 +103,15 @@ def _emit_multvector(fmt, mv, dimension, json_extra):
         payload["lowest"] = lowest_component(mv)
         print(canonical_json(payload))
     elif fmt == "csv":
-        print("\n".join(_csv_multvector(mv)))
+        print("j,multiplicity")
+        for j in sorted(mv):
+            print(f"{j},{mv[j]}")
     elif fmt == "latex":
         print(_latex_multvector(mv))
     else:
-        print("\n".join(_pretty_multvector(mv)))
+        print("j  multiplicity")
+        for j in sorted(mv):
+            print(f"{j}  {mv[j]}")
         print(f"dimension {dimension}")
         print(f"highest {highest_component(mv)}")
         print(f"lowest {lowest_component(mv)}")
@@ -138,21 +130,38 @@ def _cache_key_parse(text):
 
 
 def load_cache(path) -> dict:
-    """Read a memo cache file; any malformed shape raises ValueError."""
+    """Read a memo cache file; any malformed shape raises ValueError, and so
+    does an entry for 0 or omega_k that is not {0: 1} or fundamental_branching."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     version = data.get("version") if isinstance(data, dict) else None
     if version != CACHE_VERSION:
         raise ValueError(f"cache {path} has version {version}, expected {CACHE_VERSION}")
     cache = {}
+    types = {}
     try:
         for key_str, mults in data["entries"].items():
             mv = {int(j): m for j, m in mults.items()}
-            if set(map(type, mv.values())) != {int} or min(mv.values()) < 1:
-                raise ValueError(f"entry {key_str!r} needs positive integer multiplicities")
-            cache[_cache_key_parse(key_str)] = mv
+            if set(map(type, mv.values())) != {int} or min(mv.values()) < 1 or min(mv) < 0:
+                raise ValueError(
+                    f"entry {key_str!r} needs positive integer multiplicities of F_j, j >= 0"
+                )
+            n, blocks, lam = _cache_key_parse(key_str)
+            if (n, blocks) not in types:
+                t = types[n, blocks] = SubalgebraType(blocks)
+                if t.n != n:
+                    raise ValueError(f"type {t} is a partition of {t.n}, not of n={n}")
+            cache[n, blocks, lam] = mv
     except (AttributeError, KeyError, ValueError) as exc:
         raise ValueError(f"cache {path} is malformed ({type(exc).__name__}: {exc})") from None
+    for (n, blocks, lam), mv in cache.items():
+        if set(lam) <= {1} and len(lam) < n:
+            want = fundamental_branching(types[n, blocks], len(lam)) if lam else {0: 1}
+            if mv != want:
+                raise ValueError(
+                    f"cache {path} holds a wrong entry: {_cache_key_str((n, blocks, lam))} "
+                    f"is {mv}, expected {want}"
+                )
     return cache
 
 

@@ -9,11 +9,14 @@ Symmetric Functions and Hall Polynomials, I.2), which a subset-sum dynamic
 program reads off in O(n k span) integer additions without listing the
 C(n, k) subsets; there is no rank cap.
 
-Closed forms double as fast paths and cross-checks:
+The dynamic program always computes the result; the closed forms are only
+cross-checks, run by fundamental_branching(verify=True):
   * principal type: strict-tuple counts, the Cayley-Sylvester partition-count
     difference, and Macdonald's plethysm formulas for k = 2, 3;
-  * type [r, 1, ..., 1] and type [r, s] for k up to floor(n/2);
-  * k = 2 for arbitrary type.
+  * types of more than one block: [r, 1, ..., 1] and [r, s] for k up to
+    floor(n/2), and k = 2 for any type.  These build on the principal
+    branchings of the blocks, so on a single block they would return the
+    result under check.
 """
 
 from collections import Counter
@@ -21,14 +24,10 @@ from math import comb
 from operator import add
 
 from .qcomb import p_k_n, pi
-from .sl2 import MultVector, cg_convolve
+from .sl2 import MultVector, cg_convolve, mult_from_multiset
 from .subalgebra import SubalgebraType, h_diagonal, is_principal
 
 WeightMultiset = Counter
-
-
-class CorruptMultisetError(ValueError):
-    """The multiset is not the weight system of any sl_2 representation."""
 
 
 class ClosedFormMismatchError(AssertionError):
@@ -56,27 +55,6 @@ def wedge_weight_multiset(t: SubalgebraType, k: int) -> WeightMultiset:
                 dst.extend([0] * (end - len(dst)))
             dst[x:end] = map(add, dst[x:end], src)
     return Counter({s + k * low: c for s, c in enumerate(dp[k]) if c})
-
-
-def mult_from_multiset(ms: WeightMultiset) -> MultVector:
-    """Multiplicities m_j = dim V_j - dim V_{j+2} of a symmetric weight multiset."""
-    for j, c in ms.items():
-        if ms.get(-j, 0) != c:
-            raise CorruptMultisetError(
-                f"weight multiset not symmetric under negation at {j}: "
-                f"{c} vs {ms.get(-j, 0)}"
-            )
-    out: MultVector = {}
-    top = max(ms) if ms else -1
-    for j in range(0, top + 1):
-        m = ms.get(j, 0) - ms.get(j + 2, 0)
-        if m < 0:
-            raise CorruptMultisetError(
-                f"dim V_{j} < dim V_{j + 2}: not a representation weight system"
-            )
-        if m:
-            out[j] = m
-    return out
 
 
 def mult_strict_count(n: int, k: int, j: int) -> int:
@@ -166,19 +144,18 @@ def _verify_closed_forms(t, k, result):
     checks = []
     if is_principal(t):
         top = k * (n - k)
-        for name, f in (("strict-count", mult_strict_count),
-                        ("cayley-sylvester", mult_cayley_sylvester)):
-            checks.append((name, {j: m for j in range(top + 1) if (m := f(n, k, j))}))
+        forms = [("strict-count", mult_strict_count), ("cayley-sylvester", mult_cayley_sylvester)]
         if k in (2, 3):
-            checks.append(
-                ("macdonald", {j: m for j in range(top + 1) if (m := mult_macdonald(n, k, j))})
-            )
-    if k == 2 and n >= 3:
-        checks.append(("k2-general", branching_k2_general(t)))
-    if len(t.blocks) == 2 and 1 <= k <= n // 2:
-        checks.append(("two-blocks", branching_two_blocks(t, k)))
-    if all(d == 1 for d in t.blocks[1:]) and (len(t.blocks) == 1 or k <= n // 2):
-        checks.append(("hook", branching_hook(t, k)))
+            forms.append(("macdonald", mult_macdonald))
+        for name, f in forms:
+            checks.append((name, {j: m for j in range(top + 1) if (m := f(n, k, j))}))
+    else:
+        if k == 2:
+            checks.append(("k2-general", branching_k2_general(t)))
+        if all(d == 1 for d in t.blocks[1:]) and k <= n // 2:
+            checks.append(("hook", branching_hook(t, k)))
+        if len(t.blocks) == 2 and k <= n // 2:
+            checks.append(("two-blocks", branching_two_blocks(t, k)))
     for name, other in checks:
         if other != result:
             raise ClosedFormMismatchError(

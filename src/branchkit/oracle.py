@@ -5,14 +5,15 @@ weight basis of L(lambda); a tableau's H-eigenvalue is the sum of
 h_diagonal[entry - 1] over its boxes.  Enumerating all of them and applying
 dim V_j - dim V_{j+2} reproduces any branching from first principles.
 
-Deliberately independent of the recursion and the closed forms: the only
-shared code is h_diagonal and the dim-difference arithmetic.
+Deliberately independent of the recursion and the closed forms: it imports
+nothing from fundamental or branching, only h_diagonal from subalgebra, the
+partition dictionary from weights, and the dim-difference arithmetic
+(mult_from_multiset) from sl2.
 """
 
 from collections import Counter
 
-from .fundamental import mult_from_multiset
-from .sl2 import MultVector
+from .sl2 import MultVector, mult_from_multiset
 from .subalgebra import SubalgebraType, h_diagonal
 from .weights import DominantWeight, Partition, canonical_partition, omega_to_partition
 

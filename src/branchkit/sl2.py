@@ -2,6 +2,9 @@
 
 A decomposition m_0 F_0 + m_1 F_1 + ... (F_j irreducible of highest weight j,
 dimension j + 1) is a sparse dict {j: m_j} holding only positive entries.
+A weight multiset {weight: dim V_weight} turns into one by the dim-difference
+rule m_j = dim V_j - dim V_{j+2}, the step that the wedge-power route and the
+tableau oracle share.
 """
 
 MultVector = dict[int, int]
@@ -9,6 +12,31 @@ MultVector = dict[int, int]
 
 class InternalConsistencyError(RuntimeError):
     """A computation produced a negative multiplicity; this is always a bug."""
+
+
+class CorruptMultisetError(ValueError):
+    """The multiset is not the weight system of any sl_2 representation."""
+
+
+def mult_from_multiset(ms: dict[int, int]) -> MultVector:
+    """Multiplicities m_j = dim V_j - dim V_{j+2} of a symmetric weight multiset."""
+    for j, c in ms.items():
+        if ms.get(-j, 0) != c:
+            raise CorruptMultisetError(
+                f"weight multiset not symmetric under negation at {j}: "
+                f"{c} vs {ms.get(-j, 0)}"
+            )
+    out: MultVector = {}
+    top = max(ms) if ms else -1
+    for j in range(0, top + 1):
+        m = ms.get(j, 0) - ms.get(j + 2, 0)
+        if m < 0:
+            raise CorruptMultisetError(
+                f"dim V_{j} < dim V_{j + 2}: not a representation weight system"
+            )
+        if m:
+            out[j] = m
+    return out
 
 
 def cg_convolve(a: MultVector, b: MultVector) -> MultVector:

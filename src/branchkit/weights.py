@@ -12,7 +12,7 @@ precision integers.
 """
 
 from dataclasses import dataclass
-from itertools import accumulate, zip_longest
+from itertools import accumulate
 from math import prod
 
 Partition = tuple[int, ...]
@@ -92,14 +92,6 @@ def partition_to_omega(parts, rank: int) -> DominantWeight:
         raise ValueError(f"partition {p} has too many parts for rank {rank}")
     padded = p + (0,) * (rank - len(p))
     return DominantWeight(rank, tuple(padded[i] - padded[i + 1] for i in range(rank - 1)))
-
-
-def lex_compare(p, q) -> int:
-    """Three-way lexicographic comparison of partitions; absent parts read as 0."""
-    for a, b in zip_longest(p, q, fillvalue=0):
-        if a != b:
-            return -1 if a < b else 1
-    return 0
 
 
 def dual_weight(w: DominantWeight) -> DominantWeight:

@@ -14,7 +14,6 @@ from branchkit import (
     SubalgebraType,
     all_types,
     branch,
-    branching_two_blocks,
     build_triple,
     dim_irrep,
     fundamental_branching,
@@ -33,6 +32,7 @@ from branchkit import (
     principal_highest_component,
     rep_dimension,
 )
+from branchkit.fundamental import branching_two_blocks
 
 # criterion-5 grid: (rank, max boxes, types or None for all)
 GRIDS = [

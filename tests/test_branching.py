@@ -11,7 +11,6 @@ from branchkit import (
     cg_convolve,
     clear_cache,
     dim_irrep,
-    dual_weight,
     highest_component,
     iter_dominant_weights,
     lowest_component,
@@ -22,6 +21,7 @@ from branchkit import (
 )
 from branchkit import fundamental
 from branchkit.sl2 import mv_subtract
+from branchkit.weights import dual_weight
 
 
 def test_cg_convolve_spin_halves():
@@ -144,17 +144,26 @@ def test_branch_self_dual():
 
 
 @st.composite
-def small_weights(draw):
-    rank = draw(st.integers(3, 5))
+def any_type_small_weight(draw):
+    rank = draw(st.integers(3, 7))
+    t = draw(st.sampled_from(all_types(rank)))
     coeffs = draw(st.lists(st.integers(0, 2), min_size=rank - 1, max_size=rank - 1))
-    return DominantWeight(rank, tuple(coeffs))
+    return t, DominantWeight(rank, tuple(coeffs))
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_weights())
-def test_branch_dimension_matches_weyl(w):
-    for t in all_types(w.rank)[:2]:
-        assert rep_dimension(branch(t, w)) == dim_irrep(w)
+@given(any_type_small_weight())
+def test_branch_dimension_matches_weyl(case):
+    t, w = case
+    assert rep_dimension(branch(t, w)) == dim_irrep(w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(any_type_small_weight())
+def test_dual_weight_branches_alike(case):
+    # L(w)* has highest weight dual_weight(w), and sl_2 modules are self-dual
+    t, w = case
+    assert branch(t, w) == branch(t, dual_weight(w))
 
 
 @st.composite

@@ -389,6 +389,9 @@ MALFORMED_CACHES = {
     "boolean multiplicity": {"version": 1, "entries": {"4|4|1": {"3": True}}},
     "zero multiplicity": {"version": 1, "entries": {"4|4|1": {"3": 0}}},
     "negative multiplicity": {"version": 1, "entries": {"4|4|1": {"3": -1}}},
+    "negative component": {"version": 1, "entries": {"4|4|1": {"-1": 1, "3": 1}}},
+    "key type of another rank": {"version": 1, "entries": {"4|3|1": {"2": 1}}},
+    "key type of unit blocks": {"version": 1, "entries": {"4|1,1,1,1|1": {"0": 4}}},
 }
 
 
@@ -408,9 +411,14 @@ def test_malformed_cache_exits_2(tmp_path, capsys, shape):
 
 # a well-formed entry with wrong multiplicities: for the weight itself (the
 # final dimension check fails), for a sub-weight the recursion uses (the
-# dimension check fails), and one that drives a subtraction negative
+# dimension check fails), one that drives a subtraction negative, and trivial
+# and fundamental entries, which are checked on load even when the dimension
+# works out
 WRONG_ENTRIES = {
     "top level": ({"4|4|1": {"0": 5}}, ["--weight", "1,0,0"]),
+    "fundamental, right dimension": ({"4|4|1": {"1": 2}}, ["--weight", "1,0,0"]),
+    "fundamental, unused": ({"4|4|1": {"3": 1}, "4|4|1,1,1": {"1": 2}}, ["--weight", "1,0,0"]),
+    "trivial": ({"4|4|": {"0": 2}}, ["--weight", "1,0,0"]),
     "sub-weight, wrong dimension": ({"4|4|1,1": {"0": 1}}, ["--partition", "2"]),
     "sub-weight, negative multiplicity": ({"4|4|1,1": {"8": 1}}, ["--partition", "2"]),
 }

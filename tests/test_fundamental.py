@@ -6,21 +6,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from branchkit import (
-    CorruptMultisetError,
     SubalgebraType,
     all_types,
-    branching_hook,
-    branching_k2_general,
-    branching_two_blocks,
     fundamental_branching,
     h_diagonal,
     mult_cayley_sylvester,
-    mult_from_multiset,
     mult_macdonald,
     mult_strict_count,
     rep_dimension,
     wedge_weight_multiset,
 )
+from branchkit import fundamental
+from branchkit.fundamental import branching_hook, branching_k2_general, branching_two_blocks
+from branchkit.sl2 import CorruptMultisetError, mult_from_multiset
 
 # weight multiset of the third wedge power for type [4,3], written out in full
 LAMBDA3_43 = Counter(
@@ -162,6 +160,28 @@ def test_fundamental_branching_verify_mode_runs_all_closed_forms():
               SubalgebraType((2, 2, 1))):
         for k in range(1, min(t.n - 1, t.n // 2) + 1):
             fundamental_branching(t, k, verify=True)
+
+
+def test_verify_skips_self_comparisons_on_one_block(monkeypatch):
+    # on a single block the hook and k = 2 forms return the memoized result
+    # under check, so verify leaves them to types with more than one block
+    def self_comparison(*args):
+        raise AssertionError("closed form compared with itself")
+
+    hook_calls = []
+
+    def recorded_hook(t, k):
+        hook_calls.append((t.blocks, k))
+        return branching_hook(t, k)
+
+    monkeypatch.setattr(fundamental, "branching_hook", self_comparison)
+    monkeypatch.setattr(fundamental, "branching_k2_general", self_comparison)
+    for n in range(2, 11):
+        for k in range(1, n):
+            fundamental_branching(SubalgebraType((n,)), k, verify=True)
+    monkeypatch.setattr(fundamental, "branching_hook", recorded_hook)
+    fundamental_branching(SubalgebraType((4, 1, 1)), 1, verify=True)
+    assert hook_calls == [((4, 1, 1), 1)]
 
 
 def test_branching_k2_general():

@@ -8,12 +8,12 @@ from branchkit import (
     dim_irrep,
     h_diagonal,
     fundamental_branching,
-    iter_partitions,
     oracle_branch,
     partition_to_omega,
     ssyt_count,
-    tableau_weight_multiset,
 )
+from branchkit.oracle import tableau_weight_multiset
+from branchkit.weights import iter_partitions
 
 
 def test_ssyt_count_small_shapes():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import branchkit
-from branchkit import SubalgebraType, all_types, build_triple, h_diagonal, is_principal
+from branchkit import SubalgebraType, all_types, build_triple, h_diagonal
+from branchkit.subalgebra import is_principal
 
 
 def test_import_does_not_load_numpy():

@@ -1,19 +1,10 @@
-from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
-from branchkit import (
-    DominantWeight,
-    canonical_partition,
-    dim_irrep,
-    dual_weight,
-    iter_partitions,
-    lex_compare,
-    omega_to_partition,
-    partition_to_omega,
-)
+from branchkit import DominantWeight, dim_irrep, omega_to_partition, partition_to_omega
+from branchkit.weights import canonical_partition, dual_weight, iter_partitions
 
 
 def test_canonical_partition_strips_trailing_zeros():
@@ -74,25 +65,6 @@ def weights(draw, max_rank=7, max_coeff=5):
 @given(weights())
 def test_round_trip(w):
     assert partition_to_omega(omega_to_partition(w), w.rank) == w
-
-
-def test_lex_compare_examples():
-    assert lex_compare((3, 1), (2, 2)) == 1
-    assert lex_compare((3, 1, 1), (3, 1, 1)) == 0
-    assert lex_compare((3,), (3, 1)) == -1  # absent parts read as 0
-
-
-def test_lex_compare_total_order():
-    parts = [p for m in range(6) for p in iter_partitions(m)]
-    for p in parts:
-        for q in parts:
-            c = lex_compare(p, q)
-            assert c == -lex_compare(q, p)
-            assert (c == 0) == (p == q)
-    # transitivity via consistency with a sort key
-    for p, q, r in combinations_with_replacement(parts, 3):
-        if lex_compare(p, q) <= 0 and lex_compare(q, r) <= 0:
-            assert lex_compare(p, r) <= 0
 
 
 def test_dual_weight():
