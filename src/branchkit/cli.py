@@ -11,8 +11,8 @@ compact JSON with sorted keys, checked on load and replaced atomically.  The
 file is rewritten only when a run computed a new entry.  A run that loaded
 the file and then fails a consistency check is repeated once without it; if
 that run passes, the file holds a wrong entry and is rejected (exit 2).  On
-load, trivial and fundamental entries are compared with {0: 1} and
-fundamental_branching, and a mismatch is rejected the same way.
+load, the trivial and fundamental entries of the queried type are compared
+with {0: 1} and fundamental_branching, and a mismatch is rejected the same way.
 `verify --jobs N` runs min(N, CPU count) worker processes and imports the
 process pool only when that is more than one.
 """
@@ -129,16 +129,17 @@ def _cache_key_parse(text):
     return int(n_str), _parse_ints(blocks_str, "cache key"), _parse_ints(lam_str, "cache key")
 
 
-def load_cache(path) -> dict:
+def load_cache(path, t) -> dict:
     """Read a memo cache file; any malformed shape raises ValueError, and so
-    does an entry for 0 or omega_k that is not {0: 1} or fundamental_branching."""
+    does an entry of type t for 0 or omega_k that is not {0: 1} or
+    fundamental_branching (entries of other types are not checked)."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     version = data.get("version") if isinstance(data, dict) else None
     if version != CACHE_VERSION:
         raise ValueError(f"cache {path} has version {version}, expected {CACHE_VERSION}")
     cache = {}
-    types = {}
+    types = set()
     try:
         for key_str, mults in data["entries"].items():
             mv = {int(j): m for j, m in mults.items()}
@@ -148,20 +149,20 @@ def load_cache(path) -> dict:
                 )
             n, blocks, lam = _cache_key_parse(key_str)
             if (n, blocks) not in types:
-                t = types[n, blocks] = SubalgebraType(blocks)
-                if t.n != n:
-                    raise ValueError(f"type {t} is a partition of {t.n}, not of n={n}")
+                u = SubalgebraType(blocks)
+                if u.blocks != blocks or u.n != n:
+                    raise ValueError(f"{key_str!r} does not name a type of sl_{n} as {u}")
+                types.add((n, blocks))
             cache[n, blocks, lam] = mv
     except (AttributeError, KeyError, ValueError) as exc:
         raise ValueError(f"cache {path} is malformed ({type(exc).__name__}: {exc})") from None
-    for (n, blocks, lam), mv in cache.items():
-        if set(lam) <= {1} and len(lam) < n:
-            want = fundamental_branching(types[n, blocks], len(lam)) if lam else {0: 1}
-            if mv != want:
-                raise ValueError(
-                    f"cache {path} holds a wrong entry: {_cache_key_str((n, blocks, lam))} "
-                    f"is {mv}, expected {want}"
-                )
+    for k in range(t.n):
+        key = (t.n, t.blocks, (1,) * k)
+        if key in cache and cache[key] != (want := fundamental_branching(t, k) if k else {0: 1}):
+            raise ValueError(
+                f"cache {path} holds a wrong entry: {_cache_key_str(key)} "
+                f"is {cache[key]}, expected {want}"
+            )
     return cache
 
 
@@ -204,7 +205,7 @@ def cmd_branch(args) -> int:
     engine = BranchEngine()
     loaded = bool(cache_path) and os.path.exists(cache_path)
     if loaded:
-        engine.cache = load_cache(cache_path)
+        engine.cache = load_cache(cache_path, t)
     try:
         mv, dim = _checked_branch(engine, t, w)
     except InternalConsistencyError:

@@ -392,6 +392,7 @@ MALFORMED_CACHES = {
     "negative component": {"version": 1, "entries": {"4|4|1": {"-1": 1, "3": 1}}},
     "key type of another rank": {"version": 1, "entries": {"4|3|1": {"2": 1}}},
     "key type of unit blocks": {"version": 1, "entries": {"4|1,1,1,1|1": {"0": 4}}},
+    "key blocks not sorted": {"version": 1, "entries": {"6|2,4|1": {"1": 1, "3": 1}}},
 }
 
 
@@ -439,6 +440,30 @@ def test_wrong_cache_entry_exits_2(tmp_path, capsys, case):
     assert cache.read_bytes() == before
 
 
+def test_load_checks_only_the_query_type(tmp_path, capsys, monkeypatch):
+    # a file shared across queries: the entries of other types are kept as they
+    # are, and their fundamentals are not recomputed on load
+    entries = {
+        "4|4|": {"0": 1},
+        "4|4|1": {"3": 1},
+        "7|5,2|1,1": {"0": 99},
+        "3|3|1": {"1": 2},
+    }
+    cache = tmp_path / "memo.json"
+    cache.write_text(json.dumps({"version": 1, "entries": entries}))
+    calls = []
+    real = cli.fundamental_branching
+    monkeypatch.setattr(
+        cli, "fundamental_branching", lambda t, k: calls.append((t.blocks, k)) or real(t, k)
+    )
+    code, out, err = run(
+        capsys, "branch", "--n", "4", "--type", "4", "--weight", "1,0,0", "--cache", str(cache)
+    )
+    assert code == 0, err
+    assert out.startswith("j  multiplicity\n3  1\n")
+    assert calls == [((4,), 1)]
+
+
 def test_consistency_failure_without_cache_keeps_exit_3(tmp_path, capsys, monkeypatch):
     # the run without the file fails too, so the file is not to blame
     cache = tmp_path / "memo.json"
@@ -465,4 +490,4 @@ def test_save_cache_failure_keeps_old_file(tmp_path, monkeypatch):
         cli.save_cache(cache, {(4, (4,), (2,)): {6: 1}})
     assert cache.read_text() == before
     assert [p.name for p in tmp_path.iterdir()] == ["memo.json"]  # no temp file left
-    assert cli.load_cache(cache) == {(4, (4,), (1,)): {3: 1}}
+    assert cli.load_cache(cache, SubalgebraType((4,))) == {(4, (4,), (1,)): {3: 1}}
