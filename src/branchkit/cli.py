@@ -36,6 +36,7 @@ from .sl2 import (
 from .subalgebra import SubalgebraType, all_types, build_triple
 from .weights import (
     DominantWeight,
+    canonical_partition,
     dim_irrep,
     iter_dominant_weights,
     omega_to_partition,
@@ -130,9 +131,10 @@ def _cache_key_parse(text):
 
 
 def load_cache(path, t) -> dict:
-    """Read a memo cache file; any malformed shape raises ValueError, and so
-    does an entry of type t for 0 or omega_k that is not {0: 1} or
-    fundamental_branching (entries of other types are not checked)."""
+    """Read a memo cache file; any malformed shape raises ValueError (so does
+    a key whose lambda the engine never looks up), and so does an entry of
+    type t for 0 or omega_k that is not {0: 1} or fundamental_branching
+    (entries of other types are not checked)."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     version = data.get("version") if isinstance(data, dict) else None
@@ -148,6 +150,9 @@ def load_cache(path, t) -> dict:
                     f"entry {key_str!r} needs positive integer multiplicities of F_j, j >= 0"
                 )
             n, blocks, lam = _cache_key_parse(key_str)
+            if canonical_partition(lam) != lam or len(lam) >= n:
+                raise ValueError(f"{key_str!r} needs lambda as a partition of fewer than "
+                                 f"{n} parts without trailing zeros, as the engine looks it up")
             if (n, blocks) not in types:
                 u = SubalgebraType(blocks)
                 if u.blocks != blocks or u.n != n:
@@ -364,13 +369,17 @@ def cmd_verify(args) -> int:
 
 # ------------------------------------------------------------------- parser
 
-def _add_format(p):
-    p.add_argument(
-        "--format",
-        choices=("pretty", "json", "csv", "latex"),
-        default="pretty",
-        help="output format (default pretty)",
-    )
+def _parent(*args, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one option that several subcommands share."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*args, **kwargs)
+    return parent
+
+
+def _command(sub, name, func, help, *parents) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=help, parents=parents)
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,47 +388,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact branching of irreducible sl_n representations to sl_2 subalgebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    n_opt = _parent("--n", type=int, required=True, help="rank of sl_n")
+    typed = (n_opt, _parent("--type", required=True, help="subalgebra type, e.g. 3,2"))
+    fmt = _parent("--format", choices=("pretty", "json", "csv", "latex"), default="pretty",
+                  help="output format (default pretty)")
 
-    p = sub.add_parser("branch", help="decompose Res L(lambda) for a dominant weight")
-    p.add_argument("--n", type=int, required=True, help="rank of sl_n")
-    p.add_argument("--type", required=True, help="subalgebra type, e.g. 3,2")
+    p = _command(sub, "branch", cmd_branch, "decompose Res L(lambda) for a dominant weight",
+                 *typed, fmt)
     p.add_argument("--weight", help="fundamental-weight coordinates a_1,...,a_{n-1}")
     p.add_argument("--partition", help="highest weight as a partition l_1,l_2,...")
     p.add_argument("--cache", help=f"JSON memo cache path (default ${CACHE_ENV_VAR})")
     p.add_argument("--stats", action="store_true", help="print cache statistics to stderr")
-    _add_format(p)
-    p.set_defaults(func=cmd_branch)
 
-    p = sub.add_parser("fundamental", help="decompose Res L(omega_k)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--type", required=True)
+    p = _command(sub, "fundamental", cmd_fundamental, "decompose Res L(omega_k)", *typed, fmt)
     p.add_argument("--k", type=int, required=True)
     p.add_argument(
         "--verify", action="store_true",
         help="cross-check every applicable closed form against the weight multiset",
     )
-    _add_format(p)
-    p.set_defaults(func=cmd_fundamental)
 
-    p = sub.add_parser("table", help="fundamental branchings for every k")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--type", required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_table)
+    _command(sub, "table", cmd_table, "fundamental branchings for every k", *typed, fmt)
 
-    p = sub.add_parser("pieri", help="list P(lambda, k), lex-descending")
-    p.add_argument("--n", type=int, required=True)
+    p = _command(sub, "pieri", cmd_pieri, "list P(lambda, k), lex-descending", n_opt)
     p.add_argument("--weight", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_pieri)
 
-    p = sub.add_parser("triple", help="export the (H, X, Y) matrices as JSON")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--type", required=True)
-    p.set_defaults(func=cmd_triple)
+    _command(sub, "triple", cmd_triple, "export the (H, X, Y) matrices as JSON", *typed)
 
-    p = sub.add_parser("verify", help="sweep branch against the tableau oracle")
-    p.add_argument("--n", type=int, required=True)
+    p = _command(sub, "verify", cmd_verify, "sweep branch against the tableau oracle", n_opt)
     p.add_argument(
         "--types", default="all",
         help="'all' or a semicolon separated list of partitions, e.g. '5;3,2'",
@@ -427,28 +423,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-boxes", type=int, default=6, help="largest lambda size (default 6)")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="oracle tableau cap")
-    p.set_defaults(func=cmd_verify)
 
     return parser
+
+
+# first match wins: BudgetExceededError and InternalConsistencyError are
+# RuntimeErrors, and RecursionError must fall through to the catch-all
+EXIT_CODES = (
+    (BudgetExceededError, EXIT_BUDGET),
+    (InternalConsistencyError, EXIT_INTERNAL),
+    (ClosedFormMismatchError, EXIT_MISMATCH),
+    ((ValueError, OSError), EXIT_USAGE),
+)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except InternalConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except ClosedFormMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except Exception as exc:  # any other failure is a bug: report it, no traceback
+    except Exception as exc:
+        for kinds, code in EXIT_CODES:
+            if isinstance(exc, kinds):
+                print(f"error: {exc}", file=sys.stderr)
+                return code
+        # any other failure is a bug: report it, no traceback
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -12,7 +12,10 @@ C(n, k) subsets; there is no rank cap.
 The dynamic program always computes the result; the closed forms are only
 cross-checks, run by fundamental_branching(verify=True):
   * principal type: strict-tuple counts, the Cayley-Sylvester partition-count
-    difference, and Macdonald's plethysm formulas for k = 2, 3;
+    difference, and Macdonald's plethysm formulas for k = 2, 3.  The first
+    two read the same coefficients of the q-binomial (n choose k)_q, built by
+    qcomb's product formula (p_k_n is pi shifted by the staircase), so
+    together they are one check of the dynamic program;
   * types of more than one block: [r, 1, ..., 1] and [r, s] for k up to
     floor(n/2), and k = 2 for any type.  These build on the principal
     branchings of the blocks, so on a single block they would return the
@@ -120,14 +123,12 @@ _FUND_CACHE: dict[tuple[tuple[int, ...], int], MultVector] = {}
 def fundamental_branching(t: SubalgebraType, k: int, verify: bool = False) -> MultVector:
     """Decomposition of Res L(w_k) as a multiplicity vector.
 
-    Always computed from the weight multiset (defined for every type and k);
-    with verify=True every applicable closed form is evaluated as well and a
-    disagreement raises ClosedFormMismatchError.  Results are memoized per
-    (type, k).
+    Always computed from the weight multiset (defined for every type and
+    1 <= k <= n - 1; wedge_weight_multiset rejects any other k, which is
+    never memoized); with verify=True every applicable closed form is
+    evaluated as well and a disagreement raises ClosedFormMismatchError.
+    Results are memoized per (type, k).
     """
-    n = t.n
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"wedge power index {k} out of range for rank {n}")
     key = (t.blocks, k)
     cached = _FUND_CACHE.get(key)
     if cached is None:

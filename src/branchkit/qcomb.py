@@ -1,37 +1,42 @@
 """Restricted partition counts and Gaussian binomial polynomials.
 
-pi(n, k, d) counts partitions of d into at most k parts of size at most n --
-the coefficient of q^d in the Gaussian binomial (n+k choose k)_q.  p_k_n
-counts strictly decreasing k-tuples from {1, ..., n} with a prescribed sum;
-subtracting the staircase (k, k-1, ..., 1) maps them bijectively onto the
-boxed partitions counted by pi.
+pi(n, k, d) counts partitions of d into at most k parts of size at most n: the
+coefficient of q^d in (n+k choose k)_q = prod_{i=1}^{s} (1 - q^{m+i}) / (1 - q^i),
+s = min(n, k), m = max(n, k).  p_k_n counts strictly decreasing k-tuples from
+{1, ..., n} with a prescribed sum; subtracting the staircase (k, k-1, ..., 1)
+maps them bijectively onto the boxed partitions counted by pi.
 """
 
 from functools import cache
+from itertools import accumulate
+from operator import sub
 
 QPolynomial = dict[int, int]
 
 
-def pi(n: int, k: int, d: int) -> int:
-    """Number of partitions of d with at most k parts, each part at most n.
+@cache
+def _row(n: int, k: int) -> list[int]:
+    """Coefficients of q^0 .. q^{nk} in (n+k choose k)_q, by the product formula."""
+    s, m = min(n, k), max(n, k)
+    row = [1]
+    for i in range(1, s + 1):
+        # times 1 - q^{m+i}; then over 1 - q^i, a running sum along each
+        # residue class mod i, exact since the quotient is (m+i choose i)_q
+        row = list(map(sub, row + [0] * (m + i), [0] * (m + i) + row))
+        for r in range(i):
+            row[r::i] = accumulate(row[r::i])
+        del row[i * m + 1:]
+    return row
 
-    Recurrence: pi(n,k,d) = pi(n-1,k,d) + pi(n,k-1,d-n), peeling off whether
-    any part equals n.  d is normalized by the complement-in-a-box symmetry
-    d -> min(d, nk - d) before hitting the shared memo table.
-    """
+
+def pi(n: int, k: int, d: int) -> int:
+    """Partitions of d into at most k parts, each at most n: the coefficient
+    of q^d in (n+k choose k)_q, read from the product formula's row for (n, k)."""
     if n < 0 or k < 0:
         raise ValueError(f"pi needs n, k >= 0, got n={n}, k={k}")
     if d < 0 or d > n * k:
         return 0
-    return _pi_normalized(n, k, min(d, n * k - d))
-
-
-@cache
-def _pi_normalized(n, k, d):
-    if d == 0:
-        return 1
-    # d >= 1 here, hence n, k >= 1
-    return pi(n - 1, k, d) + pi(n, k - 1, d - n)
+    return _row(n, k)[d]
 
 
 def p_k_n(k: int, n: int, d: int) -> int:
@@ -51,12 +56,7 @@ def gaussian_binomial(a: int, b: int) -> QPolynomial:
     """
     if not 0 <= b <= a:
         raise ValueError(f"gaussian_binomial needs 0 <= b <= a, got a={a}, b={b}")
-    out = {}
-    for d in range(b * (a - b) + 1):
-        c = pi(a - b, b, d)
-        if c:
-            out[d] = c
-    return out
+    return {d: c for d, c in enumerate(_row(a - b, b)) if c}
 
 
 def qpoly_str(poly: QPolynomial) -> str:

@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import json
 import os
@@ -91,6 +92,64 @@ def test_invalid_inputs_exit_2(capsys):
         assert "error:" in err
 
 
+FORMATS = ("pretty", "json", "csv", "latex")
+# (option strings, default, required, type, choices) of every subcommand's
+# options, as declared when each subcommand spelled out its own
+SUBCOMMAND_OPTIONS = {
+    "branch": [
+        (("--cache",), None, False, None, None),
+        (("--format",), "pretty", False, None, FORMATS),
+        (("--n",), None, True, int, None),
+        (("--partition",), None, False, None, None),
+        (("--stats",), False, False, None, None),
+        (("--type",), None, True, None, None),
+        (("--weight",), None, False, None, None),
+    ],
+    "fundamental": [
+        (("--format",), "pretty", False, None, FORMATS),
+        (("--k",), None, True, int, None),
+        (("--n",), None, True, int, None),
+        (("--type",), None, True, None, None),
+        (("--verify",), False, False, None, None),
+    ],
+    "table": [
+        (("--format",), "pretty", False, None, FORMATS),
+        (("--n",), None, True, int, None),
+        (("--type",), None, True, None, None),
+    ],
+    "pieri": [
+        (("--k",), None, True, int, None),
+        (("--n",), None, True, int, None),
+        (("--weight",), None, True, None, None),
+    ],
+    "triple": [
+        (("--n",), None, True, int, None),
+        (("--type",), None, True, None, None),
+    ],
+    "verify": [
+        (("--budget",), 10_000_000, False, int, None),
+        (("--jobs",), 1, False, int, None),
+        (("--max-boxes",), 6, False, int, None),
+        (("--n",), None, True, int, None),
+        (("--types",), "all", False, None, None),
+    ],
+}
+
+
+def test_subcommand_options_are_pinned():
+    parser = cli.build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: sorted(
+            (tuple(a.option_strings), a.default, a.required, a.type, a.choices)
+            for a in p._actions
+            if a.dest != "help"
+        )
+        for name, p in sub.choices.items()
+    }
+    assert got == SUBCOMMAND_OPTIONS
+
+
 def test_pieri_lists_example_members(capsys):
     code, out, _ = run(capsys, "pieri", "--n", "4", "--weight", "0,2,1", "--k", "2")
     assert code == 0
@@ -143,6 +202,16 @@ def test_fundamental_beyond_old_rank_cap(capsys):
     )
     assert code == 0
     assert json.loads(out)["dimension"] == str(137846528820)  # C(40, 20)
+
+
+def test_fundamental_verify_at_rank_600(capsys):
+    # the closed forms read q-binomial rows that no recursion limit bounds
+    argv = ["fundamental", "--n", "600", "--type", "600", "--k", "2", "--format", "json"]
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0
+    code, checked, err = run(capsys, *argv, "--verify")
+    assert code == 0, err
+    assert checked == plain
 
 
 def test_unexpected_exception_exits_3(capsys):
@@ -393,6 +462,11 @@ MALFORMED_CACHES = {
     "key type of another rank": {"version": 1, "entries": {"4|3|1": {"2": 1}}},
     "key type of unit blocks": {"version": 1, "entries": {"4|1,1,1,1|1": {"0": 4}}},
     "key blocks not sorted": {"version": 1, "entries": {"6|2,4|1": {"1": 1, "3": 1}}},
+    # lambdas the engine never looks up
+    "key lambda not decreasing": {"version": 1, "entries": {"4|4|1,2": {"0": 1}}},
+    "key lambda with n parts": {"version": 1, "entries": {"4|4|1,1,1,1": {"5": 3}}},
+    "key lambda trailing zero": {"version": 1, "entries": {"4|4|1,0": {"3": 1}}},
+    "key lambda negative part": {"version": 1, "entries": {"4|4|1,-1": {"0": 1}}},
 }
 
 

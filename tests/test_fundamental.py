@@ -79,6 +79,11 @@ def test_wedge_weight_multiset_range_and_rank_40():
         wedge_weight_multiset(t, 0)
     with pytest.raises(ValueError):
         wedge_weight_multiset(t, 5)
+    # fundamental_branching leaves the check to the DP: a bad k is never cached
+    for k in (0, t.n):
+        for verify in (False, True):
+            with pytest.raises(ValueError, match="out of range"):
+                fundamental_branching(t, k, verify=verify)
     # well past the old n <= 30 enumeration cap
     for blocks, k in (((40,), 20), ((40,), 13), ((20, 12, 8), 15)):
         t = SubalgebraType(blocks)

@@ -136,6 +136,14 @@ def test_gaussian_binomial_pairwise_distinct():
             seen[key] = i
 
 
+def test_pi_and_gaussian_binomial_at_rank_600():
+    # the product loop has no recursion depth to run out of
+    assert [pi(598, 2, d) for d in range(599)] == [d // 2 + 1 for d in range(599)]
+    g = gaussian_binomial(600, 2)
+    assert len(g) == 1197
+    assert g[598] == 300
+
+
 def test_qpoly_str():
     assert qpoly_str({0: 1, 1: 1}) == "1 + q"
     assert qpoly_str({0: 1, 2: 3}) == "1 + 3q^2"
