@@ -3,8 +3,9 @@
 The H-eigenvalue of a wedge basis vector e_{i_1} ^ ... ^ e_{i_k} is a sum of
 k diagonal entries of H, so the whole weight system of Res L(w_k) is the
 multiset of k-subset sums of the diagonal.  wedge_weight_multiset reads it
-off as the z^k coefficient of prod_i (1 + z q^{h_i}) with a subset-sum
-dynamic program, never listing the C(n, k) subsets, so any rank works.
+off as the z^k coefficient of prod_i (1 + z q^{h_i}), evaluated on integers
+at q = 256**w so that each coefficient is one w-byte digit, never listing the
+C(n, k) subsets, so any rank works.
 Peeling off strings j, j-2, ..., -j recovers the irreducible pieces F_j.
 """
 

@@ -2,11 +2,12 @@
 
 Subalgebra types are partitions of n (Jordan block sizes of the nilpotent
 element); restrictions decompose as sparse {j: multiplicity} maps over the
-sl_2 irreducibles F_j.  Fundamental representations branch by a subset-sum
-dynamic program for the wedge-power weight multiset, with closed-form
-cross-checks; arbitrary highest weights branch by a memoized
-Pieri/Clebsch-Gordan recursion; an independent semistandard tableau oracle
-recomputes everything from first principles.
+sl_2 irreducibles F_j.  Fundamental representations branch by the
+wedge-power weight multiset e_k(q^{h_1}, ..., q^{h_n}), computed on integers
+at q = 256**w (qcomb.digits decodes), with closed-form cross-checks;
+arbitrary highest weights branch by a memoized Pieri/Clebsch-Gordan
+recursion; an independent semistandard tableau oracle recomputes everything
+from first principles.
 
 The top level exports what the README, the demos and the benchmark use, plus
 the exception types.  Helpers such as the hook and two-block closed forms, the

@@ -7,10 +7,10 @@ failure (a consistency check or any unexpected exception), 4 oracle budget
 exceeded.
 
 `branch --cache` keeps the engine's memo table in a version-tagged file of
-compact JSON with sorted keys, checked on load and replaced atomically.  The
-file is rewritten only when a run computed a new entry.  A run that loaded
-the file and then fails a consistency check is repeated once without it; if
-that run passes, the file holds a wrong entry and is rejected (exit 2).  On
+compact JSON with sorted keys, checked on load and replaced atomically; it is
+rewritten only when a run computed a new entry, before the answer is printed.
+A run that loaded the file and then fails a consistency check is repeated once
+without it; if that run passes, the file holds a wrong entry (exit 2).  On
 load, the trivial and fundamental entries of the queried type are compared
 with {0: 1} and fundamental_branching, and a mismatch is rejected the same way.
 `verify --jobs N` runs min(N, CPU count) worker processes and imports the
@@ -131,23 +131,24 @@ def _cache_key_parse(text):
 
 
 def load_cache(path, t) -> dict:
-    """Read a memo cache file; any malformed shape raises ValueError (so does
-    a key whose lambda the engine never looks up), and so does an entry of
-    type t for 0 or omega_k that is not {0: 1} or fundamental_branching
-    (entries of other types are not checked)."""
+    """Read a memo cache file.  ValueError: any malformed shape, a version
+    other than the int 1, a key or component spelled twice, a key whose
+    lambda the engine never looks up, or an entry of type t for 0 or omega_k
+    that is not {0: 1} or fundamental_branching (other types go unchecked)."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     version = data.get("version") if isinstance(data, dict) else None
-    if version != CACHE_VERSION:
+    if type(version) is not int or version != CACHE_VERSION:
         raise ValueError(f"cache {path} has version {version}, expected {CACHE_VERSION}")
     cache = {}
     types = set()
     try:
         for key_str, mults in data["entries"].items():
             mv = {int(j): m for j, m in mults.items()}
-            if set(map(type, mv.values())) != {int} or min(mv.values()) < 1 or min(mv) < 0:
+            if (len(mv) < len(mults) or set(map(type, mv.values())) != {int}
+                    or min(mv.values()) < 1 or min(mv) < 0):
                 raise ValueError(
-                    f"entry {key_str!r} needs positive integer multiplicities of F_j, j >= 0"
+                    f"entry {key_str!r} needs one positive integer multiplicity per F_j, j >= 0"
                 )
             n, blocks, lam = _cache_key_parse(key_str)
             if canonical_partition(lam) != lam or len(lam) >= n:
@@ -159,6 +160,8 @@ def load_cache(path, t) -> dict:
                     raise ValueError(f"{key_str!r} does not name a type of sl_{n} as {u}")
                 types.add((n, blocks))
             cache[n, blocks, lam] = mv
+        if len(cache) < len(data["entries"]):
+            raise ValueError("two keys name the same entry")
     except (AttributeError, KeyError, ValueError) as exc:
         raise ValueError(f"cache {path} is malformed ({type(exc).__name__}: {exc})") from None
     for k in range(t.n):
@@ -222,22 +225,16 @@ def cmd_branch(args) -> int:
             f"cache {cache_path} holds a wrong entry: branch({t}, {w}) fails its "
             "consistency checks with it and passes them without it"
         ) from None
-    lam = omega_to_partition(w)
-    _emit_multvector(
-        args.format,
-        mv,
-        dim,
-        {
-            "n": args.n,
-            "type": list(t.blocks),
-            "lambda_omega": list(w.coeffs),
-            "lambda_partition": list(lam),
-        },
-    )
     # with nothing computed, the file already holds every entry of the memo
     saved = bool(cache_path) and engine.stats["computed"] > 0
     if saved:
         save_cache(cache_path, engine.cache)
+    _emit_multvector(args.format, mv, dim, {
+        "n": args.n,
+        "type": list(t.blocks),
+        "lambda_omega": list(w.coeffs),
+        "lambda_partition": list(omega_to_partition(w)),
+    })
     if args.stats:
         print(
             f"computed={engine.stats['computed']} hits={engine.stats['hits']} "

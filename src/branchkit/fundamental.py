@@ -4,18 +4,18 @@ The universal method: the H-eigenvalue of a natural basis vector
 e_{i_1} ^ ... ^ e_{i_k} is the sum of the k chosen diagonal entries of H, so
 the full weight multiset of Res L(w_k) is the multiset of k-subset sums of
 h_diagonal, and the multiplicity of F_j falls out as dim V_j - dim V_{j+2}.
-That multiset is the z^k coefficient of prod_i (1 + z q^{h_i}) (Macdonald,
-Symmetric Functions and Hall Polynomials, I.2), which a subset-sum dynamic
-program reads off in O(n k span) integer additions without listing the
-C(n, k) subsets; there is no rank cap.
+That multiset is the z^k coefficient e_k(q^{h_1}, ..., q^{h_n}) of
+prod_i (1 + z q^{h_i}) (Macdonald, Symmetric Functions and Hall Polynomials,
+I.2): O(n k) steps e_j += e_{j-1} q^{h_i} on integers at q = 256**w (see
+qcomb) compute it without listing the C(n, k) subsets; there is no rank cap.
 
-The dynamic program always computes the result; the closed forms are only
+The weight multiset always computes the result; the closed forms are only
 cross-checks, run by fundamental_branching(verify=True):
   * principal type: strict-tuple counts, the Cayley-Sylvester partition-count
     difference, and Macdonald's plethysm formulas for k = 2, 3.  The first
     two read the same coefficients of the q-binomial (n choose k)_q, built by
     qcomb's product formula (p_k_n is pi shifted by the staircase), so
-    together they are one check of the dynamic program;
+    together they are one check of the weight multiset;
   * types of more than one block: [r, 1, ..., 1] and [r, s] for k up to
     floor(n/2), and k = 2 for any type.  These build on the principal
     branchings of the blocks, so on a single block they would return the
@@ -24,9 +24,8 @@ cross-checks, run by fundamental_branching(verify=True):
 
 from collections import Counter
 from math import comb
-from operator import add
 
-from .qcomb import p_k_n, pi
+from .qcomb import digits, p_k_n, pi
 from .sl2 import MultVector, cg_convolve, mult_from_multiset
 from .subalgebra import SubalgebraType, h_diagonal, is_principal
 
@@ -44,20 +43,16 @@ def wedge_weight_multiset(t: SubalgebraType, k: int) -> WeightMultiset:
         raise ValueError(f"wedge power index {k} out of range for rank {n}")
     h = h_diagonal(t)
     low = min(h)
-    # dp[j][s] counts the j-subsets of the entries folded in so far whose
-    # shifted weights h_i - low sum to s; Python ints, since C(n, k) outgrows
-    # 64 bits near n = 67
-    dp = [[1]] + [[] for _ in range(k)]
+    # e[j] is e_j of q^{h_i - low} over the entries folded in so far, at
+    # q = 256**w; w bytes hold every coefficient of e_k, which sum to C(n, k)
+    w = comb(n, k).bit_length() // 8 + 1
+    e = [1] + [0] * k
     for i, x in enumerate(v - low for v in h):
         # a j-subset that cannot still grow to k with the n - 1 - i entries
         # left is never read, so j stops at k - (n - 1 - i)
         for j in range(min(i + 1, k), max(1, k - (n - 1 - i)) - 1, -1):
-            src, dst = dp[j - 1], dp[j]
-            end = x + len(src)
-            if len(dst) < end:
-                dst.extend([0] * (end - len(dst)))
-            dst[x:end] = map(add, dst[x:end], src)
-    return Counter({s + k * low: c for s, c in enumerate(dp[k]) if c})
+            e[j] += e[j - 1] << 8 * w * x
+    return Counter({s + k * low: c for s, c in enumerate(digits(e[k], w)) if c})
 
 
 def mult_strict_count(n: int, k: int, j: int) -> int:

@@ -4,29 +4,35 @@ pi(n, k, d) counts partitions of d into at most k parts of size at most n: the
 coefficient of q^d in (n+k choose k)_q = prod_{i=1}^{s} (1 - q^{m+i}) / (1 - q^i),
 s = min(n, k), m = max(n, k).  p_k_n counts strictly decreasing k-tuples from
 {1, ..., n} with a prescribed sum; subtracting the staircase (k, k-1, ..., 1)
-maps them bijectively onto the boxed partitions counted by pi.
+maps them bijectively onto the boxed partitions counted by pi.  The product
+runs on integers at q = 256**w (Kronecker substitution), as do fundamental's
+wedge multisets; digits reads the coefficients back.
 """
 
 from functools import cache
-from itertools import accumulate
-from operator import sub
+from math import comb
 
 QPolynomial = dict[int, int]
+
+
+def digits(x: int, w: int) -> list[int]:
+    """Coefficients of P from q^0 up to its top nonzero one, given x = P(256**w)
+    with every coefficient in [0, 256**w)."""
+    raw = x.to_bytes(length=(x.bit_length() + 7) // 8, byteorder="little")
+    return [int.from_bytes(raw[i:i + w], byteorder="little") for i in range(0, len(raw), w)]
 
 
 @cache
 def _row(n: int, k: int) -> list[int]:
     """Coefficients of q^0 .. q^{nk} in (n+k choose k)_q, by the product formula."""
     s, m = min(n, k), max(n, k)
-    row = [1]
+    # w bytes hold every coefficient, since they sum to C(n + k, k)
+    w = comb(n + k, k).bit_length() // 8 + 1
+    x = 1
     for i in range(1, s + 1):
-        # times 1 - q^{m+i}; then over 1 - q^i, a running sum along each
-        # residue class mod i, exact since the quotient is (m+i choose i)_q
-        row = list(map(sub, row + [0] * (m + i), [0] * (m + i) + row))
-        for r in range(i):
-            row[r::i] = accumulate(row[r::i])
-        del row[i * m + 1:]
-    return row
+        # exact, since every partial product is (m+i choose i)_q at q = 256**w
+        x = x * (256 ** (w * (m + i)) - 1) // (256 ** (w * i) - 1)
+    return digits(x, w)
 
 
 def pi(n: int, k: int, d: int) -> int:

@@ -467,6 +467,14 @@ MALFORMED_CACHES = {
     "key lambda with n parts": {"version": 1, "entries": {"4|4|1,1,1,1": {"5": 3}}},
     "key lambda trailing zero": {"version": 1, "entries": {"4|4|1,0": {"3": 1}}},
     "key lambda negative part": {"version": 1, "entries": {"4|4|1,-1": {"0": 1}}},
+    # versions equal to 1 that are not the int 1
+    "version true": {"version": True, "entries": {}},
+    "version float": {"version": 1.0, "entries": {}},
+    # two spellings of one component or key, which would load as one
+    "component spelled twice": {"version": 1, "entries": {"4|4|2": {"2": 5, "02": 1, "6": 1}}},
+    "key spelled twice": {
+        "version": 1, "entries": {"4|4|2": {"2": 1, "6": 1}, "4|4|02": {"2": 1, "6": 1}},
+    },
 }
 
 
@@ -549,6 +557,16 @@ def test_consistency_failure_without_cache_keeps_exit_3(tmp_path, capsys, monkey
                        "--cache", str(cache))
     assert code == 3
     assert err.startswith("error: dimension mismatch")
+
+
+def test_cache_save_failure_prints_no_answer(tmp_path, capsys):
+    cache = tmp_path / "missing" / "memo.json"
+    code, out, err = run(capsys, "branch", "--n", "4", "--type", "4", "--partition", "2",
+                         "--cache", str(cache))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert not cache.parent.exists()
 
 
 def test_save_cache_failure_keeps_old_file(tmp_path, monkeypatch):

@@ -94,6 +94,14 @@ def test_wedge_weight_multiset_range_and_rank_40():
         assert fundamental_branching(t, 40 - k) == mv
 
 
+def test_fundamental_branching_with_digits_wider_than_64_bits():
+    # C(70, 35) > 2**64, so e_35 packs 9-byte coefficients, and so does the
+    # Gaussian-binomial row (35, 35) that strict-count and Cayley-Sylvester read
+    assert comb(70, 35) > 2**64
+    mv = fundamental_branching(SubalgebraType((70,)), 35, verify=True)
+    assert rep_dimension(mv) == comb(70, 35)
+
+
 def test_mult_from_multiset_examples():
     assert mult_from_multiset(Counter([6, 4, 2, 0, 2, 0, -2, -2, -4, -6])) == {2: 1, 6: 1}
     assert mult_from_multiset(LAMBDA3_43) == FUND_43_K3

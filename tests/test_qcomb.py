@@ -1,8 +1,10 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from branchkit import gaussian_binomial, p_k_n, pi, qpoly_str
+from branchkit.qcomb import digits
 
 
 def pi_by_enumeration(n, k, d):
@@ -142,6 +144,16 @@ def test_pi_and_gaussian_binomial_at_rank_600():
     g = gaussian_binomial(600, 2)
     assert len(g) == 1197
     assert g[598] == 300
+
+
+@given(st.data())
+def test_digits_inverts_packing(data):
+    w = data.draw(st.integers(1, 10), label="w")
+    coefficient = st.integers(0, 256**w - 1)
+    body = data.draw(st.lists(st.just(0) | coefficient, max_size=40), label="body")
+    coeffs = body + [data.draw(st.integers(1, 256**w - 1), label="top")]
+    x = sum(c * 256 ** (w * i) for i, c in enumerate(coeffs))
+    assert digits(x, w) == coeffs
 
 
 def test_qpoly_str():
