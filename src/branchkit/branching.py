@@ -105,8 +105,9 @@ def principal_highest_component(w: DominantWeight) -> int:
     """Top component of Res L(w) to the principal subalgebra, in closed form.
 
     Summing lambda(H_alpha) over the positive roots gives
-    sum_{i<j} (lambda_i - lambda_j) with lambda_n = 0.
+    sum_{i<j} (lambda_i - lambda_j) with lambda_n = 0.  Row i (from 0) is
+    added for the n - 1 - i rows below it and subtracted for the i above, so
+    the sum is sum_i lambda_i (n - 1 - 2i), linear in n.
     """
     n = w.rank
-    lam = padded_partition(w)
-    return sum(lam[i] - lam[j] for i in range(n) for j in range(i + 1, n))
+    return sum(x * (n - 1 - 2 * i) for i, x in enumerate(padded_partition(w)))

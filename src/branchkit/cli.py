@@ -130,13 +130,26 @@ def _cache_key_parse(text):
     return int(n_str), _parse_ints(blocks_str, "cache key"), _parse_ints(lam_str, "cache key")
 
 
+def _unique_keys(pairs) -> dict:
+    """object_pairs_hook for json.load: a JSON object with a key repeated."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise ValueError("a JSON object repeats a key")
+    return obj
+
+
 def load_cache(path, t) -> dict:
-    """Read a memo cache file.  ValueError: any malformed shape, a version
-    other than the int 1, a key or component spelled twice, a key whose
-    lambda the engine never looks up, or an entry of type t for 0 or omega_k
-    that is not {0: 1} or fundamental_branching (other types go unchecked)."""
+    """Read a memo cache file.  ValueError: text that is not JSON or nests
+    deeper than the parser's recursion limit, any malformed shape, a version
+    other than the int 1, a key or component written or spelled twice, a key
+    whose lambda the engine never looks up, or an entry of type t for 0 or
+    omega_k that is not {0: 1} or fundamental_branching (other types go
+    unchecked)."""
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh, object_pairs_hook=_unique_keys)
+        except (RecursionError, ValueError) as exc:
+            raise ValueError(f"cache {path} is malformed ({type(exc).__name__}: {exc})") from None
     version = data.get("version") if isinstance(data, dict) else None
     if type(version) is not int or version != CACHE_VERSION:
         raise ValueError(f"cache {path} has version {version}, expected {CACHE_VERSION}")

@@ -6,6 +6,7 @@ most one per row (rows 1..n, row n starting empty), keep the results that
 are still diagrams, and remove the full column of height n whenever row n
 received a box (the determinant twist e_1 + ... + e_n = 0).  Weights are
 padded partitions (lambda_1, ..., lambda_n), lambda_n = 0, of length n.
+The set is built row by row in one loop, so no rank is too deep for it.
 """
 
 from .weights import Partition
@@ -14,34 +15,28 @@ from .weights import Partition
 def pieri_set(lam: Partition, k: int) -> set[Partition]:
     """All padded partitions obtained from lam by adding a k-box vertical strip.
 
-    Enumerates the row subsets receiving a box in row order, pruning choices
-    that break weak decrease or cannot place the remaining boxes.  Distinct
-    subsets give distinct reduced partitions, so the set size equals the
-    number of valid subsets.
+    One pass over the rows extends every partial diagram of the rows above,
+    each carried with the number of boxes still to place: the row keeps its
+    length, or grows by one box if that does not pass the new length of the
+    row above; a partial diagram with more boxes left than rows left is
+    dropped.  Distinct strips give distinct reduced partitions, so the set
+    size equals the number of strips.
     """
     n = len(lam)
     if not 1 <= k <= n - 1:
         raise ValueError(f"strip size {k} out of range for rank {n}")
-
-    out: set[Partition] = set()
-
-    def place(row, prev, left, acc):
-        if n - row < left:
-            return
-        if row == n:
-            mu = acc
-            if mu[-1]:
-                # row n got a box: full column of height n, subtract it off
-                mu = tuple(x - mu[-1] for x in mu)
-            out.add(mu)
-            return
-        if lam[row] <= prev:
-            place(row + 1, lam[row], left, acc + (lam[row],))
-        if left and lam[row] + 1 <= prev:
-            place(row + 1, lam[row] + 1, left - 1, acc + (lam[row] + 1,))
-
-    place(0, lam[0] + 1, k, ())
-    return out
+    partial = [((), k)]
+    for row, x in enumerate(lam):
+        rows_left = n - 1 - row
+        grown = []
+        for acc, left in partial:
+            if left <= rows_left:
+                grown.append((acc + (x,), left))
+            if left and (not acc or x < acc[-1]):
+                grown.append((acc + (x + 1,), left - 1))
+        partial = grown
+    # row n got a box: full column of height n, subtract it off
+    return {tuple(y - mu[-1] for y in mu) if mu[-1] else mu for mu, _ in partial}
 
 
 def lex_max_member(lam: Partition, k: int) -> Partition:

@@ -103,14 +103,16 @@ def dim_irrep(w: DominantWeight) -> int:
     """Dimension of L(w) by the Weyl product, as an exact integer.
 
     With l_i = lambda_i + n - i (lambda_n = 0), the dimension is
-    prod_{i<j} (l_i - l_j) / (j - i); the quotient is taken once at the end
-    so all arithmetic stays integral.
+    prod_{i<j} (l_i - l_j) / (j - i).  A pair of two zero rows has
+    l_i - l_j = j - i and contributes 1, so the product runs only over the
+    pairs whose upper row is nonzero: O(rows * n) factors, not O(n^2).  The
+    quotient is taken once at the end so all arithmetic stays integral.
     """
     n = w.rank
-    l = [x + n - 1 - i for i, x in enumerate(padded_partition(w))]
-    num = prod(l[i] - l[j] for i in range(n) for j in range(i + 1, n))
-    den = prod(j - i for i in range(n) for j in range(i + 1, n))
-    return num // den
+    lam = padded_partition(w)
+    l = [x + n - 1 - i for i, x in enumerate(lam)]
+    pairs = [(i, j) for i in range(lam.index(0)) for j in range(i + 1, n)]
+    return prod(l[i] - l[j] for i, j in pairs) // prod(j - i for i, j in pairs)
 
 
 def iter_partitions(total: int, max_parts: int | None = None, max_part: int | None = None):

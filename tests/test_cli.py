@@ -222,12 +222,62 @@ def test_unexpected_exception_exits_3(capsys):
     assert "Traceback" not in err
 
 
+def test_pieri_at_rank_1200(capsys):
+    weight = ",".join(["0"] * 1198 + ["1"])  # omega_1199, the partition (1, ..., 1)
+    code, out, err = run(capsys, "pieri", "--n", "1200", "--weight", weight, "--k", "1")
+    assert code == 0, err
+    assert out.splitlines() == [
+        ",".join(["1"] + ["0"] * 1197 + ["1"]) + "  (2" + ",1" * 1198 + ")",
+        ",".join(["0"] * 1199) + "  ()",
+    ]
+
+
+def test_branch_at_rank_1200(capsys):
+    # the Pieri leaf stacks no frame per row, and the Weyl checks are linear in n
+    code, out, err = run(capsys, "branch", "--n", "1200", "--type", "1200", "--partition", "2",
+                         "--format", "json")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["dimension"] == "720600"  # C(1201, 2)
+    assert payload["highest"] == 2398
+
+
 def test_table_json(capsys):
     code, out, _ = run(capsys, "table", "--n", "5", "--type", "3,2", "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert sorted(payload["table"]) == ["1", "2", "3", "4"]
     assert payload["table"]["2"] == {"0": 1, "1": 1, "2": 1, "3": 1}
+
+
+TABLE_5_32 = {
+    "pretty": [
+        "k=1: F_1 + F_2  (dim 5)",
+        "k=2: F_0 + F_1 + F_2 + F_3  (dim 10)",
+        "k=3: F_0 + F_1 + F_2 + F_3  (dim 10)",
+        "k=4: F_1 + F_2  (dim 5)",
+    ],
+    "csv": [
+        "k,j,multiplicity",
+        "1,1,1", "1,2,1",
+        "2,0,1", "2,1,1", "2,2,1", "2,3,1",
+        "3,0,1", "3,1,1", "3,2,1", "3,3,1",
+        "4,1,1", "4,2,1",
+    ],
+    "latex": [
+        "L(\\omega_{1}): F_{1}\\oplus F_{2}",
+        "L(\\omega_{2}): F_{0}\\oplus F_{1}\\oplus F_{2}\\oplus F_{3}",
+        "L(\\omega_{3}): F_{0}\\oplus F_{1}\\oplus F_{2}\\oplus F_{3}",
+        "L(\\omega_{4}): F_{1}\\oplus F_{2}",
+    ],
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(TABLE_5_32))
+def test_table_text_formats(capsys, fmt):
+    code, out, _ = run(capsys, "table", "--n", "5", "--type", "3,2", "--format", fmt)
+    assert code == 0
+    assert out.splitlines() == TABLE_5_32[fmt]
 
 
 def test_triple_export_brackets(capsys):
@@ -250,6 +300,26 @@ def test_verify_small_sweep(capsys):
     assert lines[-1] == "OK"
     assert any(line.startswith("type [3]") for line in lines)
     assert any(line.startswith("type [2,1]") for line in lines)
+
+
+def test_verify_reports_a_mismatch(capsys, monkeypatch):
+    real = cli.oracle_branch
+
+    def oracle(t, w, budget):
+        want = real(t, w, budget=budget)
+        return {**want, 0: want.get(0, 0) + 1} if t.blocks == (3,) and w.coeffs == (1, 0) else want
+
+    monkeypatch.setattr(cli, "oracle_branch", oracle)
+    code, out, _ = run(capsys, "verify", "--n", "3", "--max-boxes", "2")
+    assert code == 1
+    assert out.splitlines() == [
+        "type [3]: 1 MISMATCH of 4",
+        "  key (3, (3,), (1,))",
+        "    recursion: {2: 1}",
+        "    oracle:    {2: 1, 0: 1}",
+        "type [2,1]: 4 weights ok",
+        "FAILED: 1 mismatches",
+    ]
 
 
 def test_verify_type_list_and_jobs(capsys, monkeypatch):
@@ -475,6 +545,13 @@ MALFORMED_CACHES = {
     "key spelled twice": {
         "version": 1, "entries": {"4|4|2": {"2": 1, "6": 1}, "4|4|02": {"2": 1, "6": 1}},
     },
+    # one key written twice in the text, which a plain json.load keeps the last of
+    "component written twice": '{"version": 1, "entries": {"4|4|2": {"2": 1, "6": 1, "2": 3}}}',
+    "key written twice": (
+        '{"version": 1, "entries": {"4|4|2": {"2": 1, "6": 1}, "4|4|2": {"2": 3, "6": 1}}}'
+    ),
+    # deeper than the JSON parser's recursion limit
+    "nested too deeply": "[" * 200_000 + "]" * 200_000,
 }
 
 
@@ -504,6 +581,9 @@ WRONG_ENTRIES = {
     "trivial": ({"4|4|": {"0": 2}}, ["--weight", "1,0,0"]),
     "sub-weight, wrong dimension": ({"4|4|1,1": {"0": 1}}, ["--partition", "2"]),
     "sub-weight, negative multiplicity": ({"4|4|1,1": {"8": 1}}, ["--partition", "2"]),
+    # neither trivial nor fundamental, so only the re-run without the file finds them
+    "top level, not fundamental": ({"4|4|3": {"0": 5}}, ["--partition", "3"]),
+    "sub-weight, not fundamental": ({"4|4|2": {"8": 1}}, ["--partition", "3"]),
 }
 
 
@@ -520,6 +600,18 @@ def test_wrong_cache_entry_exits_2(tmp_path, capsys, case):
     assert err.startswith(f"error: cache {cache} holds a wrong entry")
     assert out == ""
     assert cache.read_bytes() == before
+
+
+@pytest.mark.parametrize("case", ["top level, not fundamental", "sub-weight, not fundamental"])
+def test_wrong_cache_entry_blamed_by_rerun(tmp_path, capsys, case):
+    entries, weight = WRONG_ENTRIES[case]
+    cache = tmp_path / "memo.json"
+    cache.write_text(json.dumps({"version": 1, "entries": entries}))
+    code, _, err = run(
+        capsys, "branch", "--n", "4", "--type", "4", *weight, "--cache", str(cache)
+    )
+    assert code == 2, err
+    assert "fails its consistency checks with it and passes them without it" in err
 
 
 def test_load_checks_only_the_query_type(tmp_path, capsys, monkeypatch):

@@ -2,6 +2,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from branchkit import (
     dim_irrep,
@@ -105,3 +106,25 @@ def test_first_row_grows_by_at_most_one():
     for n, w, k in sweep_weights():
         for mu in pieri_set(w, k):
             assert mu[0] <= w[0] + 1
+
+
+@st.composite
+def padded_partitions(draw):
+    """lambda_1 >= ... >= lambda_n = 0 with n <= 10 and parts <= 8, drawn from a
+    palette of at most three values, so equal parts come in long runs."""
+    n = draw(st.integers(2, 10))
+    palette = draw(st.lists(st.integers(0, 8), min_size=1, max_size=3))
+    parts = draw(st.lists(st.sampled_from(palette), min_size=n - 1, max_size=n - 1))
+    return tuple(sorted(parts, reverse=True)) + (0,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(padded_partitions())
+def test_matches_subset_enumeration_up_to_rank_10(lam):
+    for k in range(1, len(lam)):
+        assert pieri_set(lam, k) == strips_by_subset_enumeration(lam, k), k
+
+
+def test_rank_beyond_the_recursion_limit():
+    # one loop over the rows: 1200 rows stack no frames
+    assert pieri_set((2,) + (0,) * 1199, 1) == {(3,) + (0,) * 1199, (2, 1) + (0,) * 1198}
