@@ -41,6 +41,8 @@ def wedge_weight_multiset(t: SubalgebraType, k: int) -> WeightMultiset:
     n = t.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"wedge power index {k} out of range for rank {n}")
+    # a k-subset's complement has the opposite sum and h = -h as a multiset
+    k = min(k, n - k)
     h = h_diagonal(t)
     low = min(h)
     # e[j] is e_j of q^{h_i - low} over the entries folded in so far, at
@@ -194,8 +196,8 @@ def branching_hook(t: SubalgebraType, k: int) -> MultVector:
     """Res L(w_k) for type [r, 1, ..., 1].
 
     Basis vectors split by how many indices j land in the zero tail:
-    sum_{j=k-alpha}^{beta} C(n-r, j) Res_{[r]} L(w_{k-j})  +  C(n-r, k) F_0,
-    with alpha = min(k, r) and beta = min(k-1, n-r).
+    sum_{j=max(0,k-r)}^{min(k,n-r)} C(n-r, j) Res_{[r]} L(w_{k-j}), where
+    Res_{[r]} L(w_0) is F_0.
     """
     n = t.n
     r = t.blocks[0]
@@ -206,15 +208,11 @@ def branching_hook(t: SubalgebraType, k: int) -> MultVector:
         raise ValueError(f"wedge power index {k} out of range for rank {n}")
     if ones and k > n // 2:
         raise ValueError(f"hook formula covers k <= {n // 2} for rank {n}, got k={k}")
-    alpha = min(k, r)
-    beta = min(k - 1, ones)
     acc: Counter = Counter()
-    for j in range(k - alpha, beta + 1):
+    for j in range(max(0, k - r), min(k, ones) + 1):
         c = comb(ones, j)
         for d, m in _principal_factor(r, k - j).items():
             acc[d] += c * m
-    if ones >= k:
-        acc[0] += comb(ones, k)
     return dict(sorted(acc.items()))
 
 

@@ -30,8 +30,16 @@ def _row(n: int, k: int) -> list[int]:
     w = comb(n + k, k).bit_length() // 8 + 1
     x = 1
     for i in range(1, s + 1):
-        # exact, since every partial product is (m+i choose i)_q at q = 256**w
-        x = x * (256 ** (w * (m + i)) - 1) // (256 ** (w * i) - 1)
+        # x becomes (m+i choose i)_q, of degree i*m: times 1 - q^{m+i}, times
+        # the series 1/(1 - q^i) = (1 + q^i)(1 + q^{2i})(1 + q^{4i})... as far
+        # as degree i*m, then cut to degree i*m (two's complement keeps the
+        # low digits of a negative partial result right)
+        x -= x << 8 * w * (m + i)
+        d = i
+        while d <= i * m:
+            x += x << 8 * w * d
+            d *= 2
+        x &= (1 << 8 * w * (i * m + 1)) - 1
     return digits(x, w)
 
 

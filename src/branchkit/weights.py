@@ -103,15 +103,15 @@ def dim_irrep(w: DominantWeight) -> int:
     """Dimension of L(w) by the Weyl product, as an exact integer.
 
     With l_i = lambda_i + n - i (lambda_n = 0), the dimension is
-    prod_{i<j} (l_i - l_j) / (j - i).  A pair of two zero rows has
+    prod_{i<j} (l_i - l_j) / (j - i).  A pair of equal rows has
     l_i - l_j = j - i and contributes 1, so the product runs only over the
-    pairs whose upper row is nonzero: O(rows * n) factors, not O(n^2).  The
-    quotient is taken once at the end so all arithmetic stays integral.
+    pairs of distinct rows, whose upper row is nonzero.  The quotient is
+    taken once at the end so all arithmetic stays integral.
     """
     n = w.rank
     lam = padded_partition(w)
     l = [x + n - 1 - i for i, x in enumerate(lam)]
-    pairs = [(i, j) for i in range(lam.index(0)) for j in range(i + 1, n)]
+    pairs = [(i, j) for i in range(lam.index(0)) for j in range(i + 1, n) if lam[i] != lam[j]]
     return prod(l[i] - l[j] for i, j in pairs) // prod(j - i for i, j in pairs)
 
 

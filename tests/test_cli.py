@@ -242,6 +242,27 @@ def test_branch_at_rank_1200(capsys):
     assert payload["highest"] == 2398
 
 
+def test_branch_omega_1199_at_rank_1200(capsys):
+    # Weyl's product skips the pairs of equal rows, so its 1199 rows cost
+    # 1199 factors
+    weight = ",".join(["0"] * 1198 + ["1"])
+    code, out, err = run(capsys, "branch", "--n", "1200", "--type", "1200", "--weight", weight,
+                         "--format", "json")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["multiplicities"] == {"1199": 1}
+    assert payload["dimension"] == "1200"
+    assert payload["highest"] == 1199
+
+
+def test_fundamental_k_1199_at_rank_1200(capsys):
+    # the wedge kernel runs at n - k = 1
+    code, out, err = run(capsys, "fundamental", "--n", "1200", "--type", "1200", "--k", "1199",
+                         "--format", "latex")
+    assert code == 0, err
+    assert out.strip() == "F_{1199}"
+
+
 def test_table_json(capsys):
     code, out, _ = run(capsys, "table", "--n", "5", "--type", "3,2", "--format", "json")
     assert code == 0

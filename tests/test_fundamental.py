@@ -293,3 +293,12 @@ def test_multiset_symmetry_invariant():
             for k in range(1, n):
                 ms = wedge_weight_multiset(t, k)
                 assert all(ms[-w] == c for w, c in ms.items())
+
+
+def test_verify_principal_above_half_rank_up_to_60():
+    # the kernel runs at n - k; strict-count and Cayley-Sylvester read k itself
+    for n in range(3, 61):
+        for k in sorted({n // 2 + 1, n - 3, n - 2, n - 1}):
+            if 2 * k > n:
+                mv = fundamental_branching(SubalgebraType((n,)), k, verify=True)
+                assert rep_dimension(mv) == comb(n, k), (n, k)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from branchkit import gaussian_binomial, p_k_n, pi, qpoly_str
-from branchkit.qcomb import digits
+from branchkit.qcomb import _row, digits
 
 
 def pi_by_enumeration(n, k, d):
@@ -160,3 +160,18 @@ def test_qpoly_str():
     assert qpoly_str({0: 1, 1: 1}) == "1 + q"
     assert qpoly_str({0: 1, 2: 3}) == "1 + 3q^2"
     assert qpoly_str({}) == "0"
+
+
+def test_rows_match_q_pascal_recurrence():
+    # rows[n][k] lists (n+k choose k)_q, built by
+    # (n+k choose k)_q = (n+k-1 choose k-1)_q + q^k (n+k-1 choose k)_q
+    size = 51
+    rows = [[[1] for _ in range(size)] for _ in range(size)]
+    for n in range(1, size):
+        for k in range(1, size):
+            left, down = rows[n][k - 1], rows[n - 1][k]
+            rows[n][k] = [a + b for a, b in zip(left + [0] * n, [0] * k + down)]
+    for n in range(41):
+        for k in range(41):
+            assert _row.__wrapped__(n, k) == rows[n][k], (n, k)
+    assert _row.__wrapped__(50, 50) == rows[50][50]

@@ -3,7 +3,13 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from branchkit import DominantWeight, dim_irrep, omega_to_partition, partition_to_omega
+from branchkit import (
+    DominantWeight,
+    dim_irrep,
+    iter_dominant_weights,
+    omega_to_partition,
+    partition_to_omega,
+)
 from branchkit.weights import canonical_partition, dual_weight, iter_partitions
 
 
@@ -96,3 +102,38 @@ def test_iter_partitions():
     assert list(iter_partitions(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert list(iter_partitions(4, max_parts=2)) == [(4,), (3, 1), (2, 2)]
     assert list(iter_partitions(0)) == [()]
+
+
+def weyl_product(w):
+    """Reference: Weyl's product over every pair i < j, equal rows included."""
+    n = w.rank
+    lam = [sum(w.coeffs[i:]) for i in range(n)]
+    num = den = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            num *= lam[i] - lam[j] + j - i
+            den *= j - i
+    assert num % den == 0
+    return num // den
+
+
+def test_dim_irrep_is_the_full_weyl_product():
+    for n in range(2, 8):
+        for w in iter_dominant_weights(n, 8):
+            assert dim_irrep(w) == weyl_product(w), w
+
+
+def test_dim_irrep_with_long_runs_of_equal_rows():
+    for n in (12, 30, 60):
+        runs = (0, 1, n // 3, n - 1)
+        for a in runs:
+            for b in runs:
+                for c in runs:
+                    if a + b + c <= n - 1:
+                        w = partition_to_omega((5,) * a + (3,) * b + (1,) * c, n)
+                        assert dim_irrep(w) == weyl_product(w), (n, a, b, c)
+
+
+def test_dim_irrep_of_omega_1199_at_rank_1200():
+    # 1199 equal rows: only the 1199 pairs with the zero row are multiplied
+    assert dim_irrep(DominantWeight.omega(1200, 1199)) == 1200
