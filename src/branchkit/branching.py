@@ -15,7 +15,7 @@ the public entry points.
 
 from .fundamental import _FUND_CACHE, fundamental_branching
 from .pieri import pieri_set
-from .sl2 import MultVector, cg_convolve, mv_subtract
+from .sl2 import InternalConsistencyError, MultVector, cg_convolve, mv_subtract
 from .subalgebra import SubalgebraType
 from .weights import DominantWeight, Partition, padded_partition
 
@@ -79,12 +79,18 @@ class BranchEngine:
             return fundamental_branching(t, lam.index(0))
         k = select_pivot(lam, largest=self.pivot == "largest")
         prev = tuple(x - 1 for x in lam[:k]) + lam[k:]
-        result = cg_convolve(self._branch(t, prev), fundamental_branching(t, k))
-        context = f"branch({t}, {lam[: lam.index(0)]})"
+        product = cg_convolve(self._branch(t, prev), fundamental_branching(t, k))
+        # every lower member is nonnegative, so subtracting their sum fails
+        # exactly when subtracting them one by one would
+        lower: MultVector = {}
         for mu in pieri_set(prev, k):
             if mu != lam:
-                result = mv_subtract(result, self._branch(t, mu), context=context)
-        return dict(sorted(result.items()))
+                for j, m in self._branch(t, mu).items():
+                    lower[j] = lower.get(j, 0) + m
+        try:
+            return mv_subtract(product, lower)
+        except InternalConsistencyError as err:
+            raise InternalConsistencyError(f"{err} in branch({t}, {lam[: lam.index(0)]})") from None
 
 
 _DEFAULT_ENGINE = BranchEngine()

@@ -5,7 +5,13 @@ dimension j + 1) is a sparse dict {j: m_j} holding only positive entries.
 A weight multiset {weight: dim V_weight} turns into one by the dim-difference
 rule m_j = dim V_j - dim V_{j+2}, the step that the wedge-power route and the
 tableau oracle share.
+
+The Clebsch-Gordan product costs O(|a|*|b| + span): one difference-array
+update per pair of components, then one running-sum pass over the output's
+range of j, however long each F_{|j-j'|} + ... + F_{j+j'} run is.
 """
+
+from itertools import accumulate
 
 MultVector = dict[int, int]
 
@@ -40,32 +46,50 @@ def mult_from_multiset(ms: dict[int, int]) -> MultVector:
 
 
 def cg_convolve(a: MultVector, b: MultVector) -> MultVector:
-    """Clebsch-Gordan product of two multiplicity vectors.
+    """Clebsch-Gordan product of two multiplicity vectors, with keys ascending.
 
     F_j (x) F_j' = F_{|j-j'|} + F_{|j-j'|+2} + ... + F_{j+j'}, extended
-    bilinearly.
+    bilinearly.  Each run is one entry +m at |j-j'| and one -m at j+j'+2 of
+    a difference array; running sums over the even and the odd offsets then
+    give every multiplicity.  The array starts at the lowest |j-j'| that can
+    occur, so a product of far-apart sparse vectors pays only for its span.
     """
-    out: MultVector = {}
-    for j, mj in a.items():
-        for jp, mp in b.items():
+    if not a or not b:
+        return {}
+    if len(a) < len(b):
+        a, b = b, a  # the shorter vector in the outer loop starts fewer inner loops
+    amax, bmax = max(a), max(b)
+    lo = max(min(a) - bmax, min(b) - amax, 0)
+    diff = [0] * (amax + bmax + 3 - lo)
+    for jp, mp in b.items():
+        for j, mj in a.items():
             m = mj * mp
-            for d in range(abs(j - jp), j + jp + 1, 2):
-                out[d] = out.get(d, 0) + m
+            diff[abs(j - jp) - lo] += m
+            diff[j + jp + 2 - lo] -= m
+    diff[0::2] = accumulate(diff[0::2])
+    diff[1::2] = accumulate(diff[1::2])
+    out: MultVector = {}
+    for i, m in enumerate(diff, lo):
+        if m:
+            out[i] = m
     return out
 
 
-def mv_subtract(a: MultVector, b: MultVector, context: str = "") -> MultVector:
-    """a - b entrywise, raising InternalConsistencyError if any entry goes negative."""
-    out = dict(a)
-    for j, m in b.items():
-        r = out.get(j, 0) - m
+def mv_subtract(a: MultVector, b: MultVector) -> MultVector:
+    """a - b entrywise, raising InternalConsistencyError if any entry goes negative.
+
+    The result keeps a's key order and is built afresh rather than popped
+    out of a copy of a, so a memo that stores it holds no table sized for a.
+    """
+    if not b.keys() <= a.keys():
+        j = min(b.keys() - a.keys())
+        raise InternalConsistencyError(f"multiplicity of F_{j} went negative ({-b[j]})")
+    out: MultVector = {}
+    for j, m in a.items():
+        r = m - b.get(j, 0)
         if r < 0:
-            raise InternalConsistencyError(
-                f"multiplicity of F_{j} went negative ({r}){' in ' + context if context else ''}"
-            )
-        if r == 0:
-            out.pop(j, None)
-        else:
+            raise InternalConsistencyError(f"multiplicity of F_{j} went negative ({r})")
+        if r:
             out[j] = r
     return out
 

@@ -13,7 +13,7 @@ precision integers.
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import prod
+from operator import mul
 
 Partition = tuple[int, ...]
 
@@ -106,13 +106,22 @@ def dim_irrep(w: DominantWeight) -> int:
     prod_{i<j} (l_i - l_j) / (j - i).  A pair of equal rows has
     l_i - l_j = j - i and contributes 1, so the product runs only over the
     pairs of distinct rows, whose upper row is nonzero.  The quotient is
-    taken once at the end so all arithmetic stays integral.
+    taken once at the end so all arithmetic stays integral; each side is a
+    balanced product tree, since folding O(n^2) factors one at a time into a
+    growing product costs about n^4 at large n.
     """
     n = w.rank
     lam = padded_partition(w)
     l = [x + n - 1 - i for i, x in enumerate(lam)]
     pairs = [(i, j) for i in range(lam.index(0)) for j in range(i + 1, n) if lam[i] != lam[j]]
-    return prod(l[i] - l[j] for i, j in pairs) // prod(j - i for i, j in pairs)
+    return _tree_prod([l[i] - l[j] for i, j in pairs]) // _tree_prod([j - i for i, j in pairs])
+
+
+def _tree_prod(xs: list[int]) -> int:
+    """Product of xs by rounds of pairwise products, so that operands stay alike in size."""
+    while len(xs) > 1:
+        xs = [*map(mul, xs[0::2], xs[1::2]), *xs[len(xs) - len(xs) % 2:]]
+    return xs[0] if xs else 1
 
 
 def iter_partitions(total: int, max_parts: int | None = None, max_part: int | None = None):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from branchkit import (
     BranchEngine,
@@ -15,6 +15,7 @@ from branchkit import (
     iter_dominant_weights,
     lowest_component,
     oracle_branch,
+    partition_to_omega,
     principal_highest_component,
     rep_dimension,
     select_pivot,
@@ -45,10 +46,41 @@ def test_cg_convolve_dimension_multiplicative():
     assert rep_dimension(cg_convolve(a, b)) == rep_dimension(a) * rep_dimension(b)
 
 
+def cg_by_triple_loop(a, b):
+    """Reference: every F_d of every run F_|j-j'| + ... + F_{j+j'}, one at a time."""
+    out = {}
+    for j, mj in a.items():
+        for jp, mp in b.items():
+            for d in range(abs(j - jp), j + jp + 1, 2):
+                out[d] = out.get(d, 0) + mj * mp
+    return out
+
+
+sparse_vectors = st.dictionaries(st.integers(0, 80), st.integers(1, 5), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_vectors, sparse_vectors)
+@example({}, {})
+@example({}, {3: 1})
+@example({500: 1}, {1: 1})
+@example({1: 1}, {500: 1})
+@example({500: 2, 3: 1}, {499: 1, 0: 4})
+@example({0: 1, 1: 2, 2: 3, 7: 1}, {1: 1, 4: 2})
+def test_cg_convolve_matches_the_triple_loop(a, b):
+    got = cg_convolve(a, b)
+    assert got == cg_by_triple_loop(a, b)
+    assert list(got) == sorted(got)
+    assert rep_dimension(got) == rep_dimension(a) * rep_dimension(b)
+
+
 def test_mv_subtract_raises_on_negative():
     with pytest.raises(InternalConsistencyError):
         mv_subtract({2: 1}, {2: 2})
+    with pytest.raises(InternalConsistencyError):
+        mv_subtract({2: 1}, {4: 1})
     assert mv_subtract({2: 3, 4: 1}, {2: 3}) == {4: 1}
+    assert list(mv_subtract({0: 1, 2: 3, 4: 1, 6: 2}, {4: 1, 2: 1})) == [0, 2, 6]
 
 
 def test_select_pivot():
@@ -204,6 +236,31 @@ def test_warm_cache_can_be_transplanted():
     recipient = BranchEngine(cache=dict(donor.cache))
     assert recipient.branch(t, w) == expected
     assert recipient.stats["computed"] == 0
+
+
+def test_inconsistency_names_the_type_and_weight():
+    # principal sl_3: lambda = (2) = (1) + w_1, and Res L(1) (x) Res L(w_1) =
+    # F_2 (x) F_2 is Res L(2) = F_0 + F_4 plus the lower Pieri member
+    # Res L(1, 1) = F_2; doubling that member's entry drives F_2 to -1
+    t = SubalgebraType((3,))
+    w = partition_to_omega((2,), 3)
+    engine = BranchEngine()
+    assert engine.branch(t, DominantWeight.omega(3, 2)) == {2: 1}
+    engine.cache[(3, (3,), (1, 1))] = {2: 2}
+    with pytest.raises(InternalConsistencyError) as info:
+        engine.branch(t, w)
+    assert str(info.value) == "multiplicity of F_2 went negative (-1) in branch([3], (2,))"
+
+
+def test_principal_sl300_of_two_rows():
+    # a few Clebsch-Gordan products of long vectors (top component 1788):
+    # one difference-array step per pair of components keeps this well
+    # under a second (one step per component of every run: 19-23 s, 2-vCPU VM)
+    n = 300
+    w = partition_to_omega((3, 3), n)
+    v = BranchEngine().branch(SubalgebraType((n,)), w)
+    assert rep_dimension(v) == dim_irrep(w)
+    assert highest_component(v) == principal_highest_component(w)
 
 
 def test_clear_cache_forgets_fundamentals(monkeypatch):

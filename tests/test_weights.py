@@ -137,3 +137,10 @@ def test_dim_irrep_with_long_runs_of_equal_rows():
 def test_dim_irrep_of_omega_1199_at_rank_1200():
     # 1199 equal rows: only the 1199 pairs with the zero row are multiplied
     assert dim_irrep(DominantWeight.omega(1200, 1199)) == 1200
+
+
+def test_dim_irrep_of_rho_at_rank_400():
+    # all n - 1 rows distinct: l_i - l_j = 2 (j - i), so every pair gives a 2
+    n = 400
+    rho = partition_to_omega(tuple(range(n - 1, 0, -1)), n)
+    assert dim_irrep(rho) == 2 ** (n * (n - 1) // 2)
