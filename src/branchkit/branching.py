@@ -13,7 +13,7 @@ padded partitions (`weights.padded_partition`); DominantWeight appears only in
 the public entry points.
 """
 
-from .fundamental import _FUND_CACHE, fundamental_branching
+from .fundamental import _fundamental, fundamental_branching
 from .pieri import pieri_set
 from .sl2 import InternalConsistencyError, MultVector, cg_convolve, mv_subtract
 from .subalgebra import SubalgebraType
@@ -104,7 +104,7 @@ def branch(t: SubalgebraType, w: DominantWeight) -> MultVector:
 def clear_cache():
     """Forget every memoized branching: the shared engine's and the fundamentals'."""
     _DEFAULT_ENGINE.cache.clear()
-    _FUND_CACHE.clear()
+    _fundamental.cache_clear()
 
 
 def principal_highest_component(w: DominantWeight) -> int:

@@ -301,9 +301,8 @@ def cmd_table(args) -> int:
 def cmd_pieri(args) -> int:
     w = DominantWeight(args.n, _parse_ints(args.weight, "--weight"))
     for mu in sorted(pieri_set(padded_partition(w), args.k), reverse=True):
-        m = partition_to_omega(mu, args.n)
-        omega_str = ",".join(str(a) for a in m.coeffs)
-        part_str = "(" + ",".join(str(x) for x in omega_to_partition(m)) + ")"
+        omega_str = ",".join(str(a) for a in partition_to_omega(mu, args.n).coeffs)
+        part_str = "(" + ",".join(str(x) for x in mu if x) + ")"
         print(f"{omega_str}  {part_str}")
     return EXIT_OK
 
@@ -323,15 +322,13 @@ def cmd_triple(args) -> int:
 
 
 def _verify_task(task):
-    blocks, lam, budget = task
+    blocks, w, budget = task
     t = SubalgebraType(blocks)
-    w = partition_to_omega(lam, t.n)
     try:
-        got = branch(t, w)
-        want = oracle_branch(t, w, budget=budget)
+        return w, branch(t, w), oracle_branch(t, w, budget=budget)
     except BudgetExceededError as exc:
+        lam = omega_to_partition(w)
         raise BudgetExceededError(f"type {t}, lambda {lam or '()'}: {exc}") from None
-    return lam, got, want
 
 
 def _verify_results(tasks, jobs):
@@ -357,22 +354,20 @@ def cmd_verify(args) -> int:
         types = all_types(args.n)
     else:
         types = [_parse_type(part, args.n) for part in args.types.split(";")]
-    lambdas = [omega_to_partition(w) for w in iter_dominant_weights(args.n, args.max_boxes)]
-    results = _verify_results(
-        [(t.blocks, lam, args.budget) for t in types for lam in lambdas], jobs
-    )
+    weights = list(iter_dominant_weights(args.n, args.max_boxes))
+    results = _verify_results([(t.blocks, w, args.budget) for t in types for w in weights], jobs)
     mismatches = 0
     for t in types:
-        bad = [(lam, got, want) for lam, got, want in islice(results, len(lambdas)) if got != want]
+        bad = [(w, got, want) for w, got, want in islice(results, len(weights)) if got != want]
         if bad:
             mismatches += len(bad)
-            print(f"type {t}: {len(bad)} MISMATCH of {len(lambdas)}")
-            for lam, got, want in bad:
-                print(f"  key ({args.n}, {t.blocks}, {lam})")
+            print(f"type {t}: {len(bad)} MISMATCH of {len(weights)}")
+            for w, got, want in bad:
+                print(f"  key ({args.n}, {t.blocks}, {omega_to_partition(w)})")
                 print(f"    recursion: {got}")
                 print(f"    oracle:    {want}")
         else:
-            print(f"type {t}: {len(lambdas)} weights ok")
+            print(f"type {t}: {len(weights)} weights ok")
     print("OK" if mismatches == 0 else f"FAILED: {mismatches} mismatches")
     return EXIT_OK if mismatches == 0 else EXIT_MISMATCH
 

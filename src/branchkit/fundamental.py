@@ -6,16 +6,17 @@ the full weight multiset of Res L(w_k) is the multiset of k-subset sums of
 h_diagonal, and the multiplicity of F_j falls out as dim V_j - dim V_{j+2}.
 That multiset is the z^k coefficient e_k(q^{h_1}, ..., q^{h_n}) of
 prod_i (1 + z q^{h_i}) (Macdonald, Symmetric Functions and Hall Polynomials,
-I.2): O(n k) steps e_j += e_{j-1} q^{h_i} on integers at q = 256**w (see
-qcomb) compute it without listing the C(n, k) subsets; there is no rank cap.
+I.2): qcomb.elementary, on qcomb's packed integers, computes it in O(n k)
+shifts and additions without listing the C(n, k) subsets; no rank cap.
 
 The weight multiset always computes the result; the closed forms are only
 cross-checks, run by fundamental_branching(verify=True):
   * principal type: strict-tuple counts, the Cayley-Sylvester partition-count
     difference, and Macdonald's plethysm formulas for k = 2, 3.  The first
     two read the same coefficients of the q-binomial (n choose k)_q, built by
-    qcomb's product formula (p_k_n is pi shifted by the staircase), so
-    together they are one check of the weight multiset;
+    qcomb's hook-content product (p_k_n is pi shifted by the staircase), so
+    together they are one check of the weight multiset: a product formula
+    against the recurrence, independent although both are packed alike;
   * types of more than one block: [r, 1, ..., 1] and [r, s] for k up to
     floor(n/2), and k = 2 for any type.  These build on the principal
     branchings of the blocks, so on a single block they would return the
@@ -23,9 +24,10 @@ cross-checks, run by fundamental_branching(verify=True):
 """
 
 from collections import Counter
+from functools import cache
 from math import comb
 
-from .qcomb import digits, p_k_n, pi
+from .qcomb import elementary, p_k_n, pi
 from .sl2 import MultVector, cg_convolve, mult_from_multiset
 from .subalgebra import SubalgebraType, h_diagonal, is_principal
 
@@ -45,16 +47,8 @@ def wedge_weight_multiset(t: SubalgebraType, k: int) -> WeightMultiset:
     k = min(k, n - k)
     h = h_diagonal(t)
     low = min(h)
-    # e[j] is e_j of q^{h_i - low} over the entries folded in so far, at
-    # q = 256**w; w bytes hold every coefficient of e_k, which sum to C(n, k)
-    w = comb(n, k).bit_length() // 8 + 1
-    e = [1] + [0] * k
-    for i, x in enumerate(v - low for v in h):
-        # a j-subset that cannot still grow to k with the n - 1 - i entries
-        # left is never read, so j stops at k - (n - 1 - i)
-        for j in range(min(i + 1, k), max(1, k - (n - 1 - i)) - 1, -1):
-            e[j] += e[j - 1] << 8 * w * x
-    return Counter({s + k * low: c for s, c in enumerate(digits(e[k], w)) if c})
+    e_k = elementary([v - low for v in h], k, comb(n, k))
+    return Counter({s + k * low: c for s, c in enumerate(e_k) if c})
 
 
 def mult_strict_count(n: int, k: int, j: int) -> int:
@@ -114,9 +108,6 @@ def mult_macdonald(n: int, k: int, j: int) -> int:
     raise ValueError(f"closed plethysm formulas cover k in {{2, 3}}, got k={k}")
 
 
-_FUND_CACHE: dict[tuple[tuple[int, ...], int], MultVector] = {}
-
-
 def fundamental_branching(t: SubalgebraType, k: int, verify: bool = False) -> MultVector:
     """Decomposition of Res L(w_k) as a multiplicity vector.
 
@@ -124,17 +115,17 @@ def fundamental_branching(t: SubalgebraType, k: int, verify: bool = False) -> Mu
     1 <= k <= n - 1; wedge_weight_multiset rejects any other k, which is
     never memoized); with verify=True every applicable closed form is
     evaluated as well and a disagreement raises ClosedFormMismatchError.
-    Results are memoized per (type, k).
+    Results are memoized per (type, k); callers get their own copy.
     """
-    key = (t.blocks, k)
-    cached = _FUND_CACHE.get(key)
-    if cached is None:
-        cached = mult_from_multiset(wedge_weight_multiset(t, k))
-        _FUND_CACHE[key] = cached
-    result = dict(cached)
+    result = dict(_fundamental(t, k))
     if verify:
         _verify_closed_forms(t, k, result)
     return result
+
+
+@cache
+def _fundamental(t: SubalgebraType, k: int) -> MultVector:
+    return mult_from_multiset(wedge_weight_multiset(t, k))
 
 
 def _verify_closed_forms(t, k, result):

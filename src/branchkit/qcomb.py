@@ -1,12 +1,9 @@
-"""Restricted partition counts and Gaussian binomial polynomials.
+"""Packed q-polynomials: Gaussian binomials, q-hook-content, and e_k.
 
-pi(n, k, d) counts partitions of d into at most k parts of size at most n: the
-coefficient of q^d in (n+k choose k)_q = prod_{i=1}^{s} (1 - q^{m+i}) / (1 - q^i),
-s = min(n, k), m = max(n, k).  p_k_n counts strictly decreasing k-tuples from
-{1, ..., n} with a prescribed sum; subtracting the staircase (k, k-1, ..., 1)
-maps them bijectively onto the boxed partitions counted by pi.  The product
-runs on integers at q = 256**w (Kronecker substitution), as do fundamental's
-wedge multisets; digits reads the coefficients back.
+The one owner of the packed format: a polynomial with coefficients in [0, Q)
+is its value at q = Q = 256**w, w = b.bit_length() // 8 + 1 for a bound b on
+the coefficients; q^e is a shift by 8*w*e bits, one mask cuts a product of
+degree T mod Q^{T+1}, and digits reads the coefficients back.
 """
 
 from functools import cache
@@ -22,30 +19,51 @@ def digits(x: int, w: int) -> list[int]:
     return [int.from_bytes(raw[i:i + w], byteorder="little") for i in range(0, len(raw), w)]
 
 
+def hook_content(shape, n: int, count: int) -> list[int]:
+    """Coefficients of s_shape(1, q, ..., q^{n-1}) / q^{b(shape)}, of degree T, by
+    Stanley's q-hook-content formula (EC2, Thm 7.21.2): the product over the
+    boxes u of shape (at most n rows) of (1 - q^{n + c(u)}) / (1 - q^{h(u)}),
+    c the content and h the hook length; count (the dimension) bounds every
+    coefficient.  q -> Q maps Z[q]/(q^{T+1}) onto the integers mod Q^{T+1} and
+    the result is below Q^{T+1}, so one mask keeps every step exact; 1/(1 - q^h)
+    is (1 + q^h)(1 + q^{2h})(1 + q^{4h})... up to degree T.
+    """
+    w = count.bit_length() // 8 + 1
+    cols = [sum(r > j for r in shape) for j in range(max(shape, default=0))]
+    boxes = [(n + j - i, r - j + cols[j] - i - 1) for i, r in enumerate(shape) for j in range(r)]
+    top = sum(a - h for a, h in boxes)
+    mask = (1 << 8 * w * (top + 1)) - 1
+    x = 1
+    for a, h in boxes:
+        # 1 - q^a is 1 mod q^{T+1} if a > T; & reads a negative x in two's complement
+        if a <= top:
+            x = (x - (x << 8 * w * a)) & mask
+        while h <= top:
+            x = (x + (x << 8 * w * h)) & mask
+            h *= 2
+    return digits(x, w)
+
+
+def elementary(exps, k: int, count: int) -> list[int]:
+    """Coefficients of e_k(q^{x_1}, ..., q^{x_n}) for the exponents x = exps >= 0."""
+    w = count.bit_length() // 8 + 1
+    e = [1] + [0] * k
+    for i, x in enumerate(exps):
+        # j stops at k - (n - 1 - i): a smaller j-subset can no longer grow to k
+        for j in range(min(i + 1, k), max(1, k - (len(exps) - 1 - i)) - 1, -1):
+            e[j] += e[j - 1] << 8 * w * x
+    return digits(e[k], w)
+
+
 @cache
 def _row(n: int, k: int) -> list[int]:
-    """Coefficients of q^0 .. q^{nk} in (n+k choose k)_q, by the product formula."""
-    s, m = min(n, k), max(n, k)
-    # w bytes hold every coefficient, since they sum to C(n + k, k)
-    w = comb(n + k, k).bit_length() // 8 + 1
-    x = 1
-    for i in range(1, s + 1):
-        # x becomes (m+i choose i)_q, of degree i*m: times 1 - q^{m+i}, times
-        # the series 1/(1 - q^i) = (1 + q^i)(1 + q^{2i})(1 + q^{4i})... as far
-        # as degree i*m, then cut to degree i*m (two's complement keeps the
-        # low digits of a negative partial result right)
-        x -= x << 8 * w * (m + i)
-        d = i
-        while d <= i * m:
-            x += x << 8 * w * d
-            d *= 2
-        x &= (1 << 8 * w * (i * m + 1)) - 1
-    return digits(x, w)
+    """Coefficients of q^0 .. q^{nk} in (n+k choose k)_q: hook_content of one row."""
+    return hook_content((min(n, k),), max(n, k) + 1, comb(n + k, k))
 
 
 def pi(n: int, k: int, d: int) -> int:
     """Partitions of d into at most k parts, each at most n: the coefficient
-    of q^d in (n+k choose k)_q, read from the product formula's row for (n, k)."""
+    of q^d in (n+k choose k)_q, read from the one-row hook_content _row(n, k)."""
     if n < 0 or k < 0:
         raise ValueError(f"pi needs n, k >= 0, got n={n}, k={k}")
     if d < 0 or d > n * k:
@@ -54,7 +72,8 @@ def pi(n: int, k: int, d: int) -> int:
 
 
 def p_k_n(k: int, n: int, d: int) -> int:
-    """Number of strictly decreasing k-tuples from {1, ..., n} summing to d."""
+    """Number of strictly decreasing k-tuples from {1, ..., n} summing to d: less the
+    staircase (k, k-1, ..., 1), the partitions of d - k(k+1)/2 that pi counts."""
     if k < 1 or n < 1:
         raise ValueError(f"p_k_n needs k, n >= 1, got k={k}, n={n}")
     if k > n:

@@ -124,12 +124,10 @@ def _tree_prod(xs: list[int]) -> int:
     return xs[0] if xs else 1
 
 
-def iter_partitions(total: int, max_parts: int | None = None, max_part: int | None = None):
-    """Yield the partitions of `total` with the given bounds, lex-descending."""
+def iter_partitions(total: int, max_parts: int | None = None):
+    """Yield the partitions of `total` into at most max_parts parts, lex-descending."""
     if total < 0:
         return
-    max_parts = total if max_parts is None else max_parts
-    max_part = total if max_part is None else max_part
 
     def rec(remaining, bound, slots):
         if remaining == 0:
@@ -141,7 +139,7 @@ def iter_partitions(total: int, max_parts: int | None = None, max_part: int | No
             for rest in rec(remaining - first, first, slots - 1):
                 yield (first,) + rest
 
-    yield from rec(total, max_part, max_parts)
+    yield from rec(total, total, total if max_parts is None else max_parts)
 
 
 def iter_dominant_weights(rank: int, max_boxes: int):

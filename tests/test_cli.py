@@ -635,6 +635,22 @@ def test_wrong_cache_entry_blamed_by_rerun(tmp_path, capsys, case):
     assert "fails its consistency checks with it and passes them without it" in err
 
 
+@pytest.mark.xfail(strict=True, reason="only the dimension of a non-fundamental entry is checked")
+def test_wrong_entry_of_the_right_dimension_is_not_trusted(tmp_path, capsys):
+    # principal sl_4: Res L(2) = Sym^2 F_3 = F_2 + F_6, of dimension 10, and
+    # the entry F_0 + F_8 has dimension 10 as well; a check of the final
+    # answer against an independent route (Jacobi-Trudi) would see it
+    cache = tmp_path / "memo.json"
+    cache.write_text(json.dumps({"version": 1, "entries": {"4|4|2": {"8": 1, "0": 1}}}))
+    code, out, err = run(
+        capsys, "branch", "--n", "4", "--type", "4", "--partition", "2", "--cache", str(cache)
+    )
+    if code == 0:
+        assert out.startswith("j  multiplicity\n2  1\n6  1\n")
+    else:
+        assert code == 2 and "holds a wrong entry" in err
+
+
 def test_load_checks_only_the_query_type(tmp_path, capsys, monkeypatch):
     # a file shared across queries: the entries of other types are kept as they
     # are, and their fundamentals are not recomputed on load

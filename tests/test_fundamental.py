@@ -161,6 +161,12 @@ def test_fundamental_branching_examples():
         assert fundamental_branching(SubalgebraType((n,)), 1) == {n - 1: 1}
 
 
+def test_fundamental_branching_returns_a_copy_of_its_memo():
+    t = SubalgebraType((5,))
+    fundamental_branching(t, 2)[2] = 99
+    assert fundamental_branching(t, 2) == {2: 1, 6: 1}
+
+
 def test_fundamental_branching_k_range():
     with pytest.raises(ValueError):
         fundamental_branching(SubalgebraType((3, 2)), 0)

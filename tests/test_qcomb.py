@@ -1,10 +1,24 @@
+from collections import Counter
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from branchkit import gaussian_binomial, p_k_n, pi, qpoly_str
-from branchkit.qcomb import _row, digits
+from branchkit import (
+    BranchEngine,
+    SubalgebraType,
+    dim_irrep,
+    gaussian_binomial,
+    omega_to_partition,
+    p_k_n,
+    partition_to_omega,
+    pi,
+    principal_highest_component,
+    qpoly_str,
+)
+from branchkit.qcomb import _row, digits, hook_content
+from branchkit.sl2 import mult_from_multiset
+from branchkit.weights import iter_partitions
 
 
 def pi_by_enumeration(n, k, d):
@@ -175,3 +189,37 @@ def test_rows_match_q_pascal_recurrence():
         for k in range(41):
             assert _row.__wrapped__(n, k) == rows[n][k], (n, k)
     assert _row.__wrapped__(50, 50) == rows[50][50]
+
+
+def principal_by_hook_content(w):
+    """Res L(w) to the principal sl_2 read from hook_content, and the coefficients.
+
+    q^{i-1} stands for the H-eigenvalue n + 1 - 2i, so the degree-e coefficient
+    of s_lambda(1, q, ..., q^{n-1}) / q^{b(lambda)} counts the weight T - 2e,
+    T the degree: the character is symmetric under negation."""
+    coeffs = hook_content(omega_to_partition(w), w.rank, dim_irrep(w))
+    top = len(coeffs) - 1
+    return mult_from_multiset(Counter({top - 2 * e: c for e, c in enumerate(coeffs)})), coeffs
+
+
+SMALL_PRINCIPAL = [
+    (n, lam) for n in range(2, 9) for boxes in range(16) for lam in iter_partitions(boxes, n - 1)
+]
+SHARED = BranchEngine()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SMALL_PRINCIPAL))
+def test_hook_content_gives_the_principal_branching(case):
+    n, lam = case
+    w = partition_to_omega(lam, n)
+    mv, coeffs = principal_by_hook_content(w)
+    assert mv == SHARED.branch(SubalgebraType((n,)), w)
+    assert sum(coeffs) == dim_irrep(w)
+    assert len(coeffs) - 1 == principal_highest_component(w)
+
+
+@pytest.mark.parametrize("n, lam", [(5, (40, 30, 20, 10)), (300, (3, 3))])
+def test_hook_content_matches_the_recursion_at_size(n, lam):
+    w = partition_to_omega(lam, n)
+    assert principal_by_hook_content(w)[0] == BranchEngine().branch(SubalgebraType((n,)), w)
