@@ -11,13 +11,23 @@ order on partitions with a bounded first row, so the recursion bottoms out at
 the fundamental representations and the trivial weight.  The engine works on
 padded partitions (`weights.padded_partition`); DominantWeight appears only in
 the public entry points.
+
+The memo holds each Res L(lambda) as a packed integer, the positive half of
+its Weyl numerator (qcomb), so a step is one multiply by the packed character
+of w_k, a few folded terms, and one checked subtraction per lower member.
+The dict Clebsch-Gordan product and subtraction of sl2 run only when a check
+finds a negative multiplicity, to name it; entries cross the engine's edges
+(`branch`, `BranchEngine.cache`, cache files) as {j: m_j} dicts.
 """
+
+from math import comb
 
 from .fundamental import _fundamental, fundamental_branching
 from .pieri import pieri_set
+from .qcomb import character, digits, fold, guard_mask, pack, width
 from .sl2 import InternalConsistencyError, MultVector, cg_convolve, mv_subtract
 from .subalgebra import SubalgebraType
-from .weights import DominantWeight, Partition, padded_partition
+from .weights import DominantWeight, Partition, dim_irrep, padded_partition
 
 __all__ = [
     "BranchEngine",
@@ -37,6 +47,10 @@ def select_pivot(lam: Partition, largest: bool = True) -> int:
     return next(k for k in range(1, len(lam)) if lam[k - 1] > lam[k])
 
 
+class _TooNarrow(Exception):
+    """A packed value has no room at the engine's digit width."""
+
+
 class BranchEngine:
     """Memoized branching calculator.
 
@@ -46,51 +60,150 @@ class BranchEngine:
     ("largest" or "smallest" coefficient index); the result is the same
     either way, which the test suite checks, but distinct engines keep
     distinct caches so the comparison is honest.
+
+    Inside, a memo value is the packed Weyl numerator P = sum_j m_j Q^{j+1}
+    of qcomb at one width per engine, whose every digit keeps its top bit
+    clear.  One step multiplies P(lambda') by the packed character of w_k
+    (qcomb.fold) and subtracts the lower Pieri members one by one, each
+    subtraction checked by a sign test and one AND against the digits' top
+    bits.  Before the multiply one AND certifies that every digit of
+    P(lambda') is below 2**(8w - 1 - b), b the bit length of C(n, k) =
+    dim L(w_k), so that no product digit carries.  A value that does not fit
+    repacks the memo at double the width and restarts the query; the width
+    a query starts from, read off dim L(lambda), is only a first guess.
+    The {j: m_j} dicts that cache= and `cache` exchange are packed on first
+    use, and `branch` stores its decoded answer back, so a repeat query is a
+    dict copy.
     """
 
     def __init__(self, pivot: str = "largest", cache: dict | None = None):
         if pivot not in ("largest", "smallest"):
             raise ValueError(f"unknown pivot rule {pivot!r}")
         self.pivot = pivot
-        self.cache: dict[tuple, MultVector] = {} if cache is None else cache
+        self.cache = {} if cache is None else cache
         self.stats = {"computed": 0, "hits": 0}
+
+    @property
+    def cache(self) -> dict[tuple, MultVector]:
+        """A copy of the memo with every value a {j: m_j} dict; assign to replace it."""
+        return {
+            key: self._unpack(v) if isinstance(v, int) else dict(v) for key, v in self._memo.items()
+        }
+
+    @cache.setter
+    def cache(self, entries: dict[tuple, MultVector]):
+        self._memo: dict = dict(entries)
+        self._w = 1
+        self._chars: dict = {}  # (blocks, k) -> (packed character of w_k, its top, guard bits)
+        self._masks: dict = {}  # guard bits -> guard_mask at width _w
 
     def branch(self, t: SubalgebraType, w: DominantWeight) -> MultVector:
         """Multiplicity vector of Res L(w) restricted to the subalgebra of type t."""
         if w.rank != t.n:
             raise ValueError(f"weight rank {w.rank} does not match type {t} of sl_{t.n}")
-        return dict(self._branch(t, padded_partition(w)))
+        lam = padded_partition(w)
+        rows = lam.index(0)
+        key = (t.n, t.blocks, lam[:rows])
+        mv = self._memo.get(key)
+        if isinstance(mv, dict):
+            self.stats["hits"] += 1
+            return dict(mv)
+        if mv is None:
+            self._widen(width(dim_irrep(w) * comb(t.n, min(rows, t.n - rows))))
+        while True:
+            try:
+                p = self._branch(t, lam)
+                break
+            except _TooNarrow:
+                self._widen(2 * self._w)
+        mv = self._memo[key] = self._unpack(p)
+        return dict(mv)
 
     def _branch(self, t, lam):
         key = (t.n, t.blocks, lam[: lam.index(0)])
-        hit = self.cache.get(key)
-        if hit is not None:
+        p = self._memo.get(key)
+        if p is None:
+            self.stats["computed"] += 1
+            p = self._memo[key] = self._compute(t, lam)
+        else:
             self.stats["hits"] += 1
-            return hit
-        self.stats["computed"] += 1
-        result = self._compute(t, lam)
-        self.cache[key] = result
-        return result
+            if not isinstance(p, int):  # a {j: m_j} dict from cache= or branch
+                p = self._memo[key] = self._pack(p)
+        return p
 
     def _compute(self, t, lam):
         if lam[0] == 0:
-            return {0: 1}
+            return self._pack({0: 1})
         if lam[0] == 1:
-            return fundamental_branching(t, lam.index(0))
+            return self._pack(fundamental_branching(t, lam.index(0)))
         k = select_pivot(lam, largest=self.pivot == "largest")
         prev = tuple(x - 1 for x in lam[:k]) + lam[k:]
-        product = cg_convolve(self._branch(t, prev), fundamental_branching(t, k))
-        # every lower member is nonnegative, so subtracting their sum fails
-        # exactly when subtracting them one by one would
-        lower: MultVector = {}
+        p = self._branch(t, prev)
+        lower = []
         for mu in pieri_set(prev, k):
             if mu != lam:
-                for j, m in self._branch(t, mu).items():
-                    lower[j] = lower.get(j, 0) + m
+                lower.append(self._branch(t, mu))
+        c, top, guard = self._character(t, k)
+        if p & self._mask(guard, p.bit_length()):
+            raise _TooNarrow
+        r = fold(p, c, top, self._w)
+        sign = self._mask(1, r.bit_length())
+        # each member is nonnegative with its top bits clear, so r's digits
+        # stay exact and a negative one shows at once; a sum of wrong cache
+        # entries could carry across digits and hide it
+        for m in lower:
+            r -= m
+            if r < 0 or r & sign:
+                return self._by_dicts(t, lam, p, k, lower)
+        return r
+
+    def _by_dicts(self, t, lam, p, k, lower):
+        """The step on {j: m_j} dicts, which names the negative multiplicity."""
+        total: MultVector = {}
+        for m in lower:
+            for j, x in self._unpack(m).items():
+                total[j] = total.get(j, 0) + x
+        product = cg_convolve(self._unpack(p), fundamental_branching(t, k))
         try:
-            return mv_subtract(product, lower)
+            return self._pack(mv_subtract(product, total))
         except InternalConsistencyError as err:
             raise InternalConsistencyError(f"{err} in branch({t}, {lam[: lam.index(0)]})") from None
+
+    def _character(self, t, k):
+        key = (t.blocks, k)
+        hit = self._chars.get(key)
+        if hit is None:
+            dim = comb(t.n, k)
+            if width(dim) > self._w:
+                raise _TooNarrow
+            c, top = character(fundamental_branching(t, k), self._w)
+            hit = self._chars[key] = (c, top, dim.bit_length() + 1)
+        return hit
+
+    def _mask(self, bits, length):
+        mask = self._masks.get(bits, 0)
+        if mask.bit_length() < length:
+            mask = self._masks[bits] = guard_mask(self._w, bits, 2 * length)
+        return mask
+
+    def _pack(self, mv):
+        if width(max(mv.values(), default=0)) > self._w:
+            raise _TooNarrow
+        return pack(mv, self._w, 1)
+
+    def _unpack(self, p):
+        return {j: m for j, m in enumerate(digits(p, self._w), -1) if m}
+
+    def _widen(self, w):
+        """Repack every packed memo value at width w, if that is wider."""
+        if w <= self._w:
+            return
+        unpacked = {key: self._unpack(v) for key, v in self._memo.items() if isinstance(v, int)}
+        self._w = w
+        self._chars.clear()
+        self._masks.clear()
+        for key, mv in unpacked.items():
+            self._memo[key] = self._pack(mv)
 
 
 _DEFAULT_ENGINE = BranchEngine()
@@ -103,7 +216,7 @@ def branch(t: SubalgebraType, w: DominantWeight) -> MultVector:
 
 def clear_cache():
     """Forget every memoized branching: the shared engine's and the fundamentals'."""
-    _DEFAULT_ENGINE.cache.clear()
+    _DEFAULT_ENGINE.cache = {}
     _fundamental.cache_clear()
 
 

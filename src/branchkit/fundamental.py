@@ -179,7 +179,8 @@ def branching_k2_general(t: SubalgebraType) -> MultVector:
             acc[0] += 1
     for i, di in enumerate(t.blocks):
         for dj in t.blocks[i + 1:]:
-            acc.update(cg_convolve({di - 1: 1}, {dj - 1: 1}))
+            # F_{di-1} (x) F_{dj-1} = F_{|di-dj|} + F_{|di-dj|+2} + ... + F_{di+dj-2}
+            acc.update(range(abs(di - dj), di + dj - 1, 2))
     return dict(sorted(acc.items()))
 
 

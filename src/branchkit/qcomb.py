@@ -1,22 +1,62 @@
-"""Packed q-polynomials: Gaussian binomials, q-hook-content, and e_k.
+"""Packed q-polynomials: Gaussian binomials, q-hook-content, e_k, and the
+Weyl numerators of the branching recursion.
 
 The one owner of the packed format: a polynomial with coefficients in [0, Q)
-is its value at q = Q = 256**w, w = b.bit_length() // 8 + 1 for a bound b on
-the coefficients; q^e is a shift by 8*w*e bits, one mask cuts a product of
-degree T mod Q^{T+1}, and digits reads the coefficients back.
+is its value at q = Q = 256**w, w = width(b) for a bound b on the
+coefficients; q^e is a shift by 8*w*e bits, one mask cuts a product of
+degree T mod Q^{T+1}, pack writes coefficients in and digits reads them back.
+
+The recursion keeps Res L(lambda) = sum_j m_j F_j as the positive half
+P = sum_j m_j Q^{j+1} of its Weyl numerator (q - 1/q) * char.  A tensor
+product with a module of character C is one multiply by C packed from its
+lowest weight (character) and the subtraction of the few terms that fold
+back past weight 0 (fold).  guard_mask tests the top bits of every digit at
+once: a negative coefficient borrows from the digit above and so sets its own
+top bit, and clear guard bits leave room for a product to carry no digit.
 """
 
+import sys
 from functools import cache
 from math import comb
+from struct import calcsize
 
 QPolynomial = dict[int, int]
+
+# unsigned machine integer formats by size in bytes, for digits
+_MACHINE = {calcsize(f): f for f in "BHIQ"} if sys.byteorder == "little" else {}
+
+
+def width(bound: int) -> int:
+    """Bytes per digit that hold every integer up to bound with the top bit clear."""
+    return bound.bit_length() // 8 + 1
+
+
+def pack(coeffs: dict[int, int], w: int, shift: int = 0) -> int:
+    """The sum of c Q^{e + shift} over coeffs {e: c}, every c in [0, Q): what
+    digits reads back."""
+    raw = bytearray(w * (max(coeffs, default=-1) + shift + 1))
+    for e, c in coeffs.items():
+        i = w * (e + shift)
+        raw[i:i + w] = c.to_bytes(w, "little")
+    return int.from_bytes(raw, "little")
 
 
 def digits(x: int, w: int) -> list[int]:
     """Coefficients of P from q^0 up to its top nonzero one, given x = P(256**w)
-    with every coefficient in [0, 256**w)."""
-    raw = x.to_bytes(length=(x.bit_length() + 7) // 8, byteorder="little")
-    return [int.from_bytes(raw[i:i + w], byteorder="little") for i in range(0, len(raw), w)]
+    with every coefficient in [0, 256**w).  Where machine integers are
+    little-endian, a width of at most 8 bytes is read as an array of them,
+    each digit's bytes first spread to the next machine size by strided copies."""
+    count = -(-x.bit_length() // (8 * w))
+    raw = x.to_bytes(length=count * w, byteorder="little")
+    size = 1 << (w - 1).bit_length()
+    if size not in _MACHINE:
+        return [int.from_bytes(raw[i:i + w], byteorder="little") for i in range(0, len(raw), w)]
+    if size > w:
+        wide = bytearray(count * size)
+        for b in range(w):
+            wide[b::size] = raw[b::w]
+        raw = wide
+    return memoryview(raw).cast(_MACHINE[size]).tolist()
 
 
 def hook_content(shape, n: int, count: int) -> list[int]:
@@ -28,7 +68,7 @@ def hook_content(shape, n: int, count: int) -> list[int]:
     the result is below Q^{T+1}, so one mask keeps every step exact; 1/(1 - q^h)
     is (1 + q^h)(1 + q^{2h})(1 + q^{4h})... up to degree T.
     """
-    w = count.bit_length() // 8 + 1
+    w = width(count)
     cols = [sum(r > j for r in shape) for j in range(max(shape, default=0))]
     boxes = [(n + j - i, r - j + cols[j] - i - 1) for i, r in enumerate(shape) for j in range(r)]
     top = sum(a - h for a, h in boxes)
@@ -46,13 +86,47 @@ def hook_content(shape, n: int, count: int) -> list[int]:
 
 def elementary(exps, k: int, count: int) -> list[int]:
     """Coefficients of e_k(q^{x_1}, ..., q^{x_n}) for the exponents x = exps >= 0."""
-    w = count.bit_length() // 8 + 1
+    w = width(count)
     e = [1] + [0] * k
     for i, x in enumerate(exps):
         # j stops at k - (n - 1 - i): a smaller j-subset can no longer grow to k
         for j in range(min(i + 1, k), max(1, k - (len(exps) - 1 - i)) - 1, -1):
             e[j] += e[j - 1] << 8 * w * x
     return digits(e[k], w)
+
+
+def character(mv: dict[int, int], w: int) -> tuple[int, int]:
+    """(C, J) for the sl_2 module sum_j m_j F_j, coefficients below Q: J is its top
+    weight and C = sum_e c_e Q^{e + J} packs its character sum_e c_e q^e, which is
+    sum_j m_j (Q^{J + j + 2} - Q^{J - j}) / (Q^2 - 1), one exact division."""
+    top = max(mv)
+    wrapped = pack(mv, w, top + 2) - pack({top - j: m for j, m in mv.items()}, w)
+    return wrapped // ((1 << 16 * w) - 1), top
+
+
+def fold(p: int, c: int, top: int, w: int) -> int:
+    """The positive half of the numerator of A (x) B from p, that of A, and
+    (c, top) = character(B), for a product that carries no digit.
+
+    p c >> 8w top keeps the terms of weight >= 0 of P(q) C(q); each digit d of
+    p at 1 <= i <= top also gave, through -q^{-i}, the terms d c_e q^{e - i} that
+    fold back to weight e - i >= 0, and those are d (c >> 8w(i + top)).
+    """
+    out = (p * c) >> 8 * w * top
+    low = p & ((1 << 8 * w * (top + 1)) - 1)
+    digit = (1 << 8 * w) - 1
+    for i in range(1, top + 1 if low else 1):
+        d = (low >> 8 * w * i) & digit
+        if d:
+            out -= d * (c >> 8 * w * (i + top))
+    return out
+
+
+def guard_mask(w: int, bits: int, length: int) -> int:
+    """The top `bits` bits of every digit, over at least `length` bits: x & mask is
+    0 exactly when every digit of x >= 0 is below 2**(8w - bits)."""
+    digit = ((1 << bits) - 1) << 8 * w - bits
+    return int.from_bytes(digit.to_bytes(w, "little") * (length // (8 * w) + 1), "little")
 
 
 @cache

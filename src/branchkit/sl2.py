@@ -8,7 +8,10 @@ tableau oracle share.
 
 The Clebsch-Gordan product costs O(|a|*|b| + span): one difference-array
 update per pair of components, then one running-sum pass over the output's
-range of j, however long each F_{|j-j'|} + ... + F_{j+j'} run is.
+range of j, however long each F_{|j-j'|} + ... + F_{j+j'} run is.  The
+recursion engine multiplies packed Weyl numerators instead (qcomb.fold), so
+cg_convolve and mv_subtract serve the multi-block closed forms, the demos,
+and the engine's error path, which names a negative multiplicity.
 """
 
 from itertools import accumulate

@@ -9,16 +9,21 @@ engine consumes, but the full (H, X, Y) triple can be built for self tests
 and export.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .weights import iter_partitions
 
 
 @dataclass(frozen=True)
 class SubalgebraType:
-    """Jordan type of an sl_2 subalgebra; blocks are stored canonically sorted."""
+    """Jordan type of an sl_2 subalgebra; blocks are stored canonically sorted.
+
+    n, the rank sum(blocks), is stored once; it takes no part in equality,
+    hashing, repr or pickling, which see the blocks alone.
+    """
 
     blocks: tuple[int, ...]
+    n: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         b = tuple(sorted((int(d) for d in self.blocks), reverse=True))
@@ -29,10 +34,14 @@ class SubalgebraType:
             raise ValueError(
                 f"type {list(b)} has only unit blocks (zero nilpotent); no sl_2 subalgebra"
             )
+        object.__setattr__(self, "n", sum(b))
 
-    @property
-    def n(self) -> int:
-        return sum(self.blocks)
+    def __getstate__(self):
+        return {"blocks": self.blocks}
+
+    def __setstate__(self, state):
+        object.__setattr__(self, "blocks", state["blocks"])
+        object.__setattr__(self, "n", sum(state["blocks"]))
 
     def __str__(self):
         return "[" + ",".join(str(d) for d in self.blocks) + "]"

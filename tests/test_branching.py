@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -20,9 +23,11 @@ from branchkit import (
     rep_dimension,
     select_pivot,
 )
-from branchkit import fundamental
+from branchkit import branching, fundamental, pieri_set
+from branchkit.fundamental import fundamental_branching
 from branchkit.sl2 import mv_subtract
-from branchkit.weights import dual_weight
+from branchkit.weights import dual_weight, iter_partitions
+from test_qcomb import principal_by_hook_content
 
 
 def test_cg_convolve_spin_halves():
@@ -246,7 +251,8 @@ def test_inconsistency_names_the_type_and_weight():
     w = partition_to_omega((2,), 3)
     engine = BranchEngine()
     assert engine.branch(t, DominantWeight.omega(3, 2)) == {2: 1}
-    engine.cache[(3, (3,), (1, 1))] = {2: 2}
+    # `cache` hands out a decoded copy of the memo; assigning replaces the memo
+    engine.cache = {**engine.cache, (3, (3,), (1, 1)): {2: 2}}
     with pytest.raises(InternalConsistencyError) as info:
         engine.branch(t, w)
     assert str(info.value) == "multiplicity of F_2 went negative (-1) in branch([3], (2,))"
@@ -278,3 +284,172 @@ def test_clear_cache_forgets_fundamentals(monkeypatch):
     monkeypatch.setattr(fundamental, "wedge_weight_multiset", counting)
     assert branch(t, w) == {2: 1, 6: 1}
     assert calls == [2]  # neither the engine nor the fundamental memo served it
+
+
+def branch_by_dicts(t, lam, memo):
+    """Reference: the recursion on {j: m_j} dicts over memo, as the engine ran
+    it before its memo held packed numerators."""
+    key = (t.n, t.blocks, lam[: lam.index(0)])
+    if key not in memo:
+        k = lam.index(0)
+        if lam[0] <= 1:
+            memo[key] = fundamental_branching(t, k) if lam[0] else {0: 1}
+        else:
+            prev = tuple(x - 1 for x in lam[:k]) + lam[k:]
+            lower = {}
+            for mu in pieri_set(prev, k):
+                if mu != lam:
+                    for j, m in branch_by_dicts(t, mu, memo).items():
+                        lower[j] = lower.get(j, 0) + m
+            product = cg_convolve(branch_by_dicts(t, prev, memo), fundamental_branching(t, k))
+            memo[key] = mv_subtract(product, lower)
+    return memo[key]
+
+
+def test_sl3_row_of_six_on_a_fresh_engine():
+    # (6) = (5) + w_1 needs Res L(5, 1), whose dimension 35 exceeds dim L(6) = 28:
+    # no bound read off the queried weight alone holds for every subproblem
+    t = SubalgebraType((3,))
+    w = partition_to_omega((6,), 3)
+    assert BranchEngine().branch(t, w) == oracle_branch(t, w) == {12: 1, 8: 1, 4: 1, 0: 1}
+
+
+def test_memo_transplanted_through_cache_packs_its_dicts_on_use():
+    t = SubalgebraType((3, 2))
+    donor = BranchEngine()
+    donor.branch(t, partition_to_omega((3, 1), 5))
+    handed = donor.cache
+    assert handed and all(type(mv) is dict for mv in handed.values())
+    recipient = BranchEngine(cache=handed)
+    w = partition_to_omega((4, 2, 1), 5)
+    assert recipient.branch(t, w) == BranchEngine().branch(t, w) == oracle_branch(t, w)
+    assert recipient.stats["hits"] > 0
+    # the recipient packed what it used, yet neither memo it handed out changed
+    assert all(type(mv) is dict for mv in recipient.cache.values())
+    assert handed == donor.cache
+
+
+def test_branch_and_cache_hand_out_copies():
+    engine = BranchEngine()
+    t = SubalgebraType((4,))
+    w = partition_to_omega((2, 1), 4)
+    got = engine.branch(t, w)
+    got[0] = 99
+    engine.cache[(4, (4,), (2, 1))][0] = 99
+    assert engine.branch(t, w) == oracle_branch(t, w)
+
+
+def test_a_repeat_query_decodes_nothing(monkeypatch):
+    # branch stores its decoded answer back, so a repeat query is a dict copy
+    engine = BranchEngine()
+    t = SubalgebraType((3, 1))
+    w = partition_to_omega((3, 2), 4)
+    first = engine.branch(t, w)
+    monkeypatch.setattr(branching, "digits", None)
+    assert engine.branch(t, w) == first
+
+
+@pytest.mark.parametrize("big", [2**13, 2**15 - 1, 2**31 - 1, 10**40])
+def test_entries_wider_than_the_estimate_widen_the_memo(big):
+    # a transplanted omega_1 entry of multiplicities big (wrong, but the
+    # engine trusts entries that pass its checks) does not fit the width that
+    # dim L(3) suggests, or leaves no room for the product by omega_1, where
+    # three of its components meet in F_2: the engine repacks its memo at
+    # doubled widths, restarts the query, and answers as the dict recursion does
+    t, u = SubalgebraType((3,)), SubalgebraType((2, 1))
+    memo = {(3, (3,), (1,)): {0: big, 2: big, 4: big}}
+    engine = BranchEngine(cache=memo)
+    assert engine.branch(u, partition_to_omega((3, 1), 3)) == oracle_branch(
+        u, partition_to_omega((3, 1), 3))
+    got = engine.branch(t, partition_to_omega((3,), 3))
+    assert got == branch_by_dicts(t, (3, 0, 0), dict(memo))
+    assert got[8] == big
+    # the entries of type u, packed at the narrow width, were repacked
+    w = partition_to_omega((4, 2), 3)
+    assert engine.branch(u, w) == BranchEngine().branch(u, w) == oracle_branch(u, w)
+
+
+def test_the_product_is_certified_before_the_multiply():
+    # in type [2,1,1,1], omega_1 = F_1 + 3 F_0, so an entry big F_0 times it has
+    # a digit 3 big: at big = 30000 the entry fits two bytes with the top bit
+    # clear, while 3 big wraps to 24464 and carries, every top bit still clear;
+    # only the check before the multiply sees that the product has no room
+    t = SubalgebraType((2, 1, 1, 1))
+    memo = {(5, t.blocks, (1,)): {0: 30000}}
+    got = BranchEngine(cache=memo).branch(t, partition_to_omega((2,), 5))
+    assert got == branch_by_dicts(t, (2, 0, 0, 0, 0), dict(memo))
+
+
+@st.composite
+def query_sequences(draw):
+    queries = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(2, 8))
+        t = draw(st.sampled_from(all_types(n)))
+        boxes = draw(st.integers(0, 14 if n <= 4 else 7))
+        lam = draw(st.sampled_from(list(iter_partitions(boxes, n - 1))))
+        queries.append((t, partition_to_omega(lam, n)))
+    return queries
+
+
+@settings(max_examples=60, deadline=None)
+@given(query_sequences())
+def test_a_shared_engine_answers_as_fresh_ones(queries):
+    # weights of growing dimension widen the shared memo, and a queried
+    # weight's entry, stored back as a dict, is packed when a later query uses it
+    shared = BranchEngine()
+    for t, w in queries:
+        got = shared.branch(t, w)
+        assert got == BranchEngine().branch(t, w), (t, w)
+        if dim_irrep(w) < 2000:
+            assert got == oracle_branch(t, w), (t, w)
+    assert shared.branch(*queries[0]) == BranchEngine().branch(*queries[0])
+
+
+def frame_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_two_frames_per_memo_level():
+    # principal sl_2 (m) recurses m levels deep: 400 frames hold 150 levels
+    # at two frames a level, and not 210
+    t = SubalgebraType((2,))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(frame_depth() + 400)
+    try:
+        answer = BranchEngine().branch(t, partition_to_omega((150,), 2))
+        with pytest.raises(RecursionError):
+            BranchEngine().branch(t, partition_to_omega((210,), 2))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert answer == {150: 1}
+
+
+def branch_deep(t, w):
+    """engine.branch(t, w) in a thread with a 512 MB stack, under a raised recursion limit."""
+    out = []
+    limit, stack = sys.getrecursionlimit(), threading.stack_size()
+    sys.setrecursionlimit(20000)
+    threading.stack_size(512 << 20)
+    try:
+        worker = threading.Thread(target=lambda: out.append(BranchEngine().branch(t, w)))
+        worker.start()
+        worker.join(timeout=300)
+    finally:
+        threading.stack_size(stack)
+        sys.setrecursionlimit(limit)
+    assert not worker.is_alive() and out, (t, w)
+    return out[0]
+
+
+@pytest.mark.parametrize("blocks, lam", [((3,), (600, 3)), ((2, 1), (600, 2)), ((2,), (1000,))])
+def test_long_rows_under_a_raised_recursion_limit(blocks, lam):
+    t = SubalgebraType(blocks)
+    w = partition_to_omega(lam, t.n)
+    got = branch_deep(t, w)
+    assert rep_dimension(got) == dim_irrep(w)
+    if len(blocks) == 1:
+        assert got == principal_by_hook_content(w)[0]

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from branchkit import (
     BranchEngine,
     SubalgebraType,
+    cg_convolve,
     dim_irrep,
     gaussian_binomial,
     omega_to_partition,
@@ -16,7 +17,16 @@ from branchkit import (
     principal_highest_component,
     qpoly_str,
 )
-from branchkit.qcomb import _row, digits, hook_content
+from branchkit.qcomb import (
+    _row,
+    character,
+    digits,
+    fold,
+    guard_mask,
+    hook_content,
+    pack,
+    width,
+)
 from branchkit.sl2 import mult_from_multiset
 from branchkit.weights import iter_partitions
 
@@ -168,6 +178,54 @@ def test_digits_inverts_packing(data):
     coeffs = body + [data.draw(st.integers(1, 256**w - 1), label="top")]
     x = sum(c * 256 ** (w * i) for i, c in enumerate(coeffs))
     assert digits(x, w) == coeffs
+
+
+def test_width_keeps_the_top_bit_clear():
+    assert [width(b) for b in (0, 1, 127, 128, 255, 256, 32767, 32768)] == [1, 1, 1, 2, 2, 2, 2, 3]
+    for b in range(1, 5000, 7):
+        assert b < 2 ** (8 * width(b) - 1) and (width(b) == 1 or b >= 2 ** (8 * width(b) - 9))
+
+
+@given(st.data())
+def test_pack_inverts_digits(data):
+    w = data.draw(st.integers(1, 4), label="w")
+    coeffs = data.draw(st.dictionaries(st.integers(0, 40), st.integers(1, 256**w - 1)), label="c")
+    shift = data.draw(st.integers(0, 5), label="shift")
+    x = pack(coeffs, w, shift)
+    assert x == sum(c * 256 ** (w * (e + shift)) for e, c in coeffs.items())
+    assert {e - shift: c for e, c in enumerate(digits(x, w)) if c} == coeffs
+
+
+multiplicity_vectors = st.dictionaries(st.integers(0, 30), st.integers(1, 9), min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(multiplicity_vectors, multiplicity_vectors)
+def test_fold_is_the_clebsch_gordan_product(a, b):
+    # the widest product digit is at most max(a) * dim(b), so one width serves
+    dim = sum(m * (j + 1) for j, m in b.items())
+    w = width(max(a.values()) * dim)
+    c, top = character(b, w)
+    weights = Counter()
+    for j, m in b.items():
+        for e in range(-j, j + 1, 2):
+            weights[e] += m
+    assert top == max(b)
+    assert digits(c, w) == [weights[e] for e in range(-top, top + 1)]
+    got = fold(pack(a, w, 1), c, top, w)
+    assert {j - 1: m for j, m in enumerate(digits(got, w)) if m} == cg_convolve(a, b)
+
+
+def test_guard_mask_reads_the_top_bits_of_every_digit():
+    w, bits = 2, 3
+    mask = guard_mask(w, bits, 100)
+    assert mask.bit_length() >= 100
+    assert digits(mask, w) == [0b1110000000000000] * len(digits(mask, w))
+    small = pack({0: 2**13 - 1, 5: 7}, w)
+    assert not small & mask
+    assert pack({0: 3, 5: 2**13}, w) & mask
+    # a negative coefficient borrows from the digit above and sets its own top bit
+    assert (pack({3: 9}, w) - pack({1: 1}, w)) & guard_mask(w, 1, 100)
 
 
 def test_qpoly_str():

@@ -1,4 +1,6 @@
+import dataclasses
 import os
+import pickle
 import subprocess
 import sys
 
@@ -40,6 +42,19 @@ def test_h_diagonal_traceless():
 def test_blocks_are_canonicalized():
     assert SubalgebraType((2, 3, 1)).blocks == (3, 2, 1)
     assert SubalgebraType((3, 2)) == SubalgebraType((2, 3))
+
+
+def test_rank_is_stored_and_the_blocks_alone_make_the_type():
+    t = SubalgebraType((2, 3, 1))
+    assert t.n == 6
+    assert repr(t) == "SubalgebraType(blocks=(3, 2, 1))"
+    assert t == SubalgebraType((1, 2, 3))
+    assert hash(t) == hash(((3, 2, 1),))  # the dataclass hash of the blocks alone
+    assert t.__reduce_ex__(2)[2] == {"blocks": (3, 2, 1)}  # pickles as before
+    u = pickle.loads(pickle.dumps(t))
+    assert u == t and u.n == 6
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.n = 7
 
 
 def test_invalid_types_rejected():
