@@ -13,8 +13,9 @@ padded partitions (`weights.padded_partition`); DominantWeight appears only in
 the public entry points.
 
 The memo holds each Res L(lambda) as a packed integer, the positive half of
-its Weyl numerator (qcomb), so a step is one multiply by the packed character
-of w_k, a few folded terms, and one checked subtraction per lower member.
+its Weyl numerator (qcomb), so a step is one multiply by the character of w_k,
+packed as the wedge recurrence leaves it, a few folded terms, and one checked
+subtraction per lower member.
 The dict Clebsch-Gordan product and subtraction of sl2 run only when a check
 finds a negative multiplicity, to name it; entries cross the engine's edges
 (`branch`, `BranchEngine.cache`, cache files) as {j: m_j} dicts.
@@ -22,9 +23,9 @@ finds a negative multiplicity, to name it; entries cross the engine's edges
 
 from math import comb
 
-from .fundamental import _fundamental, fundamental_branching
+from .fundamental import _fundamental, fundamental_branching, wedge_character
 from .pieri import pieri_set
-from .qcomb import character, digits, fold, guard_mask, pack, width
+from .qcomb import digits, fold, guard_mask, pack, width
 from .sl2 import InternalConsistencyError, MultVector, cg_convolve, mv_subtract
 from .subalgebra import SubalgebraType
 from .weights import DominantWeight, Partition, dim_irrep, padded_partition
@@ -63,17 +64,17 @@ class BranchEngine:
 
     Inside, a memo value is the packed Weyl numerator P = sum_j m_j Q^{j+1}
     of qcomb at one width per engine, whose every digit keeps its top bit
-    clear.  One step multiplies P(lambda') by the packed character of w_k
-    (qcomb.fold) and subtracts the lower Pieri members one by one, each
-    subtraction checked by a sign test and one AND against the digits' top
-    bits.  Before the multiply one AND certifies that every digit of
-    P(lambda') is below 2**(8w - 1 - b), b the bit length of C(n, k) =
-    dim L(w_k), so that no product digit carries.  A value that does not fit
-    repacks the memo at double the width and restarts the query; the width
-    a query starts from, read off dim L(lambda), is only a first guess.
-    The {j: m_j} dicts that cache= and `cache` exchange are packed on first
-    use, and `branch` stores its decoded answer back, so a repeat query is a
-    dict copy.
+    clear.  The character of w_k comes packed from the wedge recurrence
+    (fundamental.wedge_character), and L(w_k) is one fold of the trivial
+    numerator Q by it.  A step multiplies P(lambda') by it (qcomb.fold) and
+    subtracts the lower Pieri members one by one, each checked by a sign test
+    and one AND against the digits' top bits.  Before the multiply one AND
+    certifies that every digit of P(lambda') is below 2**(8w - 1 - b), b the
+    bit length of C(n, k) = dim L(w_k), so that no product digit carries.  A
+    value that does not fit repacks the memo at double the width and restarts
+    the query; the width a query starts from, read off dim L(lambda), is only
+    a first guess.  Dicts from cache= or `cache` are packed on first use, and
+    `branch` stores its decoded answer back, so a repeat query is a dict copy.
     """
 
     def __init__(self, pivot: str = "largest", cache: dict | None = None):
@@ -134,8 +135,9 @@ class BranchEngine:
     def _compute(self, t, lam):
         if lam[0] == 0:
             return self._pack({0: 1})
-        if lam[0] == 1:
-            return self._pack(fundamental_branching(t, lam.index(0)))
+        if lam[0] == 1:  # L(w_k) is L(0) (x) L(w_k): no digit of Q carries
+            c, top, _ = self._character(t, lam.index(0))
+            return fold(1 << 8 * self._w, c, top, self._w)
         k = select_pivot(lam, largest=self.pivot == "largest")
         prev = tuple(x - 1 for x in lam[:k]) + lam[k:]
         p = self._branch(t, prev)
@@ -176,8 +178,7 @@ class BranchEngine:
             dim = comb(t.n, k)
             if width(dim) > self._w:
                 raise _TooNarrow
-            c, top = character(fundamental_branching(t, k), self._w)
-            hit = self._chars[key] = (c, top, dim.bit_length() + 1)
+            hit = self._chars[key] = (*wedge_character(t, k, self._w), dim.bit_length() + 1)
         return hit
 
     def _mask(self, bits, length):

@@ -240,8 +240,9 @@ def cmd_branch(args) -> int:
         ) from None
     # with nothing computed, the file already holds every entry of the memo
     saved = bool(cache_path) and engine.stats["computed"] > 0
+    entries = engine.cache if saved or args.stats else {}  # one decode for file and count
     if saved:
-        save_cache(cache_path, engine.cache)
+        save_cache(cache_path, entries)
     _emit_multvector(args.format, mv, dim, {
         "n": args.n,
         "type": list(t.blocks),
@@ -249,11 +250,8 @@ def cmd_branch(args) -> int:
         "lambda_partition": list(omega_to_partition(w)),
     })
     if args.stats:
-        print(
-            f"computed={engine.stats['computed']} hits={engine.stats['hits']} "
-            f"cache_entries={len(engine.cache)} cache_saved={int(saved)}",
-            file=sys.stderr,
-        )
+        print(f"computed={engine.stats['computed']} hits={engine.stats['hits']} "
+              f"cache_entries={len(entries)} cache_saved={int(saved)}", file=sys.stderr)
     return EXIT_OK
 
 

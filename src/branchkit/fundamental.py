@@ -6,8 +6,9 @@ the full weight multiset of Res L(w_k) is the multiset of k-subset sums of
 h_diagonal, and the multiplicity of F_j falls out as dim V_j - dim V_{j+2}.
 That multiset is the z^k coefficient e_k(q^{h_1}, ..., q^{h_n}) of
 prod_i (1 + z q^{h_i}) (Macdonald, Symmetric Functions and Hall Polynomials,
-I.2): qcomb.elementary, on qcomb's packed integers, computes it in O(n k)
+I.2): wedge_character packs it at any width by qcomb.elementary, in O(n k)
 shifts and additions without listing the C(n, k) subsets; no rank cap.
+wedge_weight_multiset decodes it, and the recursion engine multiplies by it.
 
 The weight multiset always computes the result; the closed forms are only
 cross-checks, run by fundamental_branching(verify=True):
@@ -27,7 +28,7 @@ from collections import Counter
 from functools import cache
 from math import comb
 
-from .qcomb import elementary, p_k_n, pi
+from .qcomb import digits, elementary, p_k_n, pi, width
 from .sl2 import MultVector, cg_convolve, mult_from_multiset
 from .subalgebra import SubalgebraType, h_diagonal, is_principal
 
@@ -38,17 +39,25 @@ class ClosedFormMismatchError(AssertionError):
     """A closed form disagrees with the weight-multiset branching."""
 
 
-def wedge_weight_multiset(t: SubalgebraType, k: int) -> WeightMultiset:
-    """Multiset of k-subset sums of the diagonal of H; total count C(n, k)."""
+def wedge_character(t: SubalgebraType, k: int, w: int) -> tuple[int, int]:
+    """(C, J) for Res L(w_k) at Q = 256**w, w wide enough for C(n, k): J, the top weight,
+    sums the k largest entries of H's diagonal, and C = sum_e c_e Q^{e + J} counts in
+    c_e the k-subsets that sum to e, so C's lowest digit, of weight -J, is nonzero."""
     n = t.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"wedge power index {k} out of range for rank {n}")
     # a k-subset's complement has the opposite sum and h = -h as a multiset
     k = min(k, n - k)
-    h = h_diagonal(t)
-    low = min(h)
-    e_k = elementary([v - low for v in h], k, comb(n, k))
-    return Counter({s + k * low: c for s, c in enumerate(e_k) if c})
+    h = sorted(h_diagonal(t))
+    low = sum(h[:k])
+    return elementary([v - h[0] for v in h], k, w) >> 8 * w * (low - k * h[0]), -low
+
+
+def wedge_weight_multiset(t: SubalgebraType, k: int) -> WeightMultiset:
+    """Multiset of k-subset sums of the diagonal of H; total count C(n, k)."""
+    w = width(comb(t.n, max(k, 0)))  # wedge_character rejects a k out of range
+    c, top = wedge_character(t, k, w)
+    return Counter({e - top: m for e, m in enumerate(digits(c, w)) if m})
 
 
 def mult_strict_count(n: int, k: int, j: int) -> int:

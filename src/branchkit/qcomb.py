@@ -9,7 +9,7 @@ degree T mod Q^{T+1}, pack writes coefficients in and digits reads them back.
 The recursion keeps Res L(lambda) = sum_j m_j F_j as the positive half
 P = sum_j m_j Q^{j+1} of its Weyl numerator (q - 1/q) * char.  A tensor
 product with a module of character C is one multiply by C packed from its
-lowest weight (character) and the subtraction of the few terms that fold
+lowest weight (e_k, for L(w_k)) and the subtraction of the few terms that fold
 back past weight 0 (fold).  guard_mask tests the top bits of every digit at
 once: a negative coefficient borrows from the digit above and so sets its own
 top bit, and clear guard bits leave room for a product to carry no digit.
@@ -84,29 +84,19 @@ def hook_content(shape, n: int, count: int) -> list[int]:
     return digits(x, w)
 
 
-def elementary(exps, k: int, count: int) -> list[int]:
-    """Coefficients of e_k(q^{x_1}, ..., q^{x_n}) for the exponents x = exps >= 0."""
-    w = width(count)
+def elementary(exps, k: int, w: int) -> int:
+    """e_k(Q^{x_1}, ..., Q^{x_n}) at Q = 256**w for the exponents x = exps >= 0."""
     e = [1] + [0] * k
     for i, x in enumerate(exps):
         # j stops at k - (n - 1 - i): a smaller j-subset can no longer grow to k
         for j in range(min(i + 1, k), max(1, k - (len(exps) - 1 - i)) - 1, -1):
             e[j] += e[j - 1] << 8 * w * x
-    return digits(e[k], w)
-
-
-def character(mv: dict[int, int], w: int) -> tuple[int, int]:
-    """(C, J) for the sl_2 module sum_j m_j F_j, coefficients below Q: J is its top
-    weight and C = sum_e c_e Q^{e + J} packs its character sum_e c_e q^e, which is
-    sum_j m_j (Q^{J + j + 2} - Q^{J - j}) / (Q^2 - 1), one exact division."""
-    top = max(mv)
-    wrapped = pack(mv, w, top + 2) - pack({top - j: m for j, m in mv.items()}, w)
-    return wrapped // ((1 << 16 * w) - 1), top
+    return e[k]
 
 
 def fold(p: int, c: int, top: int, w: int) -> int:
-    """The positive half of the numerator of A (x) B from p, that of A, and
-    (c, top) = character(B), for a product that carries no digit.
+    """The positive half of the numerator of A (x) B from p, that of A, and B's
+    character c = sum_e c_e Q^{e + top}, for a product that carries no digit.
 
     p c >> 8w top keeps the terms of weight >= 0 of P(q) C(q); each digit d of
     p at 1 <= i <= top also gave, through -q^{-i}, the terms d c_e q^{e - i} that

@@ -9,9 +9,9 @@ tableau oracle share.
 The Clebsch-Gordan product costs O(|a|*|b| + span): one difference-array
 update per pair of components, then one running-sum pass over the output's
 range of j, however long each F_{|j-j'|} + ... + F_{j+j'} run is.  The
-recursion engine multiplies packed Weyl numerators instead (qcomb.fold), so
-cg_convolve and mv_subtract serve the multi-block closed forms, the demos,
-and the engine's error path, which names a negative multiplicity.
+recursion engine multiplies packed Weyl numerators by packed wedge characters
+instead (qcomb.fold); only its error path, which names a negative
+multiplicity, comes here, beside the multi-block closed forms and the demos.
 """
 
 from itertools import accumulate

@@ -10,6 +10,7 @@ and export.
 """
 
 from dataclasses import dataclass, field
+from operator import index
 
 from .weights import iter_partitions
 
@@ -26,7 +27,7 @@ class SubalgebraType:
     n: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        b = tuple(sorted((int(d) for d in self.blocks), reverse=True))
+        b = tuple(sorted(map(index, self.blocks), reverse=True))
         object.__setattr__(self, "blocks", b)
         if not b or any(d < 1 for d in b):
             raise ValueError(f"block sizes must be positive integers, got {self.blocks}")

@@ -13,14 +13,14 @@ precision integers.
 
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import mul
+from operator import index, mul
 
 Partition = tuple[int, ...]
 
 
 def canonical_partition(parts) -> Partition:
-    """Validate an iterable as a partition and strip trailing zeros."""
-    p = tuple(int(x) for x in parts)
+    """Validate an iterable of integers as a partition and strip trailing zeros."""
+    p = tuple(map(index, parts))
     if any(x < 0 for x in p):
         raise ValueError(f"partition parts must be nonnegative, got {p}")
     if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
@@ -38,7 +38,8 @@ class DominantWeight:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(a) for a in self.coeffs))
+        object.__setattr__(self, "rank", index(self.rank))
+        object.__setattr__(self, "coeffs", tuple(map(index, self.coeffs)))
         if self.rank < 2:
             raise ValueError(f"rank must be >= 2, got {self.rank}")
         if len(self.coeffs) != self.rank - 1:

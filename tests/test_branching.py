@@ -269,11 +269,24 @@ def test_principal_sl300_of_two_rows():
     assert highest_component(v) == principal_highest_component(w)
 
 
+@pytest.mark.parametrize("pivot", ["largest", "smallest"])
+def test_fresh_engine_reads_every_fundamental_off_its_wedge_character(pivot):
+    for n in range(2, 10):
+        for t in all_types(n):
+            for k in range(1, n):
+                got = BranchEngine(pivot).branch(t, DominantWeight.omega(n, k))
+                assert got == fundamental_branching(t, k), (t, k)
+
+
 def test_clear_cache_forgets_fundamentals(monkeypatch):
     t = SubalgebraType((5,))
     w = DominantWeight(5, (0, 1, 0, 0))
-    assert branch(t, w) == {2: 1, 6: 1}
+    assert branch(t, w) == fundamental_branching(t, 2) == {2: 1, 6: 1}
     clear_cache()
+    stats = branching._DEFAULT_ENGINE.stats
+    computed = stats["computed"]
+    assert branch(t, w) == {2: 1, 6: 1}
+    assert stats["computed"] == computed + 1  # the shared engine did not serve it
     calls = []
     real = fundamental.wedge_weight_multiset
 
@@ -282,8 +295,8 @@ def test_clear_cache_forgets_fundamentals(monkeypatch):
         return real(t, k)
 
     monkeypatch.setattr(fundamental, "wedge_weight_multiset", counting)
-    assert branch(t, w) == {2: 1, 6: 1}
-    assert calls == [2]  # neither the engine nor the fundamental memo served it
+    assert fundamental_branching(t, 2) == {2: 1, 6: 1}
+    assert calls == [2]  # nor did the fundamental memo
 
 
 def branch_by_dicts(t, lam, memo):

@@ -17,7 +17,13 @@ from branchkit import (
     wedge_weight_multiset,
 )
 from branchkit import fundamental
-from branchkit.fundamental import branching_hook, branching_k2_general, branching_two_blocks
+from branchkit.fundamental import (
+    branching_hook,
+    branching_k2_general,
+    branching_two_blocks,
+    wedge_character,
+)
+from branchkit.qcomb import digits, width
 from branchkit.sl2 import CorruptMultisetError, mult_from_multiset
 
 # weight multiset of the third wedge power for type [4,3], written out in full
@@ -54,6 +60,21 @@ def test_wedge_weight_multiset_matches_brute_force():
         for t in all_types(n):
             for k in range(1, n):
                 assert wedge_weight_multiset(t, k) == brute_force_multiset(t, k), (t, k)
+
+
+@pytest.mark.parametrize("blocks", [(2,), (5,), (4, 3), (3, 2, 2), (6, 1, 1), (2, 2, 2, 2), (9,)])
+def test_wedge_character_at_two_widths(blocks):
+    t = SubalgebraType(blocks)
+    n, h = t.n, sorted(h_diagonal(t), reverse=True)
+    for k in range(1, n):
+        narrow = width(comb(n, k))
+        for w in (narrow, narrow + 2):
+            c, top = wedge_character(t, k, w)
+            d = digits(c, w)
+            assert sum(d) == comb(n, k) and d == d[::-1] and d[0], (t, k, w)
+            assert top == sum(h[:k]) and len(d) == 2 * top + 1, (t, k, w)
+            assert Counter({e - top: m for e, m in enumerate(d) if m}) == brute_force_multiset(t, k)
+            assert wedge_character(t, n - k, w) == (c, top), (t, k, w)
 
 
 @st.composite

@@ -19,7 +19,6 @@ from branchkit import (
 )
 from branchkit.qcomb import (
     _row,
-    character,
     digits,
     fold,
     guard_mask,
@@ -205,13 +204,13 @@ def test_fold_is_the_clebsch_gordan_product(a, b):
     # the widest product digit is at most max(a) * dim(b), so one width serves
     dim = sum(m * (j + 1) for j, m in b.items())
     w = width(max(a.values()) * dim)
-    c, top = character(b, w)
     weights = Counter()
     for j, m in b.items():
         for e in range(-j, j + 1, 2):
             weights[e] += m
-    assert top == max(b)
-    assert digits(c, w) == [weights[e] for e in range(-top, top + 1)]
+    # b's character packed from its lowest weight -top
+    top = max(b)
+    c = pack(weights, w, top)
     got = fold(pack(a, w, 1), c, top, w)
     assert {j - 1: m for j, m in enumerate(digits(got, w)) if m} == cg_convolve(a, b)
 

@@ -66,6 +66,15 @@ def test_invalid_types_rejected():
         SubalgebraType(())
 
 
+def test_block_sizes_must_be_integers():
+    for blocks in ((2.7, 1), (2.0,), ("3",), (3, 1.5)):
+        with pytest.raises(TypeError):
+            SubalgebraType(blocks)
+    # integer types that are not int still read exactly, as plain ints
+    t = SubalgebraType((np.int64(3), True))
+    assert t.blocks == (3, 1) and all(type(d) is int for d in t.blocks)
+
+
 def test_is_principal():
     assert is_principal(SubalgebraType((5,)))
     assert not is_principal(SubalgebraType((3, 2)))

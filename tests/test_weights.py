@@ -53,6 +53,18 @@ def test_weight_validation():
         DominantWeight(1, ())
 
 
+def test_rank_coefficients_and_parts_must_be_integers():
+    for rank, coeffs in ((3, (1.5, "2")), (3, (1.0, 2)), (3, ("1", 2)), (3.0, (1, 2))):
+        with pytest.raises(TypeError):
+            DominantWeight(rank, coeffs)
+    for parts in ((2.5, 1), ("3",), (2, 1.0)):
+        with pytest.raises(TypeError):
+            canonical_partition(parts)
+    # other integer types still read exactly, as plain ints
+    w = DominantWeight(3, (True, 2))
+    assert w.coeffs == (1, 2) and type(w.coeffs[0]) is int
+
+
 def test_omega_constructor():
     assert DominantWeight.omega(5, 2) == DominantWeight(5, (0, 1, 0, 0))
     with pytest.raises(ValueError):
