@@ -8,9 +8,9 @@ terms across gives every multiplicity of Res L(lambda).
 
 All mu != lambda in P(lambda', k) are strictly lower in the lexicographic
 order on partitions with a bounded first row, so the recursion bottoms out at
-the fundamental representations and the trivial weight.  The engine works on
-padded partitions (`weights.padded_partition`); DominantWeight appears only in
-the public entry points.
+the fundamentals and the trivial weight.  One loop runs it over suspended steps,
+so `branch` has no depth limit.  The engine works on padded partitions;
+DominantWeight appears only in the public entry points.
 
 The memo holds each Res L(lambda) as a packed integer, the positive half of
 its Weyl numerator (qcomb), so a step is one multiply by the character of w_k,
@@ -73,8 +73,8 @@ class BranchEngine:
     bit length of C(n, k) = dim L(w_k), so that no product digit carries.  A
     value that does not fit repacks the memo at double the width and restarts
     the query; the width a query starts from, read off dim L(lambda), is only
-    a first guess.  Dicts from cache= or `cache` are packed on first use, and
-    `branch` stores its decoded answer back, so a repeat query is a dict copy.
+    a first guess.  Dicts from cache= or `cache` are checked and packed on first
+    use, and `branch` stores its answer back decoded: a repeat is a dict copy.
     """
 
     def __init__(self, pivot: str = "largest", cache: dict | None = None):
@@ -113,51 +113,67 @@ class BranchEngine:
             self._widen(width(dim_irrep(w) * comb(t.n, min(rows, t.n - rows))))
         while True:
             try:
-                p = self._branch(t, lam)
+                p = self._solve(t, lam)
                 break
-            except _TooNarrow:
+            except _TooNarrow:  # suspended steps hold values at the old width
                 self._widen(2 * self._w)
         mv = self._memo[key] = self._unpack(p)
         return dict(mv)
 
-    def _branch(self, t, lam):
-        key = (t.n, t.blocks, lam[: lam.index(0)])
-        p = self._memo.get(key)
-        if p is None:
-            self.stats["computed"] += 1
-            p = self._memo[key] = self._compute(t, lam)
-        else:
-            self.stats["hits"] += 1
-            if not isinstance(p, int):  # a {j: m_j} dict from cache= or branch
-                p = self._memo[key] = self._pack(p)
+    def _solve(self, t, lam):
+        p = self._get(t, lam)
+        steps = [] if p is not None else [self._step(t, lam)]
+        while steps:  # suspended steps on a list, not the call stack: no depth limit
+            p = steps[-1].send(p)
+            if isinstance(p, int):  # a step's last yield: its own value
+                next(steps.pop(), None)  # finish it: closing a suspended one throws GeneratorExit
+            else:  # a weight the memo lacks: start its step
+                steps.append(self._step(t, p))
+                p = None
         return p
 
-    def _compute(self, t, lam):
+    def _get(self, t, lam):
+        key = (t.n, t.blocks, lam[: lam.index(0)])
+        p = self._memo.get(key)
+        self.stats["computed" if p is None else "hits"] += 1
+        if p is not None and not isinstance(p, int):  # a {j: m_j} dict from cache= or branch
+            if not all(j >= 0 and isinstance(m, int) and m >= 1 for j, m in p.items()):
+                raise ValueError(f"cache entry {key} is not a dict of j >= 0 to m_j >= 1: {p!r}")
+            p = self._memo[key] = self._pack(p)
+        return p
+
+    def _step(self, t, lam):
+        """Yields each weight it needs that the memo lacks, is sent its value, yields its own."""
         if lam[0] == 0:
-            return self._pack({0: 1})
-        if lam[0] == 1:  # L(w_k) is L(0) (x) L(w_k): no digit of Q carries
+            r = self._pack({0: 1})
+        elif lam[0] == 1:  # L(w_k) is L(0) (x) L(w_k): no digit of Q carries
             c, top, _ = self._character(t, lam.index(0))
-            return fold(1 << 8 * self._w, c, top, self._w)
-        k = select_pivot(lam, largest=self.pivot == "largest")
-        prev = tuple(x - 1 for x in lam[:k]) + lam[k:]
-        p = self._branch(t, prev)
-        lower = []
-        for mu in pieri_set(prev, k):
-            if mu != lam:
-                lower.append(self._branch(t, mu))
-        c, top, guard = self._character(t, k)
-        if p & self._mask(guard, p.bit_length()):
-            raise _TooNarrow
-        r = fold(p, c, top, self._w)
-        sign = self._mask(1, r.bit_length())
-        # each member is nonnegative with its top bits clear, so r's digits
-        # stay exact and a negative one shows at once; a sum of wrong cache
-        # entries could carry across digits and hide it
-        for m in lower:
-            r -= m
-            if r < 0 or r & sign:
-                return self._by_dicts(t, lam, p, k, lower)
-        return r
+            r = fold(1 << 8 * self._w, c, top, self._w)
+        else:
+            k = select_pivot(lam, largest=self.pivot == "largest")
+            prev = tuple(x - 1 for x in lam[:k]) + lam[k:]
+            if (p := self._get(t, prev)) is None:
+                p = yield prev
+            lower = []
+            for mu in pieri_set(prev, k):
+                if mu != lam:
+                    m = self._get(t, mu)
+                    lower.append(m if m is not None else (yield mu))
+            c, top, guard = self._character(t, k)
+            if p & self._mask(guard, p.bit_length()):
+                raise _TooNarrow
+            r = fold(p, c, top, self._w)
+            sign = self._mask(1, r.bit_length())
+            # each member is nonnegative with its top bits clear, so r's digits
+            # stay exact and a negative one shows at once; a sum of wrong cache
+            # entries could carry across digits and hide it
+            for m in lower:
+                r -= m
+                if r < 0 or r & sign:
+                    r = self._by_dicts(t, lam, p, k, lower)
+                    break
+        self._memo[t.n, t.blocks, lam[: lam.index(0)]] = r
+        yield r
 
     def _by_dicts(self, t, lam, p, k, lower):
         """The step on {j: m_j} dicts, which names the negative multiplicity."""

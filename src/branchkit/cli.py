@@ -431,7 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # first match wins: BudgetExceededError and InternalConsistencyError are
-# RuntimeErrors, and RecursionError must fall through to the catch-all
+# RuntimeErrors; branch has no depth limit, but a RecursionError from
+# elsewhere (oracle_branch recurses once per cell) falls through to the catch-all
 EXIT_CODES = (
     (BudgetExceededError, EXIT_BUDGET),
     (InternalConsistencyError, EXIT_INTERNAL),

@@ -16,7 +16,7 @@ top bit, and clear guard bits leave room for a product to carry no digit.
 """
 
 import sys
-from functools import cache
+from functools import lru_cache
 from math import comb
 from struct import calcsize
 
@@ -119,7 +119,7 @@ def guard_mask(w: int, bits: int, length: int) -> int:
     return int.from_bytes(digit.to_bytes(w, "little") * (length // (8 * w) + 1), "little")
 
 
-@cache
+@lru_cache(maxsize=256)  # bounded, since each row holds n*k + 1 integers
 def _row(n: int, k: int) -> list[int]:
     """Coefficients of q^0 .. q^{nk} in (n+k choose k)_q: hook_content of one row."""
     return hook_content((min(n, k),), max(n, k) + 1, comb(n + k, k))

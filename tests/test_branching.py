@@ -1,5 +1,4 @@
 import sys
-import threading
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -342,6 +341,15 @@ def test_memo_transplanted_through_cache_packs_its_dicts_on_use():
     assert handed == donor.cache
 
 
+@pytest.mark.parametrize("entry", [{0: -1}, {0: 1.5}, {-2: 1}])
+def test_a_malformed_entry_is_rejected_when_packed(entry):
+    # principal sl_3 (2) uses the entry of (1, 1); the setter checks nothing
+    t = SubalgebraType((3,))
+    engine = BranchEngine(cache={(3, (3,), (1, 1)): entry})
+    with pytest.raises(ValueError, match=r"cache entry \(3, \(3,\), \(1, 1\)\)"):
+        engine.branch(t, partition_to_omega((2,), 3))
+
+
 def test_branch_and_cache_hand_out_copies():
     engine = BranchEngine()
     t = SubalgebraType((4,))
@@ -426,43 +434,27 @@ def frame_depth():
     return depth
 
 
-def test_two_frames_per_memo_level():
-    # principal sl_2 (m) recurses m levels deep: 400 frames hold 150 levels
-    # at two frames a level, and not 210
-    t = SubalgebraType((2,))
+def test_depth_does_not_need_the_recursion_limit():
+    # principal sl_2 (m) is m steps deep, and they all run 50 frames above here
+    t, engine = SubalgebraType((2,)), BranchEngine()
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(frame_depth() + 400)
+    sys.setrecursionlimit(frame_depth() + 50)
     try:
-        answer = BranchEngine().branch(t, partition_to_omega((150,), 2))
-        with pytest.raises(RecursionError):
-            BranchEngine().branch(t, partition_to_omega((210,), 2))
+        answer = engine.branch(t, partition_to_omega((1000,), 2))
     finally:
         sys.setrecursionlimit(limit)
-    assert answer == {150: 1}
+    assert answer == {1000: 1}
+    assert engine.stats == {"computed": 1001, "hits": 998}
 
 
-def branch_deep(t, w):
-    """engine.branch(t, w) in a thread with a 512 MB stack, under a raised recursion limit."""
-    out = []
-    limit, stack = sys.getrecursionlimit(), threading.stack_size()
-    sys.setrecursionlimit(20000)
-    threading.stack_size(512 << 20)
-    try:
-        worker = threading.Thread(target=lambda: out.append(BranchEngine().branch(t, w)))
-        worker.start()
-        worker.join(timeout=300)
-    finally:
-        threading.stack_size(stack)
-        sys.setrecursionlimit(limit)
-    assert not worker.is_alive() and out, (t, w)
-    return out[0]
-
-
-@pytest.mark.parametrize("blocks, lam", [((3,), (600, 3)), ((2, 1), (600, 2)), ((2,), (1000,))])
+@pytest.mark.parametrize(
+    "blocks, lam", [((3,), (600, 3)), ((2, 1), (600, 2)), ((2,), (1000,)), ((3,), (600,))]
+)
 def test_long_rows_under_a_raised_recursion_limit(blocks, lam):
+    # 600 to 1000 steps deep, at the interpreter's default recursion limit
     t = SubalgebraType(blocks)
     w = partition_to_omega(lam, t.n)
-    got = branch_deep(t, w)
+    got = BranchEngine().branch(t, w)
     assert rep_dimension(got) == dim_irrep(w)
     if len(blocks) == 1:
         assert got == principal_by_hook_content(w)[0]

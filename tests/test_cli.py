@@ -214,12 +214,22 @@ def test_fundamental_verify_at_rank_600(capsys):
     assert checked == plain
 
 
-def test_unexpected_exception_exits_3(capsys):
-    # the recursion is deeper than the interpreter's recursion limit here
+def test_unexpected_exception_exits_3(capsys, monkeypatch):
+    class Broken(BranchEngine):
+        def branch(self, t, w):
+            raise KeyError(w)
+
+    monkeypatch.setattr(cli, "BranchEngine", Broken)
     code, _, err = run(capsys, "branch", "--n", "2", "--type", "2", "--partition", "1000")
     assert code == 3
-    assert err.startswith("error: internal error: RecursionError")
+    assert err.startswith("error: internal error: KeyError")
     assert "Traceback" not in err
+
+
+def test_branch_a_thousand_steps_deep(capsys):
+    code, out, err = run(capsys, "branch", "--n", "2", "--type", "2", "--partition", "1000")
+    assert code == 0, err
+    assert "1000  1" in out.splitlines()
 
 
 def test_pieri_at_rank_1200(capsys):

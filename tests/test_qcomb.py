@@ -248,6 +248,13 @@ def test_rows_match_q_pascal_recurrence():
     assert _row.__wrapped__(50, 50) == rows[50][50]
 
 
+def test_row_cache_is_bounded():
+    for n in range(300):
+        _row(n, 1)
+    info = _row.cache_info()
+    assert info.currsize <= info.maxsize < 300
+
+
 def principal_by_hook_content(w):
     """Res L(w) to the principal sl_2 read from hook_content, and the coefficients.
 
