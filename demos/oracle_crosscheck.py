@@ -2,9 +2,10 @@
 
 Semistandard tableaux of shape lambda with entries up to n are a weight
 basis of L(lambda); summing diagonal entries of H over the boxes gives the
-full weight system with no representation theory at all.  The oracle shares
-no code with the recursion beyond the H diagonal, so agreement is a real
-check.
+full weight system with no representation theory at all.  The oracle counts
+them as chains of horizontal strips, one per entry, in a single loop with no
+recursion.  It shares no code with the recursion beyond the H diagonal, so
+agreement is a real check.
 """
 
 from branchkit import (

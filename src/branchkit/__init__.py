@@ -7,7 +7,8 @@ wedge-power weight multiset e_k(q^{h_1}, ..., q^{h_n}), computed on integers
 at q = 256**w (qcomb.digits decodes), with closed-form cross-checks;
 arbitrary highest weights branch by a memoized Pieri/Clebsch-Gordan
 recursion; an independent semistandard tableau oracle recomputes everything
-from first principles.
+from first principles, counting tableaux by weight as chains of horizontal
+strips in one loop over the entries, with no recursion.
 
 The top level exports what the README, the demos and the benchmark use, plus
 the exception types.  Helpers such as the hook and two-block closed forms, the

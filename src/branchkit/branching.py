@@ -74,7 +74,8 @@ class BranchEngine:
     value that does not fit repacks the memo at double the width and restarts
     the query; the width a query starts from, read off dim L(lambda), is only
     a first guess.  Dicts from cache= or `cache` are checked and packed on first
-    use, and `branch` stores its answer back decoded: a repeat is a dict copy.
+    use, the queried weight's own included.  `branch` keeps each answer it
+    decoded beside the memo, so a repeat is a dict copy.
     """
 
     def __init__(self, pivot: str = "largest", cache: dict | None = None):
@@ -93,7 +94,8 @@ class BranchEngine:
 
     @cache.setter
     def cache(self, entries: dict[tuple, MultVector]):
-        self._memo: dict = dict(entries)
+        self._memo: dict = dict(entries)  # packed values, and unchecked dicts from outside
+        self._answers: dict = {}  # key -> the decoded answer `branch` returned for it
         self._w = 1
         self._chars: dict = {}  # (blocks, k) -> (packed character of w_k, its top, guard bits)
         self._masks: dict = {}  # guard bits -> guard_mask at width _w
@@ -105,11 +107,11 @@ class BranchEngine:
         lam = padded_partition(w)
         rows = lam.index(0)
         key = (t.n, t.blocks, lam[:rows])
-        mv = self._memo.get(key)
-        if isinstance(mv, dict):
+        mv = self._answers.get(key)
+        if mv is not None:
             self.stats["hits"] += 1
             return dict(mv)
-        if mv is None:
+        if key not in self._memo:
             self._widen(width(dim_irrep(w) * comb(t.n, min(rows, t.n - rows))))
         while True:
             try:
@@ -117,7 +119,7 @@ class BranchEngine:
                 break
             except _TooNarrow:  # suspended steps hold values at the old width
                 self._widen(2 * self._w)
-        mv = self._memo[key] = self._unpack(p)
+        mv = self._answers[key] = self._unpack(p)
         return dict(mv)
 
     def _solve(self, t, lam):
@@ -136,7 +138,7 @@ class BranchEngine:
         key = (t.n, t.blocks, lam[: lam.index(0)])
         p = self._memo.get(key)
         self.stats["computed" if p is None else "hits"] += 1
-        if p is not None and not isinstance(p, int):  # a {j: m_j} dict from cache= or branch
+        if p is not None and not isinstance(p, int):  # a {j: m_j} dict from cache=
             if not all(j >= 0 and isinstance(m, int) and m >= 1 for j, m in p.items()):
                 raise ValueError(f"cache entry {key} is not a dict of j >= 0 to m_j >= 1: {p!r}")
             p = self._memo[key] = self._pack(p)

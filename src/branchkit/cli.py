@@ -431,8 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # first match wins: BudgetExceededError and InternalConsistencyError are
-# RuntimeErrors; branch has no depth limit, but a RecursionError from
-# elsewhere (oracle_branch recurses once per cell) falls through to the catch-all
+# RuntimeErrors; anything else, a RecursionError included, falls through to
+# the catch-all
 EXIT_CODES = (
     (BudgetExceededError, EXIT_BUDGET),
     (InternalConsistencyError, EXIT_INTERNAL),

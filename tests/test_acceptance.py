@@ -39,7 +39,8 @@ GRIDS = [
     (3, 8, None),
     (4, 8, None),
     (5, 8, None),
-    (7, 4, ((7,), (4, 3))),
+    (6, 7, None),
+    (7, 7, ((7,), (4, 3))),
 ]
 
 

@@ -350,6 +350,13 @@ def test_a_malformed_entry_is_rejected_when_packed(entry):
         engine.branch(t, partition_to_omega((2,), 3))
 
 
+def test_a_malformed_entry_of_the_queried_weight_is_rejected():
+    # the entry answers the query itself, with no step above it to pack it
+    engine = BranchEngine(cache={(3, (3,), (1,)): {0: -1}})
+    with pytest.raises(ValueError, match=r"cache entry \(3, \(3,\), \(1,\)\)"):
+        engine.branch(SubalgebraType((3,)), DominantWeight.omega(3, 1))
+
+
 def test_branch_and_cache_hand_out_copies():
     engine = BranchEngine()
     t = SubalgebraType((4,))

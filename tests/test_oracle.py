@@ -1,4 +1,10 @@
+import sys
+from collections import Counter
+from itertools import product
+
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_branching import frame_depth
 
 from branchkit import (
     BudgetExceededError,
@@ -12,8 +18,49 @@ from branchkit import (
     partition_to_omega,
     ssyt_count,
 )
+from branchkit import oracle
 from branchkit.oracle import tableau_weight_multiset
-from branchkit.weights import iter_partitions
+from branchkit.weights import canonical_partition, iter_partitions
+
+
+def reference_multiset(shape, values) -> Counter:
+    """Every SSYT one at a time: backtrack over the cells in row-major order.
+
+    Each cell's entry weakly exceeds its left neighbour and strictly exceeds
+    the one above; recurses once per cell, so keep the shapes small.
+    """
+    shape = canonical_partition(shape)
+    n = len(values)
+    if len(shape) > n:
+        return Counter()
+    cells = [(r, c) for r, width in enumerate(shape) for c in range(width)]
+    grid = [[0] * width for width in shape]
+    out: Counter = Counter()
+
+    def fill(idx, acc):
+        if idx == len(cells):
+            out[acc] += 1
+            return
+        r, c = cells[idx]
+        lo = grid[r][c - 1] if c else 1
+        if r:
+            lo = max(lo, grid[r - 1][c] + 1)
+        for v in range(lo, n + 1):
+            grid[r][c] = v
+            fill(idx + 1, acc + values[v - 1])
+
+    fill(0, 0)
+    return out
+
+
+@st.composite
+def shapes_and_values(draw):
+    """A shape of at most 8 boxes and at most n rows, and n values in [-5, 5], n <= 7."""
+    n = draw(st.integers(1, 7))
+    boxes = draw(st.integers(0, 8))
+    shape = draw(st.sampled_from(list(iter_partitions(boxes, max_parts=n))))
+    values = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    return shape, values
 
 
 def test_ssyt_count_small_shapes():
@@ -77,3 +124,59 @@ def test_budget_counts_tableaux_not_weights():
     assert sum(ms.values()) == 6
     with pytest.raises(BudgetExceededError):
         tableau_weight_multiset((1, 1), h_diagonal(SubalgebraType((4,))), budget=5)
+
+
+def test_multiset_matches_the_reference_on_every_small_type_and_shape():
+    for n in range(2, 8):
+        for t in all_types(n):
+            values = h_diagonal(t)
+            for boxes in range(0, 8):
+                for shape in iter_partitions(boxes, max_parts=n):
+                    assert tableau_weight_multiset(shape, values) == reference_multiset(
+                        shape, values
+                    ), (t, shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shapes_and_values())
+def test_multiset_matches_the_reference_for_any_values(case):
+    shape, values = case
+    assert tableau_weight_multiset(shape, values) == reference_multiset(shape, values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shapes_and_values())
+def test_budget_raises_exactly_past_the_tableau_count(case):
+    shape, values = case
+    count = sum(reference_multiset(shape, values).values())
+    assert sum(tableau_weight_multiset(shape, values, budget=count).values()) == count
+    with pytest.raises(BudgetExceededError):
+        tableau_weight_multiset(shape, values, budget=count - 1)
+
+
+def test_budget_raises_before_building_a_level_past_it(monkeypatch):
+    # sl_3 (600, 300): 601 partial tableaux after entry 1, about 2.7e7 after entry 2
+    built = 0
+
+    def counted(*ranges):
+        nonlocal built
+        for nu in product(*ranges):
+            built += 1
+            assert built <= 10**4, "the level past the budget was built"
+            yield nu
+
+    monkeypatch.setattr(oracle, "product", counted)
+    with pytest.raises(BudgetExceededError):
+        tableau_weight_multiset((600, 300), (1, 0, -1), budget=10**4)
+    assert built == 601
+
+
+def test_long_row_needs_no_recursion_limit():
+    # one row of 995 cells: a cell-by-cell enumerator would recurse 995 deep
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(frame_depth() + 50)
+    try:
+        answer = oracle_branch(SubalgebraType((2,)), partition_to_omega((995,), 2))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert answer == {995: 1}
