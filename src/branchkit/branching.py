@@ -12,16 +12,21 @@ the fundamentals and the trivial weight.  One loop runs it over suspended steps,
 so `branch` has no depth limit.  The engine works on padded partitions;
 DominantWeight appears only in the public entry points.
 
-The memo holds each Res L(lambda) as a packed integer, the positive half of
-its Weyl numerator (qcomb), so a step is one multiply by the character of w_k,
+The memo is one dict per type, keyed by the padded partition, and holds each
+Res L(lambda) as a packed integer, the positive half of its Weyl numerator
+(qcomb).  A lookup that misses the trivial weight or a fundamental computes it
+at once; any other weight takes a step: one multiply by the character of w_k,
 packed as the wedge recurrence leaves it, a few folded terms, and one checked
-subtraction per lower member.
+subtraction per lower member.  The lower members come from a strip table per
+engine, keyed by k and the equal adjacent rows of lambda', so pieri_set runs
+once per such pattern, not once per step.
 The dict Clebsch-Gordan product and subtraction of sl2 run only when a check
 finds a negative multiplicity, to name it; entries cross the engine's edges
 (`branch`, `BranchEngine.cache`, cache files) as {j: m_j} dicts.
 """
 
 from math import comb
+from operator import add, eq, sub
 
 from .fundamental import _fundamental, fundamental_branching, wedge_character
 from .pieri import pieri_set
@@ -55,27 +60,36 @@ class _TooNarrow(Exception):
 class BranchEngine:
     """Memoized branching calculator.
 
-    Entries are keyed by (n, blocks, lambda-partition without trailing zeros),
-    the form cache files store, so every weight ever requested shares
-    subproblems.  `pivot` selects which w_k is split off at each step
-    ("largest" or "smallest" coefficient index); the result is the same
-    either way, which the test suite checks, but distinct engines keep
-    distinct caches so the comparison is honest.
+    The memo holds one dict per type (n, blocks), keyed by the padded
+    partition lambda, so every weight ever requested shares subproblems and a
+    lookup is one dict.get.  At the edges (`branch`'s answers, `cache`, cache
+    files) an entry is keyed (n, blocks, lambda without trailing zeros).
+    `pivot` selects which w_k is split off at each step ("largest" or
+    "smallest" coefficient index); the result is the same either way, which
+    the test suite checks, but distinct engines keep distinct caches so the
+    comparison is honest.
 
     Inside, a memo value is the packed Weyl numerator P = sum_j m_j Q^{j+1}
     of qcomb at one width per engine, whose every digit keeps its top bit
     clear.  The character of w_k comes packed from the wedge recurrence
     (fundamental.wedge_character), and L(w_k) is one fold of the trivial
-    numerator Q by it.  A step multiplies P(lambda') by it (qcomb.fold) and
-    subtracts the lower Pieri members one by one, each checked by a sign test
-    and one AND against the digits' top bits.  Before the multiply one AND
-    certifies that every digit of P(lambda') is below 2**(8w - 1 - b), b the
-    bit length of C(n, k) = dim L(w_k), so that no product digit carries.  A
-    value that does not fit repacks the memo at double the width and restarts
-    the query; the width a query starts from, read off dim L(lambda), is only
-    a first guess.  Dicts from cache= or `cache` are checked and packed on first
-    use, the queried weight's own included.  `branch` keeps each answer it
-    decoded beside the memo, so a repeat is a dict copy.
+    numerator Q by it; a lookup that misses a leaf (lambda_1 <= 1) computes
+    it on the spot, so only lambda_1 >= 2 takes a step.  A step multiplies
+    P(lambda') by the character (qcomb.fold) and subtracts the lower Pieri
+    members one by one, each checked by a sign test and one AND against the
+    digits' top bits.  The members come from a strip table of the engine:
+    mu - lambda' depends on lambda' only through k and which adjacent rows of
+    lambda' are equal, so pieri_set runs once per such pattern.  Before the
+    multiply one AND certifies that every digit of P(lambda') is below
+    2**(8w - 1 - b), b the bit length of C(n, k) = dim L(w_k), so that no
+    product digit carries.  A value that does not fit repacks the memo at
+    double the width and restarts the query; the width a query starts from,
+    read off dim L(lambda), is only a first guess.  Dicts from cache= or
+    `cache` are checked and packed on first use, the queried weight's own
+    included; an entry whose key is not of the form load_cache admits (fewer
+    than n parts, no trailing zeros) is never looked up and is handed back as
+    it came.  `branch` keeps each answer it decoded beside the memo, so a
+    repeat is a dict copy.
     """
 
     def __init__(self, pivot: str = "largest", cache: dict | None = None):
@@ -84,17 +98,30 @@ class BranchEngine:
         self.pivot = pivot
         self.cache = {} if cache is None else cache
         self.stats = {"computed": 0, "hits": 0}
+        self._columns: dict = {}  # n -> k -> the column (1,) * k + (0,) * (n - k), once used
+        self._strips: dict = {}  # (k, equal adjacent rows of lambda') -> mu - lambda' per lower mu
 
     @property
     def cache(self) -> dict[tuple, MultVector]:
         """A copy of the memo with every value a {j: m_j} dict; assign to replace it."""
-        return {
-            key: self._unpack(v) if isinstance(v, int) else dict(v) for key, v in self._memo.items()
+        entries = {
+            (n, blocks, lam[: lam.index(0)]): self._unpack(v) if isinstance(v, int) else dict(v)
+            for (n, blocks), memo in self._memos.items()
+            for lam, v in memo.items()
         }
+        entries.update((key, dict(v)) for key, v in self._aside.items())
+        return entries
 
     @cache.setter
     def cache(self, entries: dict[tuple, MultVector]):
-        self._memo: dict = dict(entries)  # packed values, and unchecked dicts from outside
+        self._memos: dict = {}  # (n, blocks) -> padded lambda -> packed value, or unchecked dict
+        self._aside: dict = {}  # entries under any other key: never looked up
+        for key, mv in entries.items():
+            lam = _padded(key)
+            if lam is None:
+                self._aside[key] = mv
+            else:
+                self._memos.setdefault(key[:2], {})[lam] = mv
         self._answers: dict = {}  # key -> the decoded answer `branch` returned for it
         self._w = 1
         self._chars: dict = {}  # (blocks, k) -> (packed character of w_k, its top, guard bits)
@@ -111,71 +138,97 @@ class BranchEngine:
         if mv is not None:
             self.stats["hits"] += 1
             return dict(mv)
-        if key not in self._memo:
+        memo = self._memos.setdefault(key[:2], {})
+        if lam not in memo:
             self._widen(width(dim_irrep(w) * comb(t.n, min(rows, t.n - rows))))
         while True:
             try:
-                p = self._solve(t, lam)
+                p = self._solve(t, memo, lam)
                 break
             except _TooNarrow:  # suspended steps hold values at the old width
                 self._widen(2 * self._w)
         mv = self._answers[key] = self._unpack(p)
         return dict(mv)
 
-    def _solve(self, t, lam):
-        p = self._get(t, lam)
-        steps = [] if p is not None else [self._step(t, lam)]
+    def _solve(self, t, memo, lam):
+        p = self._get(t, memo, lam)
+        if p is not None:
+            return p
+        columns = self._columns.setdefault(t.n, {})
+        steps = [self._step(t, memo, columns, lam)]
         while steps:  # suspended steps on a list, not the call stack: no depth limit
             p = steps[-1].send(p)
             if isinstance(p, int):  # a step's last yield: its own value
                 next(steps.pop(), None)  # finish it: closing a suspended one throws GeneratorExit
             else:  # a weight the memo lacks: start its step
-                steps.append(self._step(t, p))
+                steps.append(self._step(t, memo, columns, p))
                 p = None
         return p
 
-    def _get(self, t, lam):
-        key = (t.n, t.blocks, lam[: lam.index(0)])
-        p = self._memo.get(key)
-        self.stats["computed" if p is None else "hits"] += 1
-        if p is not None and not isinstance(p, int):  # a {j: m_j} dict from cache=
+    def _get(self, t, memo, lam):
+        """The packed value of lam, or None if it takes a step; a leaf is computed here."""
+        p = memo.get(lam)
+        if p is None:
+            self.stats["computed"] += 1
+            if lam[0] > 1:
+                return None
+            p = 1 << 8 * self._w  # Q, the numerator of L(0)
+            if lam[0]:  # L(w_k) is L(0) (x) L(w_k): no digit of Q carries
+                c, top, _ = self._character(t, lam.index(0))
+                p = fold(p, c, top, self._w)
+            memo[lam] = p
+            return p
+        self.stats["hits"] += 1
+        if not isinstance(p, int):  # a {j: m_j} dict from cache=
             if not all(j >= 0 and isinstance(m, int) and m >= 1 for j, m in p.items()):
+                key = (t.n, t.blocks, lam[: lam.index(0)])
                 raise ValueError(f"cache entry {key} is not a dict of j >= 0 to m_j >= 1: {p!r}")
-            p = self._memo[key] = self._pack(p)
+            p = memo[lam] = self._pack(p)
         return p
 
-    def _step(self, t, lam):
+    def _step(self, t, memo, columns, lam):
         """Yields each weight it needs that the memo lacks, is sent its value, yields its own."""
-        if lam[0] == 0:
-            r = self._pack({0: 1})
-        elif lam[0] == 1:  # L(w_k) is L(0) (x) L(w_k): no digit of Q carries
-            c, top, _ = self._character(t, lam.index(0))
-            r = fold(1 << 8 * self._w, c, top, self._w)
-        else:
-            k = select_pivot(lam, largest=self.pivot == "largest")
-            prev = tuple(x - 1 for x in lam[:k]) + lam[k:]
-            if (p := self._get(t, prev)) is None:
-                p = yield prev
-            lower = []
-            for mu in pieri_set(prev, k):
-                if mu != lam:
-                    m = self._get(t, mu)
-                    lower.append(m if m is not None else (yield mu))
-            c, top, guard = self._character(t, k)
-            if p & self._mask(guard, p.bit_length()):
-                raise _TooNarrow
-            r = fold(p, c, top, self._w)
-            sign = self._mask(1, r.bit_length())
-            # each member is nonnegative with its top bits clear, so r's digits
-            # stay exact and a negative one shows at once; a sum of wrong cache
-            # entries could carry across digits and hide it
-            for m in lower:
-                r -= m
-                if r < 0 or r & sign:
-                    r = self._by_dicts(t, lam, p, k, lower)
-                    break
-        self._memo[t.n, t.blocks, lam[: lam.index(0)]] = r
+        k = select_pivot(lam, largest=self.pivot == "largest")
+        column = columns.get(k) or columns.setdefault(k, (1,) * k + (0,) * (len(lam) - k))
+        prev = tuple(map(sub, lam, column))
+        if (p := self._get(t, memo, prev)) is None:
+            p = yield prev
+        lower = []
+        for d in self._lower(prev, k, lam):
+            mu = tuple(map(add, prev, d))
+            m = self._get(t, memo, mu)
+            lower.append(m if m is not None else (yield mu))
+        c, top, guard = self._character(t, k)
+        if p & self._mask(guard, p.bit_length()):
+            raise _TooNarrow
+        r = fold(p, c, top, self._w)
+        sign = self._mask(1, r.bit_length())
+        # each member is nonnegative with its top bits clear, so r's digits
+        # stay exact and a negative one shows at once; a sum of wrong cache
+        # entries could carry across digits and hide it
+        for m in lower:
+            r -= m
+            if r < 0 or r & sign:
+                r = self._by_dicts(t, lam, p, k, lower)
+                break
+        memo[lam] = r
         yield r
+
+    def _lower(self, prev, k, lam):
+        """mu - lambda' for each mu != lam in P(lambda', k), from the strip table.
+
+        A vertical strip puts a box in row i > 0 only where lambda'_{i-1} >
+        lambda'_i or row i - 1 gets one too, and a box in row n takes off the
+        full column: so mu - lambda' depends on lambda' only through k and
+        which adjacent rows are equal, and pieri_set runs once per pattern.
+        """
+        pattern = (k, *map(eq, prev, prev[1:]))
+        strips = self._strips.get(pattern)
+        if strips is None:
+            strips = self._strips[pattern] = [
+                tuple(map(sub, mu, prev)) for mu in pieri_set(prev, k) if mu != lam
+            ]
+        return strips
 
     def _by_dicts(self, t, lam, p, k, lower):
         """The step on {j: m_j} dicts, which names the negative multiplicity."""
@@ -217,12 +270,27 @@ class BranchEngine:
         """Repack every packed memo value at width w, if that is wider."""
         if w <= self._w:
             return
-        unpacked = {key: self._unpack(v) for key, v in self._memo.items() if isinstance(v, int)}
+        unpacked = [
+            (memo, lam, self._unpack(v))
+            for memo in self._memos.values()
+            for lam, v in memo.items()
+            if isinstance(v, int)
+        ]
         self._w = w
         self._chars.clear()
         self._masks.clear()
-        for key, mv in unpacked.items():
-            self._memo[key] = self._pack(mv)
+        for memo, lam, mv in unpacked:
+            memo[lam] = self._pack(mv)
+
+
+def _padded(key):
+    """lambda of an (n, blocks, lambda) key padded to n rows, if lambda is a tuple
+    of fewer than n parts and no zero, the form load_cache admits; else None."""
+    if type(key) is tuple and len(key) == 3:
+        n, _, lam = key
+        if type(n) is int and type(lam) is tuple and len(lam) < n and 0 not in lam:
+            return lam + (0,) * (n - len(lam))
+    return None
 
 
 _DEFAULT_ENGINE = BranchEngine()

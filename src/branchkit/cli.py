@@ -345,8 +345,10 @@ def _verify_results(tasks, jobs):
 
 
 def cmd_verify(args) -> int:
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    for option, value, least in (("--jobs", args.jobs, 1), ("--max-boxes", args.max_boxes, 0),
+                                 ("--budget", args.budget, 0)):
+        if value < least:
+            raise ValueError(f"{option} must be at least {least}, got {value}")
     jobs = min(args.jobs, os.cpu_count() or 1)
     if args.types == "all":
         types = all_types(args.n)

@@ -1,4 +1,6 @@
 import sys
+from itertools import combinations_with_replacement
+from operator import add, eq
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,6 +17,7 @@ from branchkit import (
     dim_irrep,
     highest_component,
     iter_dominant_weights,
+    lex_max_member,
     lowest_component,
     oracle_branch,
     partition_to_omega,
@@ -465,3 +468,77 @@ def test_long_rows_under_a_raised_recursion_limit(blocks, lam):
     assert rep_dimension(got) == dim_irrep(w)
     if len(blocks) == 1:
         assert got == principal_by_hook_content(w)[0]
+
+
+def test_cache_hands_back_the_keys_it_never_looks_up():
+    # load_cache admits only lambda of fewer than n parts without trailing
+    # zeros; the engine keeps any other key aside, untouched and unused
+    odd = {
+        (3, (3,), (1, 0)): {0: 3},  # a trailing zero, and wrong for omega_1
+        (3, (3,), (1, 1, 1)): {0: 1},  # n parts
+        (4, (4,), (2, 0, 1)): {5: 1},  # a zero inside
+        (3, (3,)): {0: 1},
+        "3|3|1": {0: 3},
+    }
+    engine = BranchEngine(cache=odd)
+    assert engine.cache == odd
+    assert engine.branch(SubalgebraType((3,)), DominantWeight.omega(3, 1)) == {2: 1}
+    assert engine.stats == {"computed": 1, "hits": 0}
+    assert engine.cache == {**odd, (3, (3,), (1,)): {2: 1}}
+
+
+def test_the_strip_table_gives_every_lower_pieri_member():
+    # every padded lambda' of sl_2..sl_9 with parts <= 5, and every k, from
+    # one engine's table: the differences mu - lambda' depend on lambda' only
+    # through k and its equal adjacent rows
+    engine, cases = BranchEngine(), 0
+    for n in range(2, 10):
+        for rows in combinations_with_replacement(range(5, -1, -1), n - 1):
+            prev = rows + (0,)
+            for k in range(1, n):
+                lam = lex_max_member(prev, k)
+                got = [tuple(map(add, prev, d)) for d in engine._lower(prev, k, lam)]
+                assert len(got) == len(set(got)), (prev, k)
+                assert set(got) == pieri_set(prev, k) - {lam}, (prev, k)
+                cases += 1
+    assert cases == 20592
+    assert len(engine._strips) == 3228
+
+
+def test_pieri_set_runs_once_per_pattern_of_each_engine(monkeypatch):
+    calls = []
+    real = branching.pieri_set
+
+    def counting(prev, k):
+        calls.append((k, *map(eq, prev, prev[1:])))
+        return real(prev, k)
+
+    monkeypatch.setattr(branching, "pieri_set", counting)
+    engine = BranchEngine()
+    for t in all_types(6):
+        for w in iter_dominant_weights(6, 6):
+            engine.branch(t, w)
+    assert calls and len(calls) == len(set(calls)) == len(engine._strips)
+    # the table belongs to the engine: a fresh one starts empty
+    calls.clear()
+    t, w = SubalgebraType((6,)), partition_to_omega((3, 2, 1), 6)
+    assert BranchEngine().branch(t, w) == engine.branch(t, w)
+    assert calls and len(calls) == len(set(calls))
+
+
+@st.composite
+def types_and_weights_to_ten_boxes(draw):
+    n = draw(st.integers(3, 9))
+    t = draw(st.sampled_from(all_types(n)))
+    lam = draw(st.sampled_from(list(iter_partitions(draw(st.integers(0, 10)), n - 1))))
+    return t, lam
+
+
+@settings(max_examples=80, deadline=None)
+@given(types_and_weights_to_ten_boxes())
+def test_both_pivots_match_the_dict_recursion(case):
+    t, lam = case
+    want = branch_by_dicts(t, lam + (0,) * (t.n - len(lam)), {})
+    w = partition_to_omega(lam, t.n)
+    assert BranchEngine(pivot="largest").branch(t, w) == want
+    assert BranchEngine(pivot="smallest").branch(t, w) == want

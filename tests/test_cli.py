@@ -384,6 +384,19 @@ def test_verify_rejects_jobs_below_one(capsys, monkeypatch, jobs):
     assert out == ""
 
 
+@pytest.mark.parametrize("option, value", [("--max-boxes", "-2"), ("--budget", "-1")])
+def test_verify_rejects_a_negative_size_before_any_work(capsys, monkeypatch, option, value):
+    def no_task(task):
+        raise AssertionError(f"no weight may be checked under {option} {value}")
+
+    monkeypatch.setattr(cli, "_verify_task", no_task)
+    # the last --max-boxes given wins
+    code, out, err = run(capsys, "verify", "--n", "3", "--max-boxes", "2", option, value)
+    assert code == 2
+    assert err.startswith(f"error: {option} must be at least 0, got {value}")
+    assert out == ""
+
+
 @pytest.mark.parametrize(
     "cpus, jobs, workers",
     [(2, "16", [2]), (8, "3", [3]), (1, "4", []), (None, "3", [])],
