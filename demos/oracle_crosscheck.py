@@ -4,8 +4,11 @@ Semistandard tableaux of shape lambda with entries up to n are a weight
 basis of L(lambda); summing diagonal entries of H over the boxes gives the
 full weight system with no representation theory at all.  The oracle counts
 them as chains of horizontal strips, one per entry, in a single loop with no
-recursion.  It shares no code with the recursion beyond the H diagonal, so
-agreement is a real check.
+recursion.  Each partial shape keeps its counts by weight packed into one
+integer, one digit per weight; a strip is added one row at a time, so the
+shapes that differ only in that row share one running sum; and the digits
+read back must add up to the hook-content count of the shape.  It shares no
+code with the recursion beyond the H diagonal, so agreement is a real check.
 """
 
 from branchkit import (

@@ -7,17 +7,22 @@ applying dim V_j - dim V_{j+2} reproduces any branching from first
 principles.  A tableau is a chain of horizontal strips, one per entry, so the
 count runs as one loop over the entries that groups the tableaux by the
 shape their smaller entries fill; nothing recurses and no tableau is built.
+Each partial shape keeps its counts by weight packed into one integer, one
+digit per weight, and a strip is added one row at a time, so that the shapes
+that differ only in that row share one running sum.  The number of tableaux
+is known up front from the hook-content formula: it sizes the digits, sets
+off the budget before any work, and must equal the sum of the digits read
+back.
 
 Deliberately independent of the recursion and the closed forms: it imports
 nothing from fundamental or branching, only h_diagonal from subalgebra, the
 partition dictionary from weights, and the dim-difference arithmetic
-(mult_from_multiset) from sl2.
+(mult_from_multiset) and InternalConsistencyError from sl2.
 """
 
 from collections import Counter
-from itertools import product
 
-from .sl2 import MultVector, mult_from_multiset
+from .sl2 import InternalConsistencyError, MultVector, mult_from_multiset
 from .subalgebra import SubalgebraType, h_diagonal
 from .weights import DominantWeight, Partition, canonical_partition, omega_to_partition
 
@@ -28,58 +33,95 @@ class BudgetExceededError(RuntimeError):
     """Tableau enumeration passed the configured cap."""
 
 
+def _tableau_count(shape: Partition, n: int) -> int:
+    """SSYT of the shape with entries <= n: prod (n + content) / prod hook over its boxes."""
+    columns = [sum(r > j for r in shape) for j in range(max(shape, default=0))]
+    top = bottom = 1
+    for i, r in enumerate(shape):
+        for j in range(r):
+            top *= n + j - i
+            bottom *= r - j + columns[j] - i - 1
+    return top // bottom
+
+
 def tableau_weight_multiset(shape, values, budget: int | None = None) -> Counter:
     """Multiset of sum-of-values weights over all SSYT of the shape.
 
     values[i] is the contribution of entry i + 1; entries run over
-    1..len(values).  A tableau is a chain of partitions nu(0) = () <= nu(1)
-    <= ... <= nu(n) = shape, nu(v) holding its entries <= v, each step a
-    horizontal strip (Macdonald I.(5.11)).  One pass per entry v maps each
-    partial shape to {weight: number of partial tableaux}.  With rows counted
-    from 0, a step mu -> nu keeps mu_i <= nu_i <= mu_{i-1} (the strip; rows
-    from v on stay empty) and nu_i >= shape_{i+n-v}, so that every column of
-    shape/nu still has room for the n - v larger entries.  Each kept state
-    completes, so a level's partial count never exceeds the final count, and
-    checking it against the budget raises exactly when the shape has more
-    than `budget` tableaux.
+    1..len(values).  A tableau's weight depends only on how many of each
+    entry it holds, and the number of tableaux with given such counts does
+    not change when the entries are relabelled (Kostka numbers are symmetric
+    in the content), so the entries are taken in ascending order of value.
+
+    A tableau is then a chain of partitions nu(0) = () <= nu(1) <= ... <=
+    nu(n) = shape, nu(v) holding its entries <= v, each step a horizontal
+    strip (Macdonald I.(5.11)).  One pass per entry v maps each partial shape
+    to its partial tableaux, counted by weight.  With rows counted from 0, a
+    step mu -> nu keeps mu_i <= nu_i <= mu_{i-1} (the strip; rows from v on
+    stay empty) and nu_i >= shape_{i+n-v}, so that every column of shape/nu
+    still has room for the n - v larger entries; so every kept state
+    completes.  The pass chooses nu_i row by row from the bottom, where row
+    i - 1 still holds mu_{i-1}, so the states that differ only in row i share
+    one running sum over x, the new length of row i:
+    acc(x) = acc(x - 1) * Q^(value - min) + (the integer of mu with mu_i = x).
+
+    A state's counts are packed into one integer: the partial tableaux of
+    shape nu and weight min(values) * |nu| + e make up the digit of Q^e,
+    Q = 256^w, so adding a box of entry v multiplies by Q^(value - min), a
+    shift.  The hook-content count of the shape, which no digit can exceed,
+    sizes w; it raises BudgetExceededError before any state is built when it
+    is above `budget`, and the digits read back must sum to it, or
+    InternalConsistencyError.
     """
     shape = canonical_partition(shape)
     n, rows = len(values), len(shape)
     if rows > n:
         return Counter()
+    count = _tableau_count(shape, n)
+    if budget is not None and count > budget:
+        raise BudgetExceededError(
+            f"more than {budget} tableaux of shape {shape} with entries <= {n}"
+        )
+    values = sorted(values)
+    low = values[0] if values else 0
+    size = -(-count.bit_length() // 8)  # bytes per digit
     lam = shape + (0,) * n
-    states: dict = {(0,) * rows: {0: 1}}
+    states = {(0,) * rows: 1}
     for v, h in enumerate(values, 1):
-        live, pad, below = min(v, rows), (0,) * max(rows - v, 0), n - v
-        moves, seen = [], 0
-        for mu, weights in states.items():
-            ranges = [
-                range(max(mu[i], lam[i + below]), min(lam[i], mu[i - 1] if i else lam[0]) + 1)
-                for i in range(live)
-            ]
-            moves.append((sum(mu), weights, ranges))
-            if budget is not None:
-                fan = sum(weights.values())
-                for r in ranges:
-                    fan *= len(r)
-                seen += fan
-        # seen is this level's partial count, known before its work is done
-        if budget is not None and seen > budget:
-            raise BudgetExceededError(
-                f"more than {budget} tableaux of shape {shape} with entries <= {n}"
-            )
-        states = {}
-        for size, weights, ranges in moves:
-            for nu in product(*ranges):
-                shift = h * (sum(nu) - size)
-                nu += pad
-                target = states.get(nu)
-                if target is None:
-                    states[nu] = {x + shift: c for x, c in weights.items()}
+        step, below = 8 * size * (h - low), n - v
+        for i in reversed(range(min(v, rows))):
+            lo, top = lam[i + below], lam[i]
+            if lam[i + below + 1] == top:
+                continue  # row i was full before entry v
+            groups: dict = {}
+            for mu, packed in states.items():
+                key = mu[:i] + mu[i + 1:]
+                src = groups.get(key)
+                if src is None:
+                    groups[key] = {mu[i]: packed}
                 else:
-                    for x, c in weights.items():
-                        target[x + shift] = target.get(x + shift, 0) + c
-    return Counter(states.get(shape, {}))
+                    src[mu[i]] = packed
+            states = {}
+            while groups:  # popping frees each group's integers once its sum is written
+                key, src = groups.popitem()
+                head, tail = key[:i], key[i:]
+                acc = 0
+                for x in range(min(src), min(top, key[i - 1]) + 1 if i else top + 1):
+                    acc = (acc << step) + src.get(x, 0)
+                    if x >= lo:
+                        states[head + (x,) + tail] = acc
+    packed = states[shape]
+    raw = packed.to_bytes(-(-packed.bit_length() // 8), "little")
+    if size > 1:
+        raw = [int.from_bytes(raw[k:k + size], "little") for k in range(0, len(raw), size)]
+    base = low * sum(shape)
+    out = Counter({base + e: c for e, c in enumerate(raw) if c})
+    if sum(out.values()) != count:
+        raise InternalConsistencyError(
+            f"{sum(out.values())} tableaux of shape {shape} with entries <= {n} read back "
+            f"from {size}-byte digits, {count} by the hook-content formula"
+        )
+    return out
 
 
 def ssyt_count(shape: Partition, n: int) -> int:
@@ -88,9 +130,12 @@ def ssyt_count(shape: Partition, n: int) -> int:
 
 
 def oracle_branch(
-    t: SubalgebraType, w: DominantWeight, budget: int = DEFAULT_BUDGET
+    t: SubalgebraType, w: DominantWeight, budget: int | None = DEFAULT_BUDGET
 ) -> MultVector:
-    """Branching of L(w) computed from scratch by full tableau enumeration."""
+    """Branching of L(w) computed from scratch by counting its tableaux by weight.
+
+    budget caps the number of tableaux; None lifts the cap.
+    """
     if w.rank != t.n:
         raise ValueError(f"weight rank {w.rank} does not match type {t} of sl_{t.n}")
     ms = tableau_weight_multiset(omega_to_partition(w), h_diagonal(t), budget=budget)

@@ -30,6 +30,12 @@ def canonical_partition(parts) -> Partition:
     return p
 
 
+def _check_rank(rank: int) -> None:
+    """ValueError unless sl_rank has a weight lattice to speak of (rank >= 2)."""
+    if rank < 2:
+        raise ValueError(f"rank must be >= 2, got {rank}")
+
+
 @dataclass(frozen=True)
 class DominantWeight:
     """A dominant integral weight of sl_n in fundamental-weight coordinates."""
@@ -40,8 +46,7 @@ class DominantWeight:
     def __post_init__(self):
         object.__setattr__(self, "rank", index(self.rank))
         object.__setattr__(self, "coeffs", tuple(map(index, self.coeffs)))
-        if self.rank < 2:
-            raise ValueError(f"rank must be >= 2, got {self.rank}")
+        _check_rank(self.rank)
         if len(self.coeffs) != self.rank - 1:
             raise ValueError(
                 f"need {self.rank - 1} coefficients for rank {self.rank}, "
@@ -148,6 +153,7 @@ def iter_dominant_weights(rank: int, max_boxes: int):
 
     Ordered by box count, then lex-descending within each count.
     """
+    _check_rank(rank)
     for boxes in range(max_boxes + 1):
         for p in iter_partitions(boxes, max_parts=rank - 1):
             yield partition_to_omega(p, rank)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from branchkit import BranchEngine, SubalgebraType, cli, fundamental, partition_to_omega
+from branchkit import BranchEngine, SubalgebraType, cli, fundamental, oracle, partition_to_omega
 from branchkit.cli import main
 
 
@@ -441,6 +441,23 @@ def test_verify_budget_exceeded_exits_4(capsys):
     code, _, err = run(capsys, "verify", "--n", "3", "--max-boxes", "2", "--budget", "1")
     assert code == 4
     assert "error:" in err
+
+
+def test_verify_exits_3_when_the_oracle_fails_its_count_check(capsys, monkeypatch):
+    # a tableau count of 1 for every shape: () passes, (1,) with 3 tableaux does not
+    monkeypatch.setattr(oracle, "_tableau_count", lambda shape, n: 1)
+    code, out, err = run(capsys, "verify", "--n", "3", "--max-boxes", "2")
+    assert code == 3
+    assert err.startswith("error: 3 tableaux of shape (1,)")
+    assert out == ""
+
+
+@pytest.mark.parametrize("n", ["1", "0", "-1", "-7"])
+def test_verify_names_a_rank_below_two(capsys, n):
+    code, out, err = run(capsys, "verify", "--n", n)
+    assert code == 2
+    assert err == f"error: rank must be >= 2, got {n}\n"
+    assert out == ""
 
 
 def test_cache_round_trip_and_warm_stats(tmp_path, capsys):

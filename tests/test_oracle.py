@@ -1,14 +1,16 @@
 import sys
+import tracemalloc
 from collections import Counter
-from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_branching import frame_depth
 
 from branchkit import (
+    BranchEngine,
     BudgetExceededError,
     DominantWeight,
+    InternalConsistencyError,
     SubalgebraType,
     all_types,
     dim_irrep,
@@ -154,21 +156,83 @@ def test_budget_raises_exactly_past_the_tableau_count(case):
         tableau_weight_multiset(shape, values, budget=count - 1)
 
 
-def test_budget_raises_before_building_a_level_past_it(monkeypatch):
-    # sl_3 (600, 300): 601 partial tableaux after entry 1, about 2.7e7 after entry 2
-    built = 0
+class Watched(tuple):
+    """Values that record each read; len() is free."""
 
-    def counted(*ranges):
-        nonlocal built
-        for nu in product(*ranges):
-            built += 1
-            assert built <= 10**4, "the level past the budget was built"
-            yield nu
+    def __new__(cls, values):
+        self = super().__new__(cls, values)
+        self.reads = 0
+        return self
 
-    monkeypatch.setattr(oracle, "product", counted)
-    with pytest.raises(BudgetExceededError):
-        tableau_weight_multiset((600, 300), (1, 0, -1), budget=10**4)
-    assert built == 601
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_budget_raises_before_any_strip_state_is_built():
+    # sl_3 (600, 300): 2.7e7 tableaux.  No strip state can be built without
+    # the values, so the budget has to go off on the shape and the alphabet
+    # size alone; the traced peak bounds whatever was held before it did.
+    values = Watched((1, 0, -1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            tableau_weight_multiset((600, 300), values, budget=10**4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.reads == 0
+    assert peak < 2**20, f"{peak} bytes traced"
+    # the watch sees the reads of a run that goes through
+    assert sum(tableau_weight_multiset((2, 1), values, budget=8).values()) == 8
+    assert values.reads > 0
+
+
+@pytest.mark.parametrize(
+    "wrong", [lambda count: 255, lambda count: count + 1],
+    ids=["digits-too-narrow", "count-off-by-one"],
+)
+def test_a_wrong_tableau_count_raises_instead_of_answering(monkeypatch, wrong):
+    # (30, 15) has 4224 tableaux with entries <= 3, all of weight 0 here: a
+    # count below 256 packs them in one-byte digits, which carry
+    true_count = oracle._tableau_count
+    monkeypatch.setattr(oracle, "_tableau_count", lambda shape, n: wrong(true_count(shape, n)))
+    with pytest.raises(InternalConsistencyError):
+        tableau_weight_multiset((30, 15), (0, 0, 0))
+    with pytest.raises(InternalConsistencyError):
+        oracle_branch(SubalgebraType((3,)), partition_to_omega((30, 15), 3), budget=None)
+
+
+@pytest.mark.parametrize(
+    "blocks, shape",
+    [((5,), (40, 30, 20, 10)), ((2, 1), (200, 100))],
+    ids=["sl5-principal-40,30,20,10", "sl3-[2,1]-200,100"],
+)
+def test_oracle_reaches_weights_of_a_hundred_boxes_and_more(blocks, shape):
+    t = SubalgebraType(blocks)
+    w = partition_to_omega(shape, t.n)
+    assert oracle_branch(t, w, budget=None) == BranchEngine().branch(t, w)
+
+
+@st.composite
+def types_and_weights(draw):
+    """A type of sl_3..sl_6 and a weight of at most 20 boxes."""
+    n = draw(st.integers(3, 6))
+    t = draw(st.sampled_from(all_types(n)))
+    boxes = draw(st.integers(0, 20))
+    shape = draw(st.sampled_from(list(iter_partitions(boxes, max_parts=n - 1))))
+    return t, partition_to_omega(shape, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(types_and_weights())
+def test_oracle_matches_the_recursion_up_to_20_boxes(case):
+    t, w = case
+    assert oracle_branch(t, w, budget=None) == BranchEngine().branch(t, w)
 
 
 def test_long_row_needs_no_recursion_limit():
