@@ -22,7 +22,7 @@ engine, keyed by k and the equal adjacent rows of lambda', so pieri_set runs
 once per such pattern, not once per step.
 The dict Clebsch-Gordan product and subtraction of sl2 run only when a check
 finds a negative multiplicity, to name it; entries cross the engine's edges
-(`branch`, `BranchEngine.cache`, cache files) as {j: m_j} dicts.
+(`branch`, `BranchEngine.cache`, cache files) as {j: m_j} dicts, checked by _admit.
 """
 
 from math import comb
@@ -33,7 +33,7 @@ from .pieri import pieri_set
 from .qcomb import digits, fold, guard_mask, pack, width
 from .sl2 import InternalConsistencyError, MultVector, cg_convolve, mv_subtract
 from .subalgebra import SubalgebraType
-from .weights import DominantWeight, Partition, dim_irrep, padded_partition
+from .weights import DominantWeight, Partition, canonical_partition, dim_irrep, padded_partition
 
 __all__ = [
     "BranchEngine",
@@ -84,12 +84,11 @@ class BranchEngine:
     2**(8w - 1 - b), b the bit length of C(n, k) = dim L(w_k), so that no
     product digit carries.  A value that does not fit repacks the memo at
     double the width and restarts the query; the width a query starts from,
-    read off dim L(lambda), is only a first guess.  Dicts from cache= or
-    `cache` are checked and packed on first use, the queried weight's own
-    included; an entry whose key is not of the form load_cache admits (fewer
-    than n parts, no trailing zeros) is never looked up and is handed back as
-    it came.  `branch` keeps each answer it decoded beside the memo, so a
-    repeat is a dict copy.
+    read off dim L(lambda), is only a first guess.  Assigning cache= or
+    `cache` checks every entry at once (see _admit), so that a rejected
+    assignment leaves the engine as it was; each dict is copied, and packed
+    when a query first uses it.  `branch` keeps each answer it decoded beside
+    the memo, so a repeat is a dict copy.
     """
 
     def __init__(self, pivot: str = "largest", cache: dict | None = None):
@@ -104,24 +103,19 @@ class BranchEngine:
     @property
     def cache(self) -> dict[tuple, MultVector]:
         """A copy of the memo with every value a {j: m_j} dict; assign to replace it."""
-        entries = {
+        return {
             (n, blocks, lam[: lam.index(0)]): self._unpack(v) if isinstance(v, int) else dict(v)
             for (n, blocks), memo in self._memos.items()
             for lam, v in memo.items()
         }
-        entries.update((key, dict(v)) for key, v in self._aside.items())
-        return entries
 
     @cache.setter
     def cache(self, entries: dict[tuple, MultVector]):
-        self._memos: dict = {}  # (n, blocks) -> padded lambda -> packed value, or unchecked dict
-        self._aside: dict = {}  # entries under any other key: never looked up
+        memos: dict = {}  # (n, blocks) -> padded lambda -> packed value, or checked dict
         for key, mv in entries.items():
-            lam = _padded(key)
-            if lam is None:
-                self._aside[key] = mv
-            else:
-                self._memos.setdefault(key[:2], {})[lam] = mv
+            memo, lam = _admit(memos, key, mv)
+            memo[lam] = dict(mv)
+        self._memos = memos
         self._answers: dict = {}  # key -> the decoded answer `branch` returned for it
         self._w = 1
         self._chars: dict = {}  # (blocks, k) -> (packed character of w_k, its top, guard bits)
@@ -179,10 +173,7 @@ class BranchEngine:
             memo[lam] = p
             return p
         self.stats["hits"] += 1
-        if not isinstance(p, int):  # a {j: m_j} dict from cache=
-            if not all(j >= 0 and isinstance(m, int) and m >= 1 for j, m in p.items()):
-                key = (t.n, t.blocks, lam[: lam.index(0)])
-                raise ValueError(f"cache entry {key} is not a dict of j >= 0 to m_j >= 1: {p!r}")
+        if not isinstance(p, int):  # a {j: m_j} dict from cache=, checked when assigned
             p = memo[lam] = self._pack(p)
         return p
 
@@ -283,14 +274,31 @@ class BranchEngine:
             memo[lam] = self._pack(mv)
 
 
-def _padded(key):
-    """lambda of an (n, blocks, lambda) key padded to n rows, if lambda is a tuple
-    of fewer than n parts and no zero, the form load_cache admits; else None."""
-    if type(key) is tuple and len(key) == 3:
-        n, _, lam = key
-        if type(n) is int and type(lam) is tuple and len(lam) < n and 0 not in lam:
-            return lam + (0,) * (n - len(lam))
-    return None
+def _admit(memos, key, mv):
+    """The memo of key's type in memos, made on first use, and key's lambda padded
+    to n rows.  ValueError names the key unless it is (n, blocks, lambda) as
+    `branch` looks it up (blocks a type of sl_n, lambda a partition of fewer than
+    n parts without trailing zeros) and mv a non-empty dict of int j >= 0 to int m_j >= 1."""
+    try:
+        n, blocks, lam = key
+        memo = memos.get((n, blocks))
+        if memo is None:  # once per type
+            t = SubalgebraType(blocks)
+            if t.blocks != blocks or t.n != n:
+                raise ValueError(f"{blocks} does not name a type of sl_{n} as {t}")
+            memo = memos[t.n, t.blocks] = {}
+        part = canonical_partition(lam)
+        if part != lam or len(part) >= n:
+            raise ValueError(f"{lam} needs fewer than {n} parts, none zero")
+        lam = part + (0,) * (n - len(part))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"cache entry {key!r} is not keyed (n, blocks, lambda) as "
+                         f"branch looks it up: {exc}") from None
+    if not (isinstance(mv, dict) and set(map(type, mv)) == {int} == set(map(type, mv.values()))
+            and min(mv) >= 0 and min(mv.values()) >= 1):
+        raise ValueError(f"cache entry {key!r} is not a non-empty dict of j >= 0 to m_j >= 1: "
+                         f"{mv!r}")
+    return memo, lam
 
 
 _DEFAULT_ENGINE = BranchEngine()

@@ -7,12 +7,13 @@ failure (a consistency check or any unexpected exception), 4 oracle budget
 exceeded.
 
 `branch --cache` keeps the engine's memo table in a version-tagged file of
-compact JSON with sorted keys, checked on load and replaced atomically; it is
-rewritten only when a run computed a new entry, before the answer is printed.
-A run that loaded the file and then fails a consistency check is repeated once
-without it; if that run passes, the file holds a wrong entry (exit 2).  On
-load, the trivial and fundamental entries of the queried type are compared
-with {0: 1} and fundamental_branching, and a mismatch is rejected the same way.
+compact JSON with sorted keys, its entries checked on load by the engine's
+`cache` setter, replaced atomically, and rewritten only when a run computed a
+new entry, before the answer is printed.  A run that loaded the file and then
+fails a consistency check is repeated once without it; if that run passes, the
+file holds a wrong entry (exit 2).  On load, the trivial and fundamental entries
+of the queried type are compared with {0: 1} and fundamental_branching, and a
+mismatch is rejected the same way.
 `verify --jobs N` runs min(N, CPU count) worker processes and imports the
 process pool only when that is more than one.
 """
@@ -36,7 +37,6 @@ from .sl2 import (
 from .subalgebra import SubalgebraType, all_types, build_triple
 from .weights import (
     DominantWeight,
-    canonical_partition,
     dim_irrep,
     iter_dominant_weights,
     omega_to_partition,
@@ -139,12 +139,12 @@ def _unique_keys(pairs) -> dict:
 
 
 def load_cache(path, t) -> dict:
-    """Read a memo cache file.  ValueError: text that is not JSON or nests
-    deeper than the parser's recursion limit, any malformed shape, a version
-    other than the int 1, a key or component written or spelled twice, a key
-    whose lambda the engine never looks up, or an entry of type t for 0 or
-    omega_k that is not {0: 1} or fundamental_branching (other types go
-    unchecked)."""
+    """Read a memo cache file as {(n, blocks, lambda): {j: m_j}}, for the
+    BranchEngine.cache setter to check.  ValueError: text that is not JSON or
+    nests deeper than the parser's recursion limit, any malformed shape, a
+    version other than the int 1, a key or component written or spelled twice,
+    or an entry of type t for 0 or omega_k that is not {0: 1} or
+    fundamental_branching (other types go unchecked)."""
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh, object_pairs_hook=_unique_keys)
@@ -154,25 +154,11 @@ def load_cache(path, t) -> dict:
     if type(version) is not int or version != CACHE_VERSION:
         raise ValueError(f"cache {path} has version {version}, expected {CACHE_VERSION}")
     cache = {}
-    types = set()
     try:
         for key_str, mults in data["entries"].items():
-            mv = {int(j): m for j, m in mults.items()}
-            if (len(mv) < len(mults) or set(map(type, mv.values())) != {int}
-                    or min(mv.values()) < 1 or min(mv) < 0):
-                raise ValueError(
-                    f"entry {key_str!r} needs one positive integer multiplicity per F_j, j >= 0"
-                )
-            n, blocks, lam = _cache_key_parse(key_str)
-            if canonical_partition(lam) != lam or len(lam) >= n:
-                raise ValueError(f"{key_str!r} needs lambda as a partition of fewer than "
-                                 f"{n} parts without trailing zeros, as the engine looks it up")
-            if (n, blocks) not in types:
-                u = SubalgebraType(blocks)
-                if u.blocks != blocks or u.n != n:
-                    raise ValueError(f"{key_str!r} does not name a type of sl_{n} as {u}")
-                types.add((n, blocks))
-            cache[n, blocks, lam] = mv
+            mv = cache[_cache_key_parse(key_str)] = {int(j): m for j, m in mults.items()}
+            if len(mv) < len(mults):
+                raise ValueError(f"entry {key_str!r} spells a component twice")
         if len(cache) < len(data["entries"]):
             raise ValueError("two keys name the same entry")
     except (AttributeError, KeyError, ValueError) as exc:
@@ -223,10 +209,12 @@ def cmd_branch(args) -> int:
     t = _parse_type(args.type, args.n)
     w = _parse_weight(args)
     cache_path = args.cache or os.environ.get(CACHE_ENV_VAR)
-    engine = BranchEngine()
     loaded = bool(cache_path) and os.path.exists(cache_path)
-    if loaded:
-        engine.cache = load_cache(cache_path, t)
+    memo = load_cache(cache_path, t) if loaded else {}
+    try:
+        engine = BranchEngine(cache=memo)
+    except ValueError as exc:
+        raise ValueError(f"cache {cache_path} is malformed (ValueError: {exc})") from None
     try:
         mv, dim = _checked_branch(engine, t, w)
     except InternalConsistencyError:

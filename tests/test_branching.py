@@ -1,3 +1,4 @@
+import re
 import sys
 from itertools import combinations_with_replacement
 from operator import add, eq
@@ -344,20 +345,20 @@ def test_memo_transplanted_through_cache_packs_its_dicts_on_use():
     assert handed == donor.cache
 
 
-@pytest.mark.parametrize("entry", [{0: -1}, {0: 1.5}, {-2: 1}])
-def test_a_malformed_entry_is_rejected_when_packed(entry):
-    # principal sl_3 (2) uses the entry of (1, 1); the setter checks nothing
-    t = SubalgebraType((3,))
-    engine = BranchEngine(cache={(3, (3,), (1, 1)): entry})
-    with pytest.raises(ValueError, match=r"cache entry \(3, \(3,\), \(1, 1\)\)"):
-        engine.branch(t, partition_to_omega((2,), 3))
-
-
-def test_a_malformed_entry_of_the_queried_weight_is_rejected():
-    # the entry answers the query itself, with no step above it to pack it
-    engine = BranchEngine(cache={(3, (3,), (1,)): {0: -1}})
-    with pytest.raises(ValueError, match=r"cache entry \(3, \(3,\), \(1,\)\)"):
-        engine.branch(SubalgebraType((3,)), DominantWeight.omega(3, 1))
+@pytest.mark.parametrize(
+    "entry", [{0: -1}, {0: 1.5}, {-2: 1}, {}, {2: True}, {0: 1, 2: 0}, [3], {"0": 1}]
+)
+def test_a_malformed_entry_is_rejected_when_set(entry):
+    # every entry is checked at assignment, before any query could answer from
+    # it: an empty one would answer principal sl_3 omega_1 with {}
+    memo = {(3, (3,), ()): {0: 1}, (3, (3,), (1,)): entry}
+    named = r"cache entry \(3, \(3,\), \(1,\)\)"
+    with pytest.raises(ValueError, match=named):
+        BranchEngine(cache=memo)
+    engine = BranchEngine()
+    with pytest.raises(ValueError, match=named):
+        engine.cache = memo
+    assert engine.branch(SubalgebraType((3,)), DominantWeight.omega(3, 1)) == {2: 1}
 
 
 def test_branch_and_cache_hand_out_copies():
@@ -367,6 +368,11 @@ def test_branch_and_cache_hand_out_copies():
     got = engine.branch(t, w)
     got[0] = 99
     engine.cache[(4, (4,), (2, 1))][0] = 99
+    assert engine.branch(t, w) == oracle_branch(t, w)
+    # and the setter keeps copies: a checked entry cannot be changed afterwards
+    given = {(4, (4,), (1,)): {3: 1}}
+    engine.cache = given
+    given[4, (4,), (1,)][3] = -1
     assert engine.branch(t, w) == oracle_branch(t, w)
 
 
@@ -470,21 +476,44 @@ def test_long_rows_under_a_raised_recursion_limit(blocks, lam):
         assert got == principal_by_hook_content(w)[0]
 
 
-def test_cache_hands_back_the_keys_it_never_looks_up():
-    # load_cache admits only lambda of fewer than n parts without trailing
-    # zeros; the engine keeps any other key aside, untouched and unused
-    odd = {
-        (3, (3,), (1, 0)): {0: 3},  # a trailing zero, and wrong for omega_1
-        (3, (3,), (1, 1, 1)): {0: 1},  # n parts
-        (4, (4,), (2, 0, 1)): {5: 1},  # a zero inside
-        (3, (3,)): {0: 1},
-        "3|3|1": {0: 3},
-    }
-    engine = BranchEngine(cache=odd)
-    assert engine.cache == odd
-    assert engine.branch(SubalgebraType((3,)), DominantWeight.omega(3, 1)) == {2: 1}
-    assert engine.stats == {"computed": 1, "hits": 0}
-    assert engine.cache == {**odd, (3, (3,), (1,)): {2: 1}}
+@pytest.mark.parametrize("key, entry", [
+    ((3, (3,), (1, 0)), {0: 3}),  # a trailing zero, and wrong for omega_1
+    ((3, (3,), (1, 1, 1)), {0: 1}),  # n parts
+    ((4, (4,), (2, 0, 1)), {5: 1}),  # a zero inside
+    ((3, (3,)), {0: 1}),
+    ("3|3|1", {0: 3}),
+    ((4, (3,), (1,)), {2: 1}),  # blocks of another rank
+    ((6, (2, 4), (1,)), {1: 1, 3: 1}),  # blocks not sorted
+])
+def test_cache_rejects_keys_it_would_never_look_up(key, entry):
+    # branch looks up (n, blocks, lambda) with blocks a type of sl_n and lambda
+    # a partition of fewer than n parts without trailing zeros, and no other key
+    named = "cache entry " + re.escape(repr(key))
+    with pytest.raises(ValueError, match=named):
+        BranchEngine(cache={key: entry})
+    t, w = SubalgebraType((3,)), partition_to_omega((2,), 3)
+    engine = BranchEngine()
+    answer = engine.branch(t, w)
+    before, stats = engine.cache, dict(engine.stats)
+    with pytest.raises(ValueError, match=named):
+        engine.cache = {**before, key: entry}
+    # a rejected assignment leaves the memo, the counters and the answers kept
+    assert engine.cache == before
+    assert engine.stats == stats
+    assert engine.branch(t, w) == answer
+    assert engine.stats == {"computed": stats["computed"], "hits": stats["hits"] + 1}
+
+
+@settings(max_examples=30, deadline=None)
+@given(query_sequences())
+def test_an_engine_takes_back_whatever_cache_hands_out(queries):
+    # trivial keys (n, blocks, ()) and types with unit blocks included
+    donor = BranchEngine()
+    answers = [donor.branch(t, w) for t, w in queries]
+    recipient = BranchEngine(cache=donor.cache)
+    assert [recipient.branch(t, w) for t, w in queries] == answers
+    assert recipient.stats["computed"] == 0
+    assert recipient.cache == donor.cache
 
 
 def test_the_strip_table_gives_every_lower_pieri_member():

@@ -590,6 +590,7 @@ MALFORMED_CACHES = {
     "zero multiplicity": {"version": 1, "entries": {"4|4|1": {"3": 0}}},
     "negative multiplicity": {"version": 1, "entries": {"4|4|1": {"3": -1}}},
     "negative component": {"version": 1, "entries": {"4|4|1": {"-1": 1, "3": 1}}},
+    "empty multiplicity vector": {"version": 1, "entries": {"4|4|1": {}}},
     "key type of another rank": {"version": 1, "entries": {"4|3|1": {"2": 1}}},
     "key type of unit blocks": {"version": 1, "entries": {"4|1,1,1,1|1": {"0": 4}}},
     "key blocks not sorted": {"version": 1, "entries": {"6|2,4|1": {"1": 1, "3": 1}}},
@@ -627,6 +628,7 @@ def test_malformed_cache_exits_2(tmp_path, capsys, shape):
     )
     assert code == 2, err
     assert err.startswith("error: ")
+    assert err.startswith(f"error: cache {cache}")
     assert "internal error" not in err
 
 
