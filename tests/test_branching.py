@@ -361,6 +361,16 @@ def test_a_malformed_entry_is_rejected_when_set(entry):
     assert engine.branch(SubalgebraType((3,)), DominantWeight.omega(3, 1)) == {2: 1}
 
 
+def test_a_malformed_entry_of_the_queried_weight_is_rejected():
+    # the entry would answer the query itself, with no step above it to check
+    # it, so it is refused at assignment and the engine's empty memo stays
+    engine = BranchEngine()
+    with pytest.raises(ValueError, match=r"cache entry \(3, \(3,\), \(1,\)\)"):
+        engine.cache = {(3, (3,), (1,)): {0: -1}}
+    assert engine.cache == {}
+    assert engine.branch(SubalgebraType((3,)), DominantWeight.omega(3, 1)) == {2: 1}
+
+
 def test_branch_and_cache_hand_out_copies():
     engine = BranchEngine()
     t = SubalgebraType((4,))
