@@ -15,7 +15,8 @@ file holds a wrong entry (exit 2).  On load, the trivial and fundamental entries
 of the queried type are compared with {0: 1} and fundamental_branching, and a
 mismatch is rejected the same way.
 `verify --jobs N` runs min(N, CPU count) worker processes and imports the
-process pool only when that is more than one.
+process pool only when that is more than one.  `triple` refuses n above
+TRIPLE_MAX_N (exit 2) before it builds a matrix or imports numpy.
 """
 
 import argparse
@@ -52,6 +53,10 @@ EXIT_BUDGET = 4
 
 CACHE_ENV_VAR = "BRANCHKIT_CACHE"
 CACHE_VERSION = 1
+# `triple` prints three dense n x n matrices as indented JSON; at this rank
+# that takes about half a second and 55 MB of peak RSS on a 2-vCPU VM, with
+# interpreter start, and the memory grows as n^2 (98 MB at n = 500)
+TRIPLE_MAX_N = 300
 
 
 def _parse_ints(text, what):
@@ -294,6 +299,9 @@ def cmd_pieri(args) -> int:
 
 
 def cmd_triple(args) -> int:
+    if args.n > TRIPLE_MAX_N:
+        raise ValueError(f"triple exports dense n x n matrices only up to n={TRIPLE_MAX_N}, "
+                         f"got n={args.n}")
     t = _parse_type(args.type, args.n)
     H, X, Y = build_triple(t)
     payload = {

@@ -7,12 +7,13 @@ applying dim V_j - dim V_{j+2} reproduces any branching from first
 principles.  A tableau is a chain of horizontal strips, one per entry, so the
 count runs as one loop over the entries that groups the tableaux by the
 shape their smaller entries fill; nothing recurses and no tableau is built.
-Each partial shape keeps its counts by weight packed into one integer, one
-digit per weight, and a strip is added one row at a time, so that the shapes
-that differ only in that row share one running sum.  The number of tableaux
-is known up front from the hook-content formula: it sizes the digits, sets
-off the budget before any work, and must equal the sum of the digits read
-back.
+Each partial shape is coded as one integer, its row lengths the digits of a
+mixed radix, and its counts by weight are packed into another, one digit per
+weight.  A strip is added one row at a time, so that the shapes that differ
+only in that row share one running sum, kept in a list indexed by that row's
+length.  The number of tableaux is known up front from the hook-content
+formula: it sizes the digits, sets off the budget before any work, and must
+equal the sum of the digits read back.
 
 Deliberately independent of the recursion and the closed forms: it imports
 nothing from fundamental or branching, only h_diagonal from subalgebra, the
@@ -65,6 +66,13 @@ def tableau_weight_multiset(shape, values, budget: int | None = None) -> Counter
     one running sum over x, the new length of row i:
     acc(x) = acc(x - 1) * Q^(value - min) + (the integer of mu with mu_i = x).
 
+    A state nu is coded as the integer sum of nu_i * R_i, with R_0 = 1 and
+    R_{i+1} = R_i * (shape_i + 1), so the full shape is R_rows - 1.  A pass
+    over row i reads nu_i as code // R_i % (shape_i + 1) and groups the
+    states by key = code - nu_i * R_i, each group a list of counts indexed by
+    nu_i up to the strip's bound.  Each group is popped as it is swept, which
+    frees its integers, and the sum at x goes to the state key + x * R_i.
+
     A state's counts are packed into one integer: the partial tableaux of
     shape nu and weight min(values) * |nu| + e make up the digit of Q^e,
     Q = 256^w, so adding a box of entry v multiplies by Q^(value - min), a
@@ -86,31 +94,36 @@ def tableau_weight_multiset(shape, values, budget: int | None = None) -> Counter
     low = values[0] if values else 0
     size = -(-count.bit_length() // 8)  # bytes per digit
     lam = shape + (0,) * n
-    states = {(0,) * rows: 1}
+    radix = [1]  # the place value of each row's length in a state's code
+    for r in shape:
+        radix.append(radix[-1] * (r + 1))
+    states = {0: 1}
     for v, h in enumerate(values, 1):
         step, below = 8 * size * (h - low), n - v
         for i in reversed(range(min(v, rows))):
             lo, top = lam[i + below], lam[i]
             if lam[i + below + 1] == top:
                 continue  # row i was full before entry v
+            place, width = radix[i], top + 1
             groups: dict = {}
-            for mu, packed in states.items():
-                key = mu[:i] + mu[i + 1:]
+            for code, packed in states.items():
+                x = code // place % width
+                key = code - x * place
                 src = groups.get(key)
                 if src is None:
-                    groups[key] = {mu[i]: packed}
-                else:
-                    src[mu[i]] = packed
+                    # the strip's bound: row i - 1 as it was before entry v
+                    end = min(top, key % place // radix[i - 1]) if i else top
+                    src = groups[key] = [0] * (end + 1)
+                src[x] = packed
             states = {}
             while groups:  # popping frees each group's integers once its sum is written
                 key, src = groups.popitem()
-                head, tail = key[:i], key[i:]
                 acc = 0
-                for x in range(min(src), min(top, key[i - 1]) + 1 if i else top + 1):
-                    acc = (acc << step) + src.get(x, 0)
-                    if x >= lo:
-                        states[head + (x,) + tail] = acc
-    packed = states[shape]
+                for x, c in enumerate(src):
+                    acc = (acc << step) + c
+                    if acc and x >= lo:
+                        states[key + x * place] = acc
+    packed = states[radix[-1] - 1]
     raw = packed.to_bytes(-(-packed.bit_length() // 8), "little")
     if size > 1:
         raw = [int.from_bytes(raw[k:k + size], "little") for k in range(0, len(raw), size)]

@@ -324,6 +324,26 @@ def test_triple_export_brackets(capsys):
     assert np.array_equal(X @ Y - Y @ X, H)
 
 
+def test_triple_refuses_a_rank_past_its_cap_before_building(capsys, monkeypatch):
+    def no_build(t):
+        raise AssertionError(f"no triple may be built for {t}")
+
+    monkeypatch.setattr(cli, "build_triple", no_build)
+    n = str(cli.TRIPLE_MAX_N + 1)
+    for argv in (("--n", n, "--type", n), ("--n", "100000", "--type", "100000")):
+        code, out, err = run(capsys, "triple", *argv)
+        assert code == 2, argv
+        assert err.startswith("error: ") and str(cli.TRIPLE_MAX_N) in err
+        assert out == ""
+
+
+def test_triple_at_its_cap(capsys):
+    n = str(cli.TRIPLE_MAX_N)
+    code, out, _ = run(capsys, "triple", "--n", n, "--type", n)
+    assert code == 0
+    assert len(json.loads(out)["H"]) == cli.TRIPLE_MAX_N
+
+
 def test_verify_small_sweep(capsys):
     code, out, _ = run(capsys, "verify", "--n", "3", "--max-boxes", "3")
     assert code == 0

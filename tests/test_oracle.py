@@ -209,13 +209,28 @@ def test_a_wrong_tableau_count_raises_instead_of_answering(monkeypatch, wrong):
 
 @pytest.mark.parametrize(
     "blocks, shape",
-    [((5,), (40, 30, 20, 10)), ((2, 1), (200, 100))],
-    ids=["sl5-principal-40,30,20,10", "sl3-[2,1]-200,100"],
+    [((5,), (40, 30, 20, 10)), ((2, 1), (200, 100)), ((35,), (3,) * 34)],
+    # the last has 102 boxes in 34 rows: its state codes reach 4^34 = 2^68
+    ids=["sl5-principal-40,30,20,10", "sl3-[2,1]-200,100", "sl35-principal-3^34"],
 )
 def test_oracle_reaches_weights_of_a_hundred_boxes_and_more(blocks, shape):
     t = SubalgebraType(blocks)
     w = partition_to_omega(shape, t.n)
     assert oracle_branch(t, w, budget=None) == BranchEngine().branch(t, w)
+
+
+def test_oracle_memory_stays_put():
+    # sl_3 [2,1] (200, 100): the traced peak was 6.25 MiB with partial shapes
+    # kept as tuples, on CPython 3.11, and 8.2 MiB when the strip pass kept
+    # every group until the pass ended instead of popping each as it is swept
+    values = h_diagonal(SubalgebraType((2, 1)))
+    tracemalloc.start()
+    try:
+        tableau_weight_multiset((200, 100), values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.9 * 2**20, f"{peak / 2**20:.2f} MiB traced"
 
 
 @st.composite
