@@ -17,19 +17,21 @@ Res L(lambda) as a packed integer, the positive half of its Weyl numerator
 (qcomb).  A lookup that misses the trivial weight or a fundamental computes it
 at once; any other weight takes a step: one multiply by the character of w_k,
 packed as the wedge recurrence leaves it, a few folded terms, and one checked
-subtraction per lower member.  The lower members come from a strip table per
-engine, keyed by k and the equal adjacent rows of lambda', so pieri_set runs
-once per such pattern, not once per step.
+subtraction per lower member.  The lower members come from one bounded strip
+table per process (_lower_strips), keyed by k and the equal adjacent rows of
+lambda', so pieri_set runs once per such pattern, not once per step or engine.
 The dict Clebsch-Gordan product and subtraction of sl2 run only when a check
 finds a negative multiplicity, to name it; entries cross the engine's edges
 (`branch`, `BranchEngine.cache`, cache files) as {j: m_j} dicts, checked by _admit.
 """
 
+from functools import lru_cache
+from itertools import accumulate
 from math import comb
 from operator import add, eq, sub
 
 from .fundamental import _fundamental, fundamental_branching, wedge_character
-from .pieri import pieri_set
+from .pieri import lex_max_member, pieri_set
 from .qcomb import digits, fold, guard_mask, pack, width
 from .sl2 import InternalConsistencyError, MultVector, cg_convolve, mv_subtract
 from .subalgebra import SubalgebraType
@@ -77,12 +79,11 @@ class BranchEngine:
     it on the spot, so only lambda_1 >= 2 takes a step.  A step multiplies
     P(lambda') by the character (qcomb.fold) and subtracts the lower Pieri
     members one by one, each checked by a sign test and one AND against the
-    digits' top bits.  The members come from a strip table of the engine:
-    mu - lambda' depends on lambda' only through k and which adjacent rows of
-    lambda' are equal, so pieri_set runs once per such pattern.  Before the
-    multiply one AND certifies that every digit of P(lambda') is below
-    2**(8w - 1 - b), b the bit length of C(n, k) = dim L(w_k), so that no
-    product digit carries.  A value that does not fit repacks the memo at
+    digits' top bits.  The members come from the process-wide strip table
+    (_lower_strips), which holds only the Pieri rule, no answer, so every
+    engine shares it.  Before the multiply one AND certifies that every digit
+    of P(lambda') is below 2**(8w - 1 - b), b the bit length of C(n, k) =
+    dim L(w_k), so that no product digit carries.  A value that does not fit repacks the memo at
     double the width and restarts the query; the width a query starts from,
     read off dim L(lambda), is only a first guess.  Assigning cache= or
     `cache` checks every entry at once (see _admit), so that a rejected
@@ -98,7 +99,6 @@ class BranchEngine:
         self.cache = {} if cache is None else cache
         self.stats = {"computed": 0, "hits": 0}
         self._columns: dict = {}  # n -> k -> the column (1,) * k + (0,) * (n - k), once used
-        self._strips: dict = {}  # (k, equal adjacent rows of lambda') -> mu - lambda' per lower mu
 
     @property
     def cache(self) -> dict[tuple, MultVector]:
@@ -185,7 +185,7 @@ class BranchEngine:
         if (p := self._get(t, memo, prev)) is None:
             p = yield prev
         lower = []
-        for d in self._lower(prev, k, lam):
+        for d in _lower_strips(k, *map(eq, prev, prev[1:])):
             mu = tuple(map(add, prev, d))
             m = self._get(t, memo, mu)
             lower.append(m if m is not None else (yield mu))
@@ -204,22 +204,6 @@ class BranchEngine:
                 break
         memo[lam] = r
         yield r
-
-    def _lower(self, prev, k, lam):
-        """mu - lambda' for each mu != lam in P(lambda', k), from the strip table.
-
-        A vertical strip puts a box in row i > 0 only where lambda'_{i-1} >
-        lambda'_i or row i - 1 gets one too, and a box in row n takes off the
-        full column: so mu - lambda' depends on lambda' only through k and
-        which adjacent rows are equal, and pieri_set runs once per pattern.
-        """
-        pattern = (k, *map(eq, prev, prev[1:]))
-        strips = self._strips.get(pattern)
-        if strips is None:
-            strips = self._strips[pattern] = [
-                tuple(map(sub, mu, prev)) for mu in pieri_set(prev, k) if mu != lam
-            ]
-        return strips
 
     def _by_dicts(self, t, lam, p, k, lower):
         """The step on {j: m_j} dicts, which names the negative multiplicity."""
@@ -274,6 +258,22 @@ class BranchEngine:
             memo[lam] = self._pack(mv)
 
 
+@lru_cache(maxsize=1024)
+def _lower_strips(k: int, *eqs: bool) -> tuple[tuple[int, ...], ...]:
+    """mu - lambda' for each mu in P(lambda', k) but lambda' + w_k, where eqs
+    tells which adjacent rows of the padded lambda' are equal.
+
+    A vertical strip puts a box in row i > 0 only where lambda'_{i-1} >
+    lambda'_i or row i - 1 gets one too, and a box in row n takes off the full
+    column, so these differences depend on lambda' only through k and eqs: they
+    are read off a representative whose row i counts the unequal adjacent
+    pairs below it.  Tuples, since every engine shares each entry.
+    """
+    rep = tuple(accumulate((not e for e in reversed(eqs)), initial=0))[::-1]
+    top = lex_max_member(rep, k)
+    return tuple(tuple(map(sub, mu, rep)) for mu in pieri_set(rep, k) if mu != top)
+
+
 def _admit(memos, key, mv):
     """The memo of key's type in memos, made on first use, and key's lambda padded
     to n rows.  ValueError names the key unless it is (n, blocks, lambda) as
@@ -310,7 +310,11 @@ def branch(t: SubalgebraType, w: DominantWeight) -> MultVector:
 
 
 def clear_cache():
-    """Forget every memoized branching: the shared engine's and the fundamentals'."""
+    """Forget every memoized branching: the shared engine's and the fundamentals'.
+
+    The strip table (_lower_strips) stays: it holds the Pieri rule, not an
+    answer, and no cache= or cache file writes to it.
+    """
     _DEFAULT_ENGINE.cache = {}
     _fundamental.cache_clear()
 

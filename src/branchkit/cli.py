@@ -8,15 +8,17 @@ exceeded.
 
 `branch --cache` keeps the engine's memo table in a version-tagged file of
 compact JSON with sorted keys, its entries checked on load by the engine's
-`cache` setter, replaced atomically, and rewritten only when a run computed a
-new entry, before the answer is printed.  A run that loaded the file and then
+`cache` setter, replaced atomically (a failed write names the file, not its
+temporary twin), and rewritten only when a run computed a new entry, before
+the answer is printed.  A run that loaded the file and then
 fails a consistency check is repeated once without it; if that run passes, the
 file holds a wrong entry (exit 2).  On load, the trivial and fundamental entries
 of the queried type are compared with {0: 1} and fundamental_branching, and a
 mismatch is rejected the same way.
 `verify --jobs N` runs min(N, CPU count) worker processes and imports the
 process pool only when that is more than one.  `triple` refuses n above
-TRIPLE_MAX_N (exit 2) before it builds a matrix or imports numpy.
+TRIPLE_MAX_N (exit 2) before it builds a matrix or imports numpy.  JSON output
+goes to stdout in blocks as it is encoded.
 """
 
 import argparse
@@ -53,9 +55,10 @@ EXIT_BUDGET = 4
 
 CACHE_ENV_VAR = "BRANCHKIT_CACHE"
 CACHE_VERSION = 1
-# `triple` prints three dense n x n matrices as indented JSON; at this rank
-# that takes about half a second and 55 MB of peak RSS on a 2-vCPU VM, with
-# interpreter start, and the memory grows as n^2 (98 MB at n = 500)
+# `triple` prints three dense n x n matrices as indented JSON, streamed; at
+# this rank that takes about 0.4 s and 33 MB of peak RSS on a 2-vCPU VM, with
+# interpreter start, and the matrices' lists grow as n^2 (0.7 s and 40 MB at
+# n = 500)
 TRIPLE_MAX_N = 300
 
 
@@ -88,8 +91,20 @@ def _parse_weight(args) -> DominantWeight:
 
 # ---------------------------------------------------------------- formatting
 
-def canonical_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
+def _print_json(payload):
+    """Write payload to stdout as indented JSON with sorted keys, and a newline.
+
+    The text goes out in blocks of encoder chunks: json.dumps (indent forces
+    the pure-Python encoder) would hold every chunk at once, several times the
+    size of the text, and json.dump writes each chunk on its own, which costs
+    more time on sys.stdout.  stdout is read at the call, so a replaced one
+    gets the text.
+    """
+    out = sys.stdout
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    while block := "".join(islice(chunks, 4096)):
+        out.write(block)
+    out.write("\n")
 
 
 def _latex_multvector(mv) -> str:
@@ -107,7 +122,7 @@ def _emit_multvector(fmt, mv, dimension, json_extra):
         payload["dimension"] = str(dimension)
         payload["highest"] = highest_component(mv)
         payload["lowest"] = lowest_component(mv)
-        print(canonical_json(payload))
+        _print_json(payload)
     elif fmt == "csv":
         print("j,multiplicity")
         for j in sorted(mv):
@@ -182,7 +197,8 @@ def save_cache(path, cache):
     """Write the memo cache to a temporary file beside path, then rename it over path.
 
     Compact separators keep json.dumps on its C encoder (indent forces the
-    pure-Python one); sort_keys orders entries and components as before.
+    pure-Python one); sort_keys orders entries and components as before.  An
+    OSError names path, not the temporary file.
     """
     entries = {
         _cache_key_str(key): {str(j): m for j, m in mv.items()} for key, mv in cache.items()
@@ -193,6 +209,8 @@ def save_cache(path, cache):
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
         os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(f"cannot write cache {path}: {exc.strerror or exc}") from None
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -271,7 +289,7 @@ def cmd_table(args) -> int:
                 str(k): {str(j): mv[j] for j in sorted(mv)} for k, mv in table.items()
             },
         }
-        print(canonical_json(payload))
+        _print_json(payload)
     elif args.format == "csv":
         print("k,j,multiplicity")
         for k, mv in table.items():
@@ -311,7 +329,7 @@ def cmd_triple(args) -> int:
         "X": X.tolist(),
         "Y": Y.tolist(),
     }
-    print(canonical_json(payload))
+    _print_json(payload)
     return EXIT_OK
 
 

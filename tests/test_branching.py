@@ -1,6 +1,6 @@
 import re
 import sys
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from operator import add, eq
 
 import pytest
@@ -528,23 +528,23 @@ def test_an_engine_takes_back_whatever_cache_hands_out(queries):
 
 def test_the_strip_table_gives_every_lower_pieri_member():
     # every padded lambda' of sl_2..sl_9 with parts <= 5, and every k, from
-    # one engine's table: the differences mu - lambda' depend on lambda' only
+    # the shared table: the differences mu - lambda' depend on lambda' only
     # through k and its equal adjacent rows
-    engine, cases = BranchEngine(), 0
+    cases = 0
     for n in range(2, 10):
         for rows in combinations_with_replacement(range(5, -1, -1), n - 1):
             prev = rows + (0,)
             for k in range(1, n):
-                lam = lex_max_member(prev, k)
-                got = [tuple(map(add, prev, d)) for d in engine._lower(prev, k, lam)]
+                strips = branching._lower_strips(k, *map(eq, prev, prev[1:]))
+                got = [tuple(map(add, prev, d)) for d in strips]
                 assert len(got) == len(set(got)), (prev, k)
-                assert set(got) == pieri_set(prev, k) - {lam}, (prev, k)
+                assert set(got) == pieri_set(prev, k) - {lex_max_member(prev, k)}, (prev, k)
                 cases += 1
     assert cases == 20592
-    assert len(engine._strips) == 3228
 
 
-def test_pieri_set_runs_once_per_pattern_of_each_engine(monkeypatch):
+def counting_pieri_set(monkeypatch):
+    """The patterns branching.pieri_set is called on, from an empty strip table."""
     calls = []
     real = branching.pieri_set
 
@@ -552,17 +552,37 @@ def test_pieri_set_runs_once_per_pattern_of_each_engine(monkeypatch):
         calls.append((k, *map(eq, prev, prev[1:])))
         return real(prev, k)
 
+    branching._lower_strips.cache_clear()
     monkeypatch.setattr(branching, "pieri_set", counting)
-    engine = BranchEngine()
-    for t in all_types(6):
-        for w in iter_dominant_weights(6, 6):
-            engine.branch(t, w)
-    assert calls and len(calls) == len(set(calls)) == len(engine._strips)
-    # the table belongs to the engine: a fresh one starts empty
-    calls.clear()
-    t, w = SubalgebraType((6,)), partition_to_omega((3, 2, 1), 6)
-    assert BranchEngine().branch(t, w) == engine.branch(t, w)
-    assert calls and len(calls) == len(set(calls))
+    return calls
+
+
+def test_pieri_set_runs_once_per_pattern_of_the_process(monkeypatch):
+    calls = counting_pieri_set(monkeypatch)
+    queries = [(t, w) for t in all_types(6) for w in iter_dominant_weights(6, 6)]
+    for pivot in ("largest", "smallest"):
+        calls.clear()
+        branching._lower_strips.cache_clear()
+        engine = BranchEngine(pivot=pivot)
+        answers = [engine.branch(t, w) for t, w in queries]
+        assert calls and len(calls) == len(set(calls)), pivot
+        assert branching._lower_strips.cache_info().currsize == len(calls), pivot
+        # the table outlives the engine and clear_cache: a fresh engine takes
+        # every pattern from it
+        calls.clear()
+        clear_cache()
+        fresh = BranchEngine(pivot=pivot)
+        assert [fresh.branch(t, w) for t, w in queries] == answers
+        assert calls == [], pivot
+
+
+def test_strip_table_is_bounded():
+    branching._lower_strips.cache_clear()
+    for eqs in product((False, True), repeat=11):
+        branching._lower_strips(1, *eqs)
+    info = branching._lower_strips.cache_info()
+    assert info.misses == 2**11
+    assert info.currsize <= info.maxsize < 2**11
 
 
 @st.composite

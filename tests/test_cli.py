@@ -1,9 +1,11 @@
 import argparse
 import concurrent.futures
+import contextlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -342,6 +344,20 @@ def test_triple_at_its_cap(capsys):
     code, out, _ = run(capsys, "triple", "--n", n, "--type", n)
     assert code == 0
     assert len(json.loads(out)["H"]) == cli.TRIPLE_MAX_N
+
+
+def test_triple_streams_its_json():
+    # CPython 3.11: json.dumps(indent=2) held a traced peak of 23.7 MiB at
+    # n = 300, the blocks written one by one about 4.5 MiB
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+        assert main(["triple", "--n", "2", "--type", "2"]) == 0  # numpy imported untraced
+        tracemalloc.start()
+        try:
+            assert main(["triple", "--n", "300", "--type", "300"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def test_verify_small_sweep(capsys):
@@ -758,6 +774,15 @@ def test_cache_save_failure_prints_no_answer(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: ")
     assert not cache.parent.exists()
+
+
+def test_a_failed_cache_write_names_the_cache_path(tmp_path, capsys):
+    # not the temporary file beside it, which the user never named
+    cache = tmp_path / "missing" / "memo.json"
+    code, _, err = run(capsys, "branch", "--n", "3", "--type", "3", "--partition", "2",
+                       "--cache", str(cache))
+    assert code == 2
+    assert err == f"error: cannot write cache {cache}: No such file or directory\n"
 
 
 def test_save_cache_failure_keeps_old_file(tmp_path, monkeypatch):
