@@ -313,7 +313,8 @@ def clear_cache():
     """Forget every memoized branching: the shared engine's and the fundamentals'.
 
     The strip table (_lower_strips) stays: it holds the Pieri rule, not an
-    answer, and no cache= or cache file writes to it.
+    answer, and no cache= or cache file writes to it.  The tableau oracle's
+    plan table stays for the same reason.
     """
     _DEFAULT_ENGINE.cache = {}
     _fundamental.cache_clear()

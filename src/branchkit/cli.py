@@ -15,8 +15,11 @@ fails a consistency check is repeated once without it; if that run passes, the
 file holds a wrong entry (exit 2).  On load, the trivial and fundamental entries
 of the queried type are compared with {0: 1} and fundamental_branching, and a
 mismatch is rejected the same way.
-`verify --jobs N` runs min(N, CPU count) worker processes and imports the
-process pool only when that is more than one.  `triple` refuses n above
+`verify` runs weight-major, one task per weight for every type, on
+min(--jobs, CPU count) worker processes, and imports the process pool only
+when that is more than one.  It refuses a sweep of more than
+VERIFY_MAX_PAIRS (type, weight) pairs (exit 2), counted from partition
+numbers before it lists a type or a weight.  `triple` refuses n above
 TRIPLE_MAX_N (exit 2) before it builds a matrix or imports numpy.  JSON output
 goes to stdout in blocks as it is encoded.
 """
@@ -60,6 +63,11 @@ CACHE_VERSION = 1
 # interpreter start, and the matrices' lists grow as n^2 (0.7 s and 40 MB at
 # n = 500)
 TRIPLE_MAX_N = 300
+# `verify` refuses a sweep of more (type, weight) pairs than this, counted
+# before it lists any.  README's largest sweep has 1922; every type of sl_20
+# up to 6 boxes, 18780 pairs, takes about 4.5 s with interpreter start on a
+# 2-vCPU VM, and larger weights cost more per pair
+VERIFY_MAX_PAIRS = 10**5
 
 
 def _parse_ints(text, what):
@@ -334,13 +342,19 @@ def cmd_triple(args) -> int:
 
 
 def _verify_task(task):
-    blocks, w, budget = task
-    t = SubalgebraType(blocks)
-    try:
-        return w, branch(t, w), oracle_branch(t, w, budget=budget)
-    except BudgetExceededError as exc:
-        lam = omega_to_partition(w)
-        raise BudgetExceededError(f"type {t}, lambda {lam or '()'}: {exc}") from None
+    """Every type against one weight: (type index, recursion, oracle) for each mismatch."""
+    all_blocks, w, budget = task
+    bad = []
+    for k, blocks in enumerate(all_blocks):
+        t = SubalgebraType(blocks)
+        try:
+            got, want = branch(t, w), oracle_branch(t, w, budget=budget)
+        except BudgetExceededError as exc:
+            lam = omega_to_partition(w)
+            raise BudgetExceededError(f"type {t}, lambda {lam or '()'}: {exc}") from None
+        if got != want:
+            bad.append((k, got, want))
+    return bad
 
 
 def _verify_results(tasks, jobs):
@@ -358,6 +372,41 @@ def _verify_results(tasks, jobs):
         pool.shutdown(cancel_futures=True)
 
 
+def _partition_counts(size, parts, enough):
+    """[p_0, ..., p_size], p_s the partitions of s into at most `parts` parts.
+
+    Conjugation makes these the partitions into parts of at most `parts`
+    boxes, counted one part size at a time; the counts only grow, and the
+    count stops early, short, once enough(counts) holds.
+    """
+    counts = [1] + [0] * size
+    for part in range(1, min(parts, size) + 1):
+        for s in range(part, size + 1):
+            counts[s] += counts[s - part]
+        if enough(counts):
+            break
+    return counts
+
+
+def _check_sweep_size(n, n_types, max_boxes):
+    """ValueError if the sweep holds more than VERIFY_MAX_PAIRS (type, weight) pairs.
+
+    n_types is None for every type of sl_n, p(n) - 1 of them: at least
+    n // 2 (the type [n] and the two-block ones), so a large n is refused
+    without counting.  There is a weight of each size up to max_boxes.
+    """
+    cap = VERIFY_MAX_PAIRS
+    if n_types is None:
+        n_types = n // 2 if n > 2 * cap else _partition_counts(
+            n, n, lambda c: c[-1] > cap + 1)[-1] - 1
+    if n_types <= cap and max_boxes < cap:
+        weights = _partition_counts(max_boxes, n - 1, lambda c: n_types * sum(c) > cap)
+        if n_types * sum(weights) <= cap:
+            return
+    raise ValueError(f"verify checks at most {cap} (type, weight) pairs; this sweep has "
+                     "more, so narrow --types or lower --max-boxes")
+
+
 def cmd_verify(args) -> int:
     for option, value, least in (("--jobs", args.jobs, 1), ("--max-boxes", args.max_boxes, 0),
                                  ("--budget", args.budget, 0)):
@@ -365,18 +414,26 @@ def cmd_verify(args) -> int:
             raise ValueError(f"{option} must be at least {least}, got {value}")
     jobs = min(args.jobs, os.cpu_count() or 1)
     if args.types == "all":
+        _check_sweep_size(args.n, None, args.max_boxes)
         types = all_types(args.n)
     else:
         types = [_parse_type(part, args.n) for part in args.types.split(";")]
+        _check_sweep_size(args.n, len(types), args.max_boxes)
     weights = list(iter_dominant_weights(args.n, args.max_boxes))
-    results = _verify_results([(t.blocks, w, args.budget) for t in types for w in weights], jobs)
+    # weight-major: each task runs every type on one weight, so the oracle's
+    # strip plan for that shape serves them all
+    blocks = [t.blocks for t in types]
+    results = _verify_results([(blocks, w, args.budget) for w in weights], jobs)
+    bad = [[] for _ in types]
+    for w, found in zip(weights, results):
+        for k, got, want in found:
+            bad[k].append((w, got, want))
     mismatches = 0
-    for t in types:
-        bad = [(w, got, want) for w, got, want in islice(results, len(weights)) if got != want]
-        if bad:
-            mismatches += len(bad)
-            print(f"type {t}: {len(bad)} MISMATCH of {len(weights)}")
-            for w, got, want in bad:
+    for t, rows in zip(types, bad):
+        if rows:
+            mismatches += len(rows)
+            print(f"type {t}: {len(rows)} MISMATCH of {len(weights)}")
+            for w, got, want in rows:
                 print(f"  key ({args.n}, {t.blocks}, {omega_to_partition(w)})")
                 print(f"    recursion: {got}")
                 print(f"    oracle:    {want}")

@@ -15,6 +15,14 @@ length.  The number of tableaux is known up front from the hook-content
 formula: it sizes the digits, sets off the budget before any work, and must
 equal the sum of the digits read back.
 
+Which state feeds which running sum, and which states a pass keeps, depends
+on the shape and n alone.  The first count of a (shape, n) records that as
+its plan, and later counts, whatever their values, replay only the sums.  The
+plans share one process-wide table (_plans) of at most 2**14 slots, a slot
+being one source index or one group; clear_cache leaves it, as it leaves the
+Pieri strip table, since a plan holds the structure of the chains and no
+answer.
+
 Deliberately independent of the recursion and the closed forms: it imports
 nothing from fundamental or branching, only h_diagonal from subalgebra, the
 partition dictionary from weights, and the dim-difference arithmetic
@@ -73,6 +81,17 @@ def tableau_weight_multiset(shape, values, budget: int | None = None) -> Counter
     nu_i up to the strip's bound.  Each group is popped as it is swept, which
     frees its integers, and the sum at x goes to the state key + x * R_i.
 
+    The grouping depends on (shape, n) alone.  So the first call for it
+    keeps the states in a list and groups their indices, and records, pass
+    by pass as it sums, which state feeds which position of which group;
+    that plan goes to the process-wide table _plans, and a later call with
+    any values runs only the sums.  The table holds at most 2**14 slots, a
+    slot being one source index or one group, and drops the least recently
+    used plan first.  It takes no plan of more than a quarter of that: a
+    larger shape drops its plan at the pass that outgrows it and goes on with
+    counts in its groups, as above.  branching.clear_cache leaves the table,
+    which holds no answer, only how the strips of a shape chain together.
+
     A state's counts are packed into one integer: the partial tableaux of
     shape nu and weight min(values) * |nu| + e make up the digit of Q^e,
     Q = 256^w, so adding a box of entry v multiplies by Q^(value - min), a
@@ -93,37 +112,9 @@ def tableau_weight_multiset(shape, values, budget: int | None = None) -> Counter
     values = sorted(values)
     low = values[0] if values else 0
     size = -(-count.bit_length() // 8)  # bytes per digit
-    lam = shape + (0,) * n
-    radix = [1]  # the place value of each row's length in a state's code
-    for r in shape:
-        radix.append(radix[-1] * (r + 1))
-    states = {0: 1}
-    for v, h in enumerate(values, 1):
-        step, below = 8 * size * (h - low), n - v
-        for i in reversed(range(min(v, rows))):
-            lo, top = lam[i + below], lam[i]
-            if lam[i + below + 1] == top:
-                continue  # row i was full before entry v
-            place, width = radix[i], top + 1
-            groups: dict = {}
-            for code, packed in states.items():
-                x = code // place % width
-                key = code - x * place
-                src = groups.get(key)
-                if src is None:
-                    # the strip's bound: row i - 1 as it was before entry v
-                    end = min(top, key % place // radix[i - 1]) if i else top
-                    src = groups[key] = [0] * (end + 1)
-                src[x] = packed
-            states = {}
-            while groups:  # popping frees each group's integers once its sum is written
-                key, src = groups.popitem()
-                acc = 0
-                for x, c in enumerate(src):
-                    acc = (acc << step) + c
-                    if acc and x >= lo:
-                        states[key + x * place] = acc
-    packed = states[radix[-1] - 1]
+    steps = [8 * size * (h - low) for h in values]
+    plan = _plans.get((shape, n))
+    packed = _strip_passes(shape, n, steps) if plan is None else _replay(plan, steps)
     raw = packed.to_bytes(-(-packed.bit_length() // 8), "little")
     if size > 1:
         raw = [int.from_bytes(raw[k:k + size], "little") for k in range(0, len(raw), size)]
@@ -135,6 +126,132 @@ def tableau_weight_multiset(shape, values, budget: int | None = None) -> Counter
             f"from {size}-byte digits, {count} by the hook-content formula"
         )
     return out
+
+
+class _PlanTable:
+    """Strip plans by (shape, n), least recently used first, `bound` slots at most in all."""
+
+    def __init__(self, bound: int):
+        self.bound, self.slots, self.plans = bound, 0, {}
+
+    def get(self, key):
+        entry = self.plans.pop(key, None)
+        if entry is None:
+            return None
+        self.plans[key] = entry
+        return entry[1]
+
+    def put(self, key, slots: int, passes: list):
+        if key not in self.plans:
+            self.plans[key] = slots, passes
+            self.slots += slots
+        while self.slots > self.bound:
+            self.slots -= self.plans.pop(next(iter(self.plans)))[0]
+
+
+# A slot is one source index or one group, about 60 bytes, so a full table
+# holds about 1 MiB.  Every shape of the sl_7 sweep up to 7 boxes takes 7834
+# slots in all, so they fit together; the largest shape of the sl_3 sweep up
+# to 60 boxes takes 1926.
+_plans = _PlanTable(2**14)
+
+
+def _sum_pass(states: list, groups, step: int) -> list:
+    """One pass's running sums over a list of packed counts, index 0 holding 0.
+
+    Each group is (pre, post), the indices of the states that feed its
+    positions in order; the sums at post's positions are kept, in order.
+    """
+    new = [0]
+    append = new.append
+    for pre, post in groups:
+        acc = 0
+        if pre:
+            for j in pre:
+                acc = (acc << step) + states[j]
+        for j in post:
+            acc = (acc << step) + states[j]
+            append(acc)
+    return new
+
+
+def _replay(passes, steps) -> int:
+    """The packed count of the full shape: a recorded plan's sums on these steps."""
+    states = [0, 1]
+    for v, groups in passes:
+        states = _sum_pass(states, groups, steps[v - 1])
+    return states[-1]
+
+
+def _strip_passes(shape, n, steps) -> int:
+    """The packed count of the full shape, and its plan for _plans while that stays small."""
+    rows = len(shape)
+    lam = shape + (0,) * n
+    radix = [1]  # the place value of each row's length in a state's code
+    for r in shape:
+        radix.append(radix[-1] * (r + 1))
+    # no plan takes more than a quarter of the table, so a shape too large to
+    # keep stops its recording early
+    limit = _plans.bound // 4
+    # while recording, state j (from 1) has code codes[j - 1] and counts
+    # states[j], and a group lists indices; after, states maps codes to counts
+    codes, states = [0], [0, 1]
+    passes, slots = [], 0  # the plan so far, None once past the limit
+    for v, step in enumerate(steps, 1):
+        below = n - v
+        for i in reversed(range(min(v, rows))):
+            lo, top = lam[i + below], lam[i]
+            if lam[i + below + 1] == top:
+                continue  # row i was full before entry v
+            place, width = radix[i], top + 1
+            # a group lists, by row i's new length, the indices of its states
+            # while recording, else their counts
+            groups: dict = {}
+            for code, item in (
+                states.items() if passes is None else zip(codes, range(1, len(states)))
+            ):
+                x = code // place % width
+                key = code - x * place
+                src = groups.get(key)
+                if src is None:
+                    # the strip's bound: row i - 1 as it was before entry v
+                    end = min(top, key % place // radix[i - 1]) if i else top
+                    src = groups[key] = [0] * (end + 1)
+                src[x] = item
+            if passes is not None:
+                recorded, codes = [], []
+                # in popitem's order, as below, so that a plan dropped halfway
+                # leaves the states in the order they would have had
+                for key, src in reversed(groups.items()):
+                    # the sum starts at the group's first state; x < lo feeds
+                    # it but is not kept
+                    first = src.index(next(filter(None, src)))
+                    slots += len(src) - first + 1
+                    if slots > limit:
+                        break
+                    cut = lo if lo > first else first
+                    recorded.append((src[first:cut] if cut > first else (), src[cut:]))
+                    codes.extend(range(key + cut * place, key + len(src) * place, place))
+                else:  # the pass fits the plan
+                    passes.append((v, recorded))
+                    states = _sum_pass(states, recorded, step)
+                    continue
+                passes = recorded = codes = None
+                for src in groups.values():
+                    for x, j in enumerate(src):
+                        src[x] = states[j]  # an absent state's index 0 holds 0
+            states = {}
+            while groups:  # popping frees each group's integers once its sum is written
+                key, src = groups.popitem()
+                acc = 0
+                for x, c in enumerate(src):
+                    acc = (acc << step) + c
+                    if acc and x >= lo:
+                        states[key + x * place] = acc
+    if passes is None:
+        return states[radix[-1] - 1]
+    _plans.put((shape, n), slots, passes)
+    return states[-1]
 
 
 def ssyt_count(shape: Partition, n: int) -> int:

@@ -10,7 +10,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from branchkit import BranchEngine, SubalgebraType, cli, fundamental, oracle, partition_to_omega
+from branchkit import (
+    BranchEngine,
+    SubalgebraType,
+    all_types,
+    cli,
+    fundamental,
+    iter_dominant_weights,
+    oracle,
+    partition_to_omega,
+)
 from branchkit.cli import main
 
 
@@ -486,6 +495,73 @@ def test_verify_exits_3_when_the_oracle_fails_its_count_check(capsys, monkeypatc
     assert code == 3
     assert err.startswith("error: 3 tableaux of shape (1,)")
     assert out == ""
+
+
+def test_verify_keeps_each_mismatch_with_its_type(capsys, monkeypatch):
+    real = cli.oracle_branch
+    wrong = {((3,), (1, 0)), ((3,), (0, 1)), ((2, 1), (2, 0))}
+
+    def oracle(t, w, budget):
+        want = real(t, w, budget=budget)
+        return {**want, 99: 1} if (t.blocks, w.coeffs) in wrong else want
+
+    monkeypatch.setattr(cli, "oracle_branch", oracle)
+    code, out, _ = run(capsys, "verify", "--n", "3", "--max-boxes", "2")
+    assert code == 1
+    assert out.splitlines() == [
+        "type [3]: 2 MISMATCH of 4",
+        "  key (3, (3,), (1,))",
+        "    recursion: {2: 1}",
+        "    oracle:    {2: 1, 99: 1}",
+        "  key (3, (3,), (1, 1))",
+        "    recursion: {2: 1}",
+        "    oracle:    {2: 1, 99: 1}",
+        "type [2,1]: 1 MISMATCH of 4",
+        "  key (3, (2, 1), (2,))",
+        "    recursion: {0: 1, 1: 1, 2: 1}",
+        "    oracle:    {0: 1, 1: 1, 2: 1, 99: 1}",
+        "FAILED: 3 mismatches",
+    ]
+
+
+def test_verify_prints_the_same_bytes_with_two_jobs(capsys, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # so the clamp keeps --jobs 2
+    argv = ("verify", "--n", "5", "--types", "all", "--max-boxes", "4")
+    code, one, _ = run(capsys, *argv, "--jobs", "1")
+    assert code == 0
+    code, two, _ = run(capsys, *argv, "--jobs", "2")
+    assert code == 0
+    assert two == one
+
+
+def test_verify_refuses_a_sweep_past_its_cap_before_listing(capsys, monkeypatch):
+    def no_listing(*args):
+        raise AssertionError(f"nothing may be listed for {args}")
+
+    monkeypatch.setattr(cli, "all_types", no_listing)
+    monkeypatch.setattr(cli, "iter_dominant_weights", no_listing)
+    cap = cli.VERIFY_MAX_PAIRS
+    for argv in (("--n", "100", "--types", "all"),  # p(100) - 1 types of 30 weights
+                 ("--n", str(10**9), "--types", "all"),
+                 ("--n", "2", "--max-boxes", str(cap)),  # cap + 1 weights of one type
+                 ("--n", "3", "--max-boxes", str(10**15)),  # refused before any count
+                 ("--n", "9", "--types", "9;8,1", "--max-boxes", "40")):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2, argv
+        assert err.startswith("error: ") and str(cap) in err, argv
+        assert out == ""
+    # a sweep of exactly cap pairs goes on to list its weights
+    code, _, err = run(capsys, "verify", "--n", "2", "--types", "2", "--max-boxes", str(cap - 1))
+    assert code == 3 and "nothing may be listed for (2, 99999)" in err
+
+
+def test_verify_counts_the_pairs_it_lists():
+    for n in range(2, 9):
+        types = cli._partition_counts(n, n, lambda counts: False)[-1] - 1
+        assert types == len(all_types(n)), n
+        for boxes in range(9):
+            weights = sum(cli._partition_counts(boxes, n - 1, lambda counts: False))
+            assert weights == len(list(iter_dominant_weights(n, boxes))), (n, boxes)
 
 
 @pytest.mark.parametrize("n", ["1", "0", "-1", "-7"])

@@ -1,3 +1,4 @@
+import contextlib
 import sys
 import tracemalloc
 from collections import Counter
@@ -259,3 +260,81 @@ def test_long_row_needs_no_recursion_limit():
     finally:
         sys.setrecursionlimit(limit)
     assert answer == {995: 1}
+
+
+@contextlib.contextmanager
+def fresh_plan_table():
+    """An empty strip plan table of the usual bound, the process's own put back afterwards."""
+    kept = oracle._plans
+    oracle._plans = oracle._PlanTable(kept.bound)
+    try:
+        yield oracle._plans
+    finally:
+        oracle._plans = kept
+
+
+def test_plan_table_is_bounded():
+    # every shape of sl_8 up to 8 boxes fits the per-plan limit, and all of
+    # their plans together hold more slots than the table
+    shapes = [s for boxes in range(9) for s in iter_partitions(boxes, max_parts=8)]
+    values = h_diagonal(SubalgebraType((8,)))
+    with fresh_plan_table() as table:
+        put = table.put
+        recorded = []
+        table.put = lambda key, slots, passes: (recorded.append(slots), put(key, slots, passes))
+        first = {shape: tableau_weight_multiset(shape, values) for shape in shapes}
+        assert len(recorded) == len(shapes) and sum(recorded) > table.bound
+        assert table.slots == sum(slots for slots, _ in table.plans.values()) <= table.bound
+        # the plans kept are the latest ones, and they answer as the first calls did
+        kept = list(table.plans)
+        assert kept == [(s, 8) for s in shapes[-len(kept):]]
+        for shape, _ in kept:
+            assert tableau_weight_multiset(shape, values) == first[shape]
+
+
+def test_plan_table_drops_the_least_recently_used_plan():
+    table = oracle._PlanTable(10)
+    table.put("a", 4, ["plan a"])
+    table.put("b", 4, ["plan b"])
+    assert table.get("a") == ["plan a"]
+    table.put("c", 4, ["plan c"])
+    assert list(table.plans) == ["a", "c"] and table.slots == 8
+    assert table.get("b") is None
+
+
+def test_a_sweep_records_each_shape_once(monkeypatch):
+    recorded = Counter()
+    real = oracle._strip_passes
+
+    def counting(shape, n, steps):
+        recorded[shape, n] += 1
+        return real(shape, n, steps)
+
+    monkeypatch.setattr(oracle, "_strip_passes", counting)
+    shapes = [s for boxes in range(7) for s in iter_partitions(boxes, max_parts=6)]
+    with fresh_plan_table() as table:
+        for t in all_types(6):
+            values = h_diagonal(t)
+            for shape in shapes:
+                assert tableau_weight_multiset(shape, values) == reference_multiset(shape, values)
+        assert recorded == Counter((s, 6) for s in shapes)
+        assert set(table.plans) == set(recorded)
+
+
+@st.composite
+def shapes_and_two_values(draw):
+    """A case of shapes_and_values and a second value vector of the same length."""
+    shape, values = draw(shapes_and_values())
+    other = draw(st.lists(st.integers(-5, 5), min_size=len(values), max_size=len(values)))
+    return shape, values, other
+
+
+@settings(max_examples=150, deadline=None)
+@given(shapes_and_two_values())
+def test_a_plan_serves_any_values(case):
+    # the first call records the plan, the next two replay it: one with other
+    # values, one with the first values again
+    shape, a, b = case
+    with fresh_plan_table():
+        for values in (a, b, a):
+            assert tableau_weight_multiset(shape, values) == reference_multiset(shape, values)
