@@ -10,10 +10,10 @@ shape their smaller entries fill; nothing recurses and no tableau is built.
 Each partial shape is coded as one integer, its row lengths the digits of a
 mixed radix, and its counts by weight are packed into another, one digit per
 weight.  A strip is added one row at a time, so that the shapes that differ
-only in that row share one running sum, kept in a list indexed by that row's
-length.  The number of tableaux is known up front from the hook-content
-formula: it sizes the digits, sets off the budget before any work, and must
-equal the sum of the digits read back.
+only in that row share one running sum, and a state is freed once the one sum
+it feeds has read it.  The number of tableaux is known up front from the
+hook-content formula: it sizes the digits, sets off the budget before any
+work, and must equal the sum of the digits read back.
 
 Which state feeds which running sum, and which states a pass keeps, depends
 on the shape and n alone.  The first count of a (shape, n) records that as
@@ -77,20 +77,20 @@ def tableau_weight_multiset(shape, values, budget: int | None = None) -> Counter
     A state nu is coded as the integer sum of nu_i * R_i, with R_0 = 1 and
     R_{i+1} = R_i * (shape_i + 1), so the full shape is R_rows - 1.  A pass
     over row i reads nu_i as code // R_i % (shape_i + 1) and groups the
-    states by key = code - nu_i * R_i, each group a list of counts indexed by
-    nu_i up to the strip's bound.  Each group is popped as it is swept, which
-    frees its integers, and the sum at x goes to the state key + x * R_i.
+    states by key = code - nu_i * R_i, each group the indices of its states
+    by nu_i up to the strip's bound.  A state feeds one sum and is freed once
+    that sum reads it, so a pass frees the level below as it goes; the sum at
+    x becomes the state key + x * R_i.
 
     The grouping depends on (shape, n) alone.  So the first call for it
-    keeps the states in a list and groups their indices, and records, pass
-    by pass as it sums, which state feeds which position of which group;
+    records, pass by pass as it sums, which states feed each group's sum;
     that plan goes to the process-wide table _plans, and a later call with
     any values runs only the sums.  The table holds at most 2**14 slots, a
     slot being one source index or one group, and drops the least recently
     used plan first.  It takes no plan of more than a quarter of that: a
-    larger shape drops its plan at the pass that outgrows it and goes on with
-    counts in its groups, as above.  branching.clear_cache leaves the table,
-    which holds no answer, only how the strips of a shape chain together.
+    larger shape stops recording at the pass that outgrows it and sums on
+    just the same.  branching.clear_cache leaves the table, which holds no
+    answer, only how the strips of a shape chain together.
 
     A state's counts are packed into one integer: the partial tableaux of
     shape nu and weight min(values) * |nu| + e make up the digit of Q^e,
@@ -184,32 +184,28 @@ def _replay(passes, steps) -> int:
 
 
 def _strip_passes(shape, n, steps) -> int:
-    """The packed count of the full shape, and its plan for _plans while that stays small."""
-    rows = len(shape)
+    """The packed count of the full shape, and its plan for _plans while that stays small.
+
+    Each state is freed once the sum it feeds has read it.
+    """
     lam = shape + (0,) * n
     radix = [1]  # the place value of each row's length in a state's code
     for r in shape:
         radix.append(radix[-1] * (r + 1))
-    # no plan takes more than a quarter of the table, so a shape too large to
-    # keep stops its recording early
-    limit = _plans.bound // 4
-    # while recording, state j (from 1) has code codes[j - 1] and counts
-    # states[j], and a group lists indices; after, states maps codes to counts
+    limit = _plans.bound // 4  # no plan takes more than a quarter of the table
+    # state j (from 1) has code codes[j - 1] and counts states[j]
     codes, states = [0], [0, 1]
     passes, slots = [], 0  # the plan so far, None once past the limit
     for v, step in enumerate(steps, 1):
         below = n - v
-        for i in reversed(range(min(v, rows))):
+        for i in reversed(range(min(v, len(shape)))):
             lo, top = lam[i + below], lam[i]
             if lam[i + below + 1] == top:
                 continue  # row i was full before entry v
             place, width = radix[i], top + 1
             # a group lists, by row i's new length, the indices of its states
-            # while recording, else their counts
             groups: dict = {}
-            for code, item in (
-                states.items() if passes is None else zip(codes, range(1, len(states)))
-            ):
+            for j, code in enumerate(codes, 1):
                 x = code // place % width
                 key = code - x * place
                 src = groups.get(key)
@@ -217,40 +213,33 @@ def _strip_passes(shape, n, steps) -> int:
                     # the strip's bound: row i - 1 as it was before entry v
                     end = min(top, key % place // radix[i - 1]) if i else top
                     src = groups[key] = [0] * (end + 1)
-                src[x] = item
-            if passes is not None:
-                recorded, codes = [], []
-                # in popitem's order, as below, so that a plan dropped halfway
-                # leaves the states in the order they would have had
-                for key, src in reversed(groups.items()):
-                    # the sum starts at the group's first state; x < lo feeds
-                    # it but is not kept
-                    first = src.index(next(filter(None, src)))
-                    slots += len(src) - first + 1
-                    if slots > limit:
-                        break
-                    cut = lo if lo > first else first
-                    recorded.append((src[first:cut] if cut > first else (), src[cut:]))
-                    codes.extend(range(key + cut * place, key + len(src) * place, place))
-                else:  # the pass fits the plan
-                    passes.append((v, recorded))
-                    states = _sum_pass(states, recorded, step)
-                    continue
-                passes = recorded = codes = None
-                for src in groups.values():
-                    for x, j in enumerate(src):
-                        src[x] = states[j]  # an absent state's index 0 holds 0
-            states = {}
-            while groups:  # popping frees each group's integers once its sum is written
-                key, src = groups.popitem()
+                src[x] = j
+            recorded, codes, new = [], [], [0]
+            append, extend = new.append, codes.extend
+            for key, src in groups.items():
+                # the sum starts at the group's first state; x < lo feeds it but is not kept
+                first = 0 if src[0] else src.index(next(filter(None, src)))
+                cut = lo if lo > first else first
+                pre, post = src[first:cut] if cut > first else (), src[cut:] if cut else src
                 acc = 0
-                for x, c in enumerate(src):
-                    acc = (acc << step) + c
-                    if acc and x >= lo:
-                        states[key + x * place] = acc
-    if passes is None:
-        return states[radix[-1] - 1]
-    _plans.put((shape, n), slots, passes)
+                for j in pre:
+                    acc = (acc << step) + states[j]
+                    states[j] = 0  # a state feeds one sum: free it once read
+                for j in post:
+                    acc = (acc << step) + states[j]
+                    states[j] = 0
+                    append(acc)
+                extend(range(key + cut * place, key + len(src) * place, place))
+                if passes is not None:
+                    slots += len(src) - first + 1
+                    recorded.append((pre, post))
+            states = new
+            if passes is not None and slots <= limit:
+                passes.append((v, recorded))
+            else:
+                passes = None
+    if passes is not None:
+        _plans.put((shape, n), slots, passes)
     return states[-1]
 
 

@@ -139,7 +139,9 @@ def iter_partitions(total: int, max_parts: int | None = None):
         if remaining == 0:
             yield ()
             return
-        if slots == 0:
+        if slots <= 1:  # the last slot takes the remainder, if it fits
+            if slots and remaining <= bound:
+                yield (remaining,)
             return
         for first in range(min(bound, remaining), 0, -1):
             for rest in rec(remaining - first, first, slots - 1):

@@ -488,6 +488,16 @@ def test_verify_budget_exceeded_exits_4(capsys):
     assert "error:" in err
 
 
+def test_verify_lists_a_one_row_sweep_of_the_full_cap(capsys):
+    # sl_2 up to 99999 boxes is 10^5 pairs, which the cap admits: the weights
+    # are listed in linear time, and then the first oracle call trips the budget
+    code, _, err = run(
+        capsys, "verify", "--n", "2", "--types", "2", "--max-boxes", "99999", "--budget", "0"
+    )
+    assert code == 4
+    assert "error:" in err
+
+
 def test_verify_exits_3_when_the_oracle_fails_its_count_check(capsys, monkeypatch):
     # a tableau count of 1 for every shape: () passes, (1,) with 3 tableaux does not
     monkeypatch.setattr(oracle, "_tableau_count", lambda shape, n: 1)

@@ -222,8 +222,9 @@ def test_oracle_reaches_weights_of_a_hundred_boxes_and_more(blocks, shape):
 
 def test_oracle_memory_stays_put():
     # sl_3 [2,1] (200, 100): the traced peak was 6.25 MiB with partial shapes
-    # kept as tuples, on CPython 3.11, and 8.2 MiB when the strip pass kept
-    # every group until the pass ended instead of popping each as it is swept
+    # kept as tuples, on CPython 3.11; it is 6.15 MiB, and 8.6 MiB when a strip
+    # pass keeps every state of the level below until the pass ends instead of
+    # setting each to 0 once its sum has read it
     values = h_diagonal(SubalgebraType((2, 1)))
     tracemalloc.start()
     try:
@@ -263,10 +264,10 @@ def test_long_row_needs_no_recursion_limit():
 
 
 @contextlib.contextmanager
-def fresh_plan_table():
-    """An empty strip plan table of the usual bound, the process's own put back afterwards."""
+def fresh_plan_table(bound=None):
+    """An empty strip plan table (of the usual bound by default), the process's own put back."""
     kept = oracle._plans
-    oracle._plans = oracle._PlanTable(kept.bound)
+    oracle._plans = oracle._PlanTable(kept.bound if bound is None else bound)
     try:
         yield oracle._plans
     finally:
@@ -319,6 +320,34 @@ def test_a_sweep_records_each_shape_once(monkeypatch):
                 assert tableau_weight_multiset(shape, values) == reference_multiset(shape, values)
         assert recorded == Counter((s, 6) for s in shapes)
         assert set(table.plans) == set(recorded)
+
+
+@pytest.mark.parametrize("bound", [64, 256])
+def test_a_plan_past_the_limit_is_not_kept(bound):
+    # a plan may take a quarter of the table: 16 slots, which most shapes of
+    # sl_4 and sl_5 up to 8 boxes outgrow in their second to fifth row pass,
+    # or 64, which some outgrow in their fourth to tenth
+    shapes = {n: [s for boxes in range(9) for s in iter_partitions(boxes, max_parts=n)]
+              for n in (4, 5)}
+    with fresh_plan_table() as table:
+        for n, shapes_n in shapes.items():
+            for shape in shapes_n:
+                tableau_weight_multiset(shape, (0,) * n)
+        slots = {key: size for key, (size, _) in table.plans.items()}
+    assert len(slots) == sum(map(len, shapes.values()))
+    seen = set()
+    with fresh_plan_table(bound) as table:
+        for n, shapes_n in shapes.items():
+            a, b = h_diagonal(SubalgebraType((n,))), (3, -2, 0, 5, -1)[:n]
+            for shape in shapes_n:
+                want_a, want_b = reference_multiset(shape, a), reference_multiset(shape, b)
+                for values, want in ((a, want_a), (b, want_b), (a, want_a)):
+                    assert tableau_weight_multiset(shape, values) == want, (shape, values)
+                fits = slots[shape, n] <= bound // 4
+                assert ((shape, n) in table.plans) == fits, shape
+                assert table.slots == sum(slots[key] for key in table.plans)
+                seen.add(fits)
+    assert seen == {True, False}
 
 
 @st.composite

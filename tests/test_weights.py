@@ -110,10 +110,30 @@ def test_dim_irrep_examples():
     assert dim_irrep(DominantWeight.zero(9)) == 1
 
 
+def brute_partitions(total, max_parts):
+    """Compositions of total, one per set of cut points, kept if short and weakly decreasing."""
+    out = []
+    for cuts in range(2 ** max(total - 1, 0)):
+        ends = [k for k in range(1, total) if cuts >> (k - 1) & 1] + [total]
+        parts = tuple(b - a for a, b in zip([0] + ends, ends)) if total else ()
+        short = max_parts is None or len(parts) <= max_parts
+        if short and list(parts) == sorted(parts, reverse=True):
+            out.append(parts)
+    return sorted(out, reverse=True)
+
+
 def test_iter_partitions():
     assert list(iter_partitions(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert list(iter_partitions(4, max_parts=2)) == [(4,), (3, 1), (2, 2)]
     assert list(iter_partitions(0)) == [()]
+    # a last slot takes the remainder at once, so one part of a million is instant
+    assert list(iter_partitions(10**6, max_parts=1)) == [(10**6,)]
+    assert list(iter_partitions(3, max_parts=0)) == []
+    for max_parts in (None, 0, 1, 2, 3):
+        for total in range(13):
+            assert list(iter_partitions(total, max_parts)) == brute_partitions(
+                total, max_parts
+            ), (total, max_parts)
 
 
 def weyl_product(w):
