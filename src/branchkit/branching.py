@@ -20,6 +20,13 @@ packed as the wedge recurrence leaves it, a few folded terms, and one checked
 subtraction per lower member.  The lower members come from one bounded strip
 table per process (_lower_strips), keyed by k and the equal adjacent rows of
 lambda', so pieri_set runs once per such pattern, not once per step or engine.
+The character, its top weight and guard bits come from one process-wide table
+(_characters) keyed by (blocks, k, width), and the guard masks from another
+(_guard_masks) keyed by (width, guard bits): each holds at most 1 MiB, drops
+its least recently used entry first and keeps nothing over a quarter of that,
+so wedge_character runs once per key in the process, not once per engine.
+Every engine may share them, since an entry is fixed by its key (width
+included) and holds no answer.
 The dict Clebsch-Gordan product and subtraction of sl2 run only when a check
 finds a negative multiplicity, to name it; entries cross the engine's edges
 (`branch`, `BranchEngine.cache`, cache files) as {j: m_j} dicts, checked by _admit.
@@ -81,9 +88,14 @@ class BranchEngine:
     members one by one, each checked by a sign test and one AND against the
     digits' top bits.  The members come from the process-wide strip table
     (_lower_strips), which holds only the Pieri rule, no answer, so every
-    engine shares it.  Before the multiply one AND certifies that every digit
-    of P(lambda') is below 2**(8w - 1 - b), b the bit length of C(n, k) =
-    dim L(w_k), so that no product digit carries.  A value that does not fit repacks the memo at
+    engine shares it.  The character and the guard masks come from the
+    process-wide tables _characters and _guard_masks, bounded at 1 MiB each,
+    once per engine and width (the engine keeps what it read in _chars and
+    _masks until it widens): an entry is fixed by its key, width included,
+    and holds no answer, so every engine shares them too.  Before the
+    multiply one AND certifies that every digit of P(lambda') is below
+    2**(8w - 1 - b), b the bit length of C(n, k) = dim L(w_k), so that no
+    product digit carries.  A value that does not fit repacks the memo at
     double the width and restarts the query; the width a query starts from,
     read off dim L(lambda), is only a first guess.  Assigning cache= or
     `cache` checks every entry at once (see _admit), so that a rejected
@@ -224,13 +236,13 @@ class BranchEngine:
             dim = comb(t.n, k)
             if width(dim) > self._w:
                 raise _TooNarrow
-            hit = self._chars[key] = (*wedge_character(t, k, self._w), dim.bit_length() + 1)
+            hit = self._chars[key] = _shared_character(t, k, self._w, dim)
         return hit
 
     def _mask(self, bits, length):
         mask = self._masks.get(bits, 0)
         if mask.bit_length() < length:
-            mask = self._masks[bits] = guard_mask(self._w, bits, 2 * length)
+            mask = self._masks[bits] = _shared_mask(self._w, bits, length)
         return mask
 
     def _pack(self, mv):
@@ -256,6 +268,61 @@ class BranchEngine:
         self._masks.clear()
         for memo, lam, mv in unpacked:
             memo[lam] = self._pack(mv)
+
+
+class _Table:
+    """Values by key, least recently used first, at most `bound` bytes in all;
+    a value of more than a quarter of the bound is not kept.  The tableau
+    oracle's plan table is its own class, since the oracle that checks the
+    recursion shares no code with it."""
+
+    def __init__(self, bound: int):
+        self.bound, self.size, self.entries = bound, 0, {}
+
+    def get(self, key):
+        entry = self.entries.pop(key, None)
+        if entry is None:
+            return None
+        self.entries[key] = entry
+        return entry[1]
+
+    def put(self, key, size: int, value):
+        """value, kept under key (in place of any value there) if it is small enough."""
+        if size <= self.bound // 4:
+            old = self.entries.pop(key, None)
+            self.size += size - (old[0] if old else 0)
+            self.entries[key] = size, value
+            while self.size > self.bound:
+                self.size -= self.entries.pop(next(iter(self.entries)))[0]
+        return value
+
+
+# Both hold structure that every engine of a width shares, no answer.  A 20 s
+# run of the recursion benchmark (seed 7) fills them with 847 characters and
+# 28 masks, about 21 KB each in all; principal sl_300's w_150 alone takes
+# 1.7 MB, and is not kept.
+_characters = _Table(2**20)
+_guard_masks = _Table(2**20)
+
+
+def _shared_character(t, k, w, dim):
+    """(packed character of w_k at width w, its top, guard bits): wedge_character
+    plus the bit length of dim = C(n, k), from the process-wide table."""
+    key = (t.blocks, k, w)
+    hit = _characters.get(key)
+    if hit is None:
+        c, top = wedge_character(t, k, w)
+        hit = _characters.put(key, c.bit_length() // 8, (c, top, dim.bit_length() + 1))
+    return hit
+
+
+def _shared_mask(w, bits, length):
+    """guard_mask(w, bits, .) over at least length bits, from the process-wide table."""
+    mask = _guard_masks.get((w, bits)) or 0
+    if mask.bit_length() < length:
+        mask = guard_mask(w, bits, 2 * length)
+        _guard_masks.put((w, bits), mask.bit_length() // 8, mask)
+    return mask
 
 
 @lru_cache(maxsize=1024)
@@ -313,8 +380,9 @@ def clear_cache():
     """Forget every memoized branching: the shared engine's and the fundamentals'.
 
     The strip table (_lower_strips) stays: it holds the Pieri rule, not an
-    answer, and no cache= or cache file writes to it.  The tableau oracle's
-    plan table stays for the same reason.
+    answer, and no cache= or cache file writes to it.  The character and mask
+    tables (_characters, _guard_masks) and the tableau oracle's plan table
+    stay for the same reason.
     """
     _DEFAULT_ENGINE.cache = {}
     _fundamental.cache_clear()

@@ -18,8 +18,9 @@ mismatch is rejected the same way.
 `verify` runs weight-major, one task per weight for every type, on
 min(--jobs, CPU count) worker processes, and imports the process pool only
 when that is more than one.  It refuses a sweep of more than
-VERIFY_MAX_PAIRS (type, weight) pairs (exit 2), counted from partition
-numbers before it lists a type or a weight.  `triple` refuses n above
+VERIFY_MAX_PAIRS (type, weight) pairs, or of pairs whose weights hold more
+than VERIFY_MAX_COEFFS coefficients, n - 1 each (exit 2), counted from
+partition numbers before it lists a type or a weight.  `triple` refuses n above
 TRIPLE_MAX_N (exit 2) before it builds a matrix or imports numpy.  JSON output
 goes to stdout in blocks as it is encoded.
 """
@@ -68,6 +69,10 @@ TRIPLE_MAX_N = 300
 # up to 6 boxes, 18780 pairs, takes about 4.5 s with interpreter start on a
 # 2-vCPU VM, and larger weights cost more per pair
 VERIFY_MAX_PAIRS = 10**5
+# and one whose pairs times n - 1, the coefficients of a weight, pass this:
+# at rank 10^9, 7 pairs asked for gigabytes.  Every type of sl_20 up to 6
+# boxes comes to 356820
+VERIFY_MAX_COEFFS = 10**6
 
 
 def _parse_ints(text, what):
@@ -389,7 +394,8 @@ def _partition_counts(size, parts, enough):
 
 
 def _check_sweep_size(n, n_types, max_boxes):
-    """ValueError if the sweep holds more than VERIFY_MAX_PAIRS (type, weight) pairs.
+    """ValueError if the sweep holds more than VERIFY_MAX_PAIRS (type, weight) pairs,
+    or more than VERIFY_MAX_COEFFS coefficients in their weights, n - 1 per pair.
 
     n_types is None for every type of sl_n, p(n) - 1 of them: at least
     n // 2 (the type [n] and the two-block ones), so a large n is refused
@@ -401,8 +407,14 @@ def _check_sweep_size(n, n_types, max_boxes):
             n, n, lambda c: c[-1] > cap + 1)[-1] - 1
     if n_types <= cap and max_boxes < cap:
         weights = _partition_counts(max_boxes, n - 1, lambda c: n_types * sum(c) > cap)
-        if n_types * sum(weights) <= cap:
-            return
+        pairs = n_types * sum(weights)
+        if pairs <= cap:
+            if pairs * (n - 1) <= VERIFY_MAX_COEFFS:
+                return
+            raise ValueError(f"verify lists at most {VERIFY_MAX_COEFFS} weight coefficients, "
+                             f"n - 1 = {n - 1} per (type, weight) pair; this sweep has "
+                             f"{pairs * (n - 1)}, so lower --n, narrow --types or lower "
+                             "--max-boxes")
     raise ValueError(f"verify checks at most {cap} (type, weight) pairs; this sweep has "
                      "more, so narrow --types or lower --max-boxes")
 

@@ -1,6 +1,8 @@
+import contextlib
 import re
 import sys
 from itertools import combinations_with_replacement, product
+from math import comb
 from operator import add, eq
 
 import pytest
@@ -27,7 +29,8 @@ from branchkit import (
     select_pivot,
 )
 from branchkit import branching, fundamental, pieri_set
-from branchkit.fundamental import fundamental_branching
+from branchkit.fundamental import fundamental_branching, wedge_character
+from branchkit.qcomb import guard_mask, width
 from branchkit.sl2 import mv_subtract
 from branchkit.weights import dual_weight, iter_partitions
 from test_qcomb import principal_by_hook_content
@@ -583,6 +586,130 @@ def test_strip_table_is_bounded():
     info = branching._lower_strips.cache_info()
     assert info.misses == 2**11
     assert info.currsize <= info.maxsize < 2**11
+
+
+@contextlib.contextmanager
+def fresh_tables(bound=None):
+    """Empty character and mask tables (of the usual bound by default), the process's own
+    put back."""
+    kept = branching._characters, branching._guard_masks
+    branching._characters, branching._guard_masks = (
+        branching._Table(table.bound if bound is None else bound) for table in kept)
+    try:
+        yield branching._characters, branching._guard_masks
+    finally:
+        branching._characters, branching._guard_masks = kept
+
+
+def assert_tables_hold_what_they_are_keyed_by(characters, masks):
+    for (blocks, k, w), (size, (c, top, guard)) in characters.entries.items():
+        t = SubalgebraType(blocks)
+        assert (c, top) == wedge_character(t, k, w), (blocks, k, w)
+        assert guard == comb(t.n, k).bit_length() + 1 and width(comb(t.n, k)) <= w
+        assert size == c.bit_length() // 8
+    for (w, bits), (size, mask) in masks.entries.items():
+        assert mask == guard_mask(w, bits, mask.bit_length() - 1), (w, bits)
+        assert size == mask.bit_length() // 8
+    for table in (characters, masks):
+        assert table.size == sum(size for size, _ in table.entries.values()) <= table.bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_each_character_entry_is_the_wedge_character_at_its_width(data):
+    with fresh_tables() as (characters, masks):
+        for _ in range(data.draw(st.integers(1, 4))):
+            n = data.draw(st.integers(2, 8))
+            t = data.draw(st.sampled_from(all_types(n)))
+            k = data.draw(st.integers(1, n - 1))
+            w = data.draw(st.integers(width(comb(n, k)), 9))
+            got = branching._shared_character(t, k, w, comb(n, k))
+            assert got == (*wedge_character(t, k, w), comb(n, k).bit_length() + 1)
+            assert characters.get((t.blocks, k, w)) == got
+        for t, w in data.draw(query_sequences()):
+            BranchEngine().branch(t, w)
+        assert_tables_hold_what_they_are_keyed_by(characters, masks)
+
+
+# wrong, but the engine trusts entries that pass its checks
+WIDE_ENTRY = {(5, (5,), (1,)): {0: 2**31 - 1, 2: 2**31 - 1, 4: 2**31 - 1}}
+
+
+def interleaved_answers(schedule, empty_between):
+    """Each (engine index, query) of schedule on engines 0 (largest pivot), 1
+    (smallest) and 2 (holding a wide omega_1 entry of principal sl_5, so that
+    its first query, (2) of that type, widens it to eight bytes and restarts),
+    with the tables emptied before every query or not."""
+    engines = [BranchEngine(), BranchEngine(pivot="smallest"), BranchEngine(cache=WIDE_ENTRY)]
+    schedule = [(2, (SubalgebraType((5,)), partition_to_omega((2,), 5))), *schedule]
+    answers = []
+    for i, (t, w) in schedule:
+        if empty_between:
+            with fresh_tables():
+                answers.append(engines[i].branch(t, w))
+        else:
+            answers.append(engines[i].branch(t, w))
+    assert engines[2]._w == 8
+    return answers
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2), st.sampled_from(
+    [(t, w) for n in (2, 3, 4) for t in all_types(n) for w in iter_dominant_weights(n, 9)])),
+    min_size=1, max_size=8))
+def test_engines_of_every_width_share_the_tables_as_if_each_had_its_own(schedule):
+    # engines 0 and 1 work at one or two bytes and engine 2 at eight, on the
+    # same types, so a character or mask of the wrong width would show
+    with fresh_tables() as tables:
+        assert interleaved_answers(schedule, False) == interleaved_answers(schedule, True)
+        assert {w for _, _, w in tables[0].entries} >= {8}
+        assert_tables_hold_what_they_are_keyed_by(*tables)
+
+
+def test_a_small_table_keeps_its_bound_and_drops_the_least_recently_used():
+    table = branching._Table(100)
+    assert table.put("a", 25, "A") == "A"
+    for key in "bcd":
+        table.put(key, 25, key.upper())
+    assert table.size == 100 and table.get("a") == "A"
+    table.put("e", 25, "E")  # over the bound: b, used least recently, goes
+    assert list(table.entries) == ["c", "d", "a", "e"] and table.size == 100
+    assert table.get("b") is None
+    assert table.put("f", 26, "F") == "F"  # more than a quarter of the bound
+    assert "f" not in table.entries and table.size == 100
+    table.put("c", 10, "C2")  # a new value replaces the old one
+    assert table.entries["c"] == (10, "C2") and table.size == 85
+
+
+def test_small_tables_never_exceed_their_bound():
+    # principal sl_9's omega_3 at width 2 takes 72 bytes, more than a quarter
+    # of 256, and all the characters together take 2508
+    queries = [(t, w) for n in (6, 9) for t in all_types(n) for w in iter_dominant_weights(n, 3)]
+    want = [BranchEngine().branch(t, w) for t, w in queries]
+    with fresh_tables(256) as tables:
+        sizes = []
+        put = tables[0].put
+        tables[0].put = lambda key, size, value: (sizes.append(size), put(key, size, value))[1]
+        assert [BranchEngine().branch(t, w) for t, w in queries] == want
+        assert sum(sizes) > 256 and max(sizes) > 256 // 4
+        assert_tables_hold_what_they_are_keyed_by(*tables)
+
+
+def test_the_tables_outlive_their_engine_and_clear_cache(monkeypatch):
+    calls = []
+    real_character, real_mask = branching.wedge_character, branching.guard_mask
+    monkeypatch.setattr(branching, "wedge_character",
+                        lambda t, k, w: (calls.append((t.blocks, k, w)), real_character(t, k, w))[1])
+    monkeypatch.setattr(branching, "guard_mask",
+                        lambda w, bits, length: (calls.append((w, bits)), real_mask(w, bits, length))[1])
+    queries = [(t, w) for t in all_types(6) for w in iter_dominant_weights(6, 6)]
+    with fresh_tables() as (characters, masks):
+        answers = [BranchEngine().branch(t, w) for t, w in queries]
+        assert calls and len(set(calls)) == len(characters.entries) + len(masks.entries)
+        calls.clear()
+        clear_cache()
+        assert [BranchEngine().branch(t, w) for t, w in queries] == answers
+        assert calls == []
 
 
 @st.composite

@@ -565,6 +565,27 @@ def test_verify_refuses_a_sweep_past_its_cap_before_listing(capsys, monkeypatch)
     assert code == 3 and "nothing may be listed for (2, 99999)" in err
 
 
+def test_verify_refuses_a_huge_rank_before_listing(capsys, monkeypatch):
+    def no_listing(*args):
+        raise AssertionError(f"nothing may be listed for {args}")
+
+    monkeypatch.setattr(cli, "all_types", no_listing)
+    monkeypatch.setattr(cli, "iter_dominant_weights", no_listing)
+    cap = cli.VERIFY_MAX_COEFFS
+    # 7 pairs of 10^9 - 1 coefficients each, and 4 pairs (weights of at most
+    # 2 boxes) of cap / 4 + 1 each, just past the cap
+    for argv in (("--n", str(10**9), "--types", str(10**9), "--max-boxes", "3", "--budget", "0"),
+                 ("--n", str(cap // 4 + 2), "--types", str(cap // 4 + 2), "--max-boxes", "2")):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2, argv
+        assert err.startswith("error: ") and str(cap) in err, argv
+        assert out == ""
+    # a sweep of exactly cap coefficients goes on to list its weights
+    n = cap // 4 + 1
+    code, _, err = run(capsys, "verify", "--n", str(n), "--types", str(n), "--max-boxes", "2")
+    assert code == 3 and f"nothing may be listed for ({n}, 2)" in err
+
+
 def test_verify_counts_the_pairs_it_lists():
     for n in range(2, 9):
         types = cli._partition_counts(n, n, lambda counts: False)[-1] - 1
