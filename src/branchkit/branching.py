@@ -17,9 +17,17 @@ Res L(lambda) as a packed integer, the positive half of its Weyl numerator
 (qcomb).  A lookup that misses the trivial weight or a fundamental computes it
 at once; any other weight takes a step: one multiply by the character of w_k,
 packed as the wedge recurrence leaves it, a few folded terms, and one checked
-subtraction per lower member.  The lower members come from one bounded strip
-table per process (_lower_strips), keyed by k and the equal adjacent rows of
-lambda', so pieri_set runs once per such pattern, not once per step or engine.
+subtraction per lower member.  Which k, lambda' and lower members a step uses
+depends on lambda and the pivot rule alone, so a step reads them with one
+dict.get from the process-wide shape table of its pivot rule (_shapes), keyed
+by the padded lambda.  A step that misses builds them: select_pivot, lambda
+minus the column, and the lower members from one bounded strip table per
+process (_lower_strips), keyed by k and the equal adjacent rows of lambda', so
+pieri_set runs once per such pattern, not once per step or engine.  Each
+shape table holds at most 3 MiB, counted with sys.getsizeof, and drops its
+oldest shape first; a query stops adding shapes once those it added pass a
+quarter of that, so a query too big to fit neither churns the table nor keeps
+its shapes alive.
 The character, its top weight and guard bits come from one process-wide table
 (_characters) keyed by (blocks, k, width), and the guard masks from another
 (_guard_masks) keyed by (width, guard bits): each holds at most 1 MiB, drops
@@ -32,10 +40,12 @@ finds a negative multiplicity, to name it; entries cross the engine's edges
 (`branch`, `BranchEngine.cache`, cache files) as {j: m_j} dicts, checked by _admit.
 """
 
+from collections import OrderedDict, deque
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
 from operator import add, eq, sub
+from sys import getsizeof
 
 from .fundamental import _fundamental, fundamental_branching, wedge_character
 from .pieri import lex_max_member, pieri_set
@@ -86,16 +96,17 @@ class BranchEngine:
     it on the spot, so only lambda_1 >= 2 takes a step.  A step multiplies
     P(lambda') by the character (qcomb.fold) and subtracts the lower Pieri
     members one by one, each checked by a sign test and one AND against the
-    digits' top bits.  The members come from the process-wide strip table
-    (_lower_strips), which holds only the Pieri rule, no answer, so every
-    engine shares it.  The character and the guard masks come from the
-    process-wide tables _characters and _guard_masks, bounded at 1 MiB each,
-    once per engine and width (the engine keeps what it read in _chars and
-    _masks until it widens): an entry is fixed by its key, width included,
-    and holds no answer, so every engine shares them too.  Before the
-    multiply one AND certifies that every digit of P(lambda') is below
-    2**(8w - 1 - b), b the bit length of C(n, k) = dim L(w_k), so that no
-    product digit carries.  A value that does not fit repacks the memo at
+    digits' top bits.  k, lambda' and the members come from the process-wide
+    shape table of the engine's pivot rule (_shapes), and a step that misses
+    it builds them from the strip table (_lower_strips); both hold only the
+    Pieri rule, no answer, so every engine shares them.  The character and
+    the guard masks come from the process-wide tables _characters and
+    _guard_masks, bounded at 1 MiB each, once per engine and width (the
+    engine keeps what it read in _chars and _masks until it widens): an entry
+    is fixed by its key, width included, and holds no answer, so every engine
+    shares them too.  Before the multiply one AND certifies that every digit
+    of P(lambda') is below 2**(8w - 1 - b), b the bit length of C(n, k) =
+    dim L(w_k), so that no product digit carries.  A value that does not fit repacks the memo at
     double the width and restarts the query; the width a query starts from,
     read off dim L(lambda), is only a first guess.  Assigning cache= or
     `cache` checks every entry at once (see _admit), so that a rejected
@@ -110,7 +121,6 @@ class BranchEngine:
         self.pivot = pivot
         self.cache = {} if cache is None else cache
         self.stats = {"computed": 0, "hits": 0}
-        self._columns: dict = {}  # n -> k -> the column (1,) * k + (0,) * (n - k), once used
 
     @property
     def cache(self) -> dict[tuple, MultVector]:
@@ -147,6 +157,7 @@ class BranchEngine:
         memo = self._memos.setdefault(key[:2], {})
         if lam not in memo:
             self._widen(width(dim_irrep(w) * comb(t.n, min(rows, t.n - rows))))
+        self._room = _shapes[self.pivot].bound // 4  # bytes of shapes this query may still add
         while True:
             try:
                 p = self._solve(t, memo, lam)
@@ -160,14 +171,14 @@ class BranchEngine:
         p = self._get(t, memo, lam)
         if p is not None:
             return p
-        columns = self._columns.setdefault(t.n, {})
-        steps = [self._step(t, memo, columns, lam)]
+        shapes = _shapes[self.pivot]
+        steps = [self._step(t, memo, shapes, lam)]
         while steps:  # suspended steps on a list, not the call stack: no depth limit
             p = steps[-1].send(p)
             if isinstance(p, int):  # a step's last yield: its own value
                 next(steps.pop(), None)  # finish it: closing a suspended one throws GeneratorExit
             else:  # a weight the memo lacks: start its step
-                steps.append(self._step(t, memo, columns, p))
+                steps.append(self._step(t, memo, shapes, p))
                 p = None
         return p
 
@@ -189,18 +200,31 @@ class BranchEngine:
             p = memo[lam] = self._pack(p)
         return p
 
-    def _step(self, t, memo, columns, lam):
+    def _step(self, t, memo, shapes, lam):
         """Yields each weight it needs that the memo lacks, is sent its value, yields its own."""
-        k = select_pivot(lam, largest=self.pivot == "largest")
-        column = columns.get(k) or columns.setdefault(k, (1,) * k + (0,) * (len(lam) - k))
-        prev = tuple(map(sub, lam, column))
+        shape = shapes.entries.get(lam)
+        if shape is None:
+            shapes.misses += 1
+            k = select_pivot(lam, largest=self.pivot == "largest")
+            prev = tuple(map(sub, lam, (1,) * k + (0,) * (len(lam) - k)))
+            members = self._add_shape(shapes, lam, k, prev) if self._room >= 0 else None
+        else:
+            k, prev, members = shape
         if (p := self._get(t, memo, prev)) is None:
             p = yield prev
         lower = []
-        for d in _lower_strips(k, *map(eq, prev, prev[1:])):
-            mu = tuple(map(add, prev, d))
-            m = self._get(t, memo, mu)
-            lower.append(m if m is not None else (yield mu))
+        if members is None:
+            # past the query's room each member is formed when it is needed: a
+            # tuple of them formed up front would outlive the steps below, and
+            # each object that does brings the next garbage collection nearer
+            for d in _lower_strips(k, *map(eq, prev, prev[1:])):
+                mu = tuple(map(add, prev, d))
+                m = self._get(t, memo, mu)
+                lower.append(m if m is not None else (yield mu))
+        else:
+            for mu in members:
+                m = self._get(t, memo, mu)
+                lower.append(m if m is not None else (yield mu))
         c, top, guard = self._character(t, k)
         if p & self._mask(guard, p.bit_length()):
             raise _TooNarrow
@@ -216,6 +240,14 @@ class BranchEngine:
                 break
         memo[lam] = r
         yield r
+
+    def _add_shape(self, shapes, lam, k, prev):
+        """The members of P(prev, k) but lam, as padded partitions: (k, prev,
+        members) goes to shapes, and its size off the query's room."""
+        strips = _lower_strips(k, *map(eq, prev, prev[1:]))
+        members = tuple([tuple(map(add, prev, d)) for d in strips])
+        self._room -= shapes.add(lam, (k, prev, members))
+        return members
 
     def _by_dicts(self, t, lam, p, k, lower):
         """The step on {j: m_j} dicts, which names the negative multiplicity."""
@@ -272,18 +304,22 @@ class BranchEngine:
 
 class _Table:
     """Values by key, least recently used first, at most `bound` bytes in all;
-    a value of more than a quarter of the bound is not kept.  The tableau
-    oracle's plan table is its own class, since the oracle that checks the
-    recursion shares no code with it."""
+    a value of more than a quarter of the bound is not kept.  hits, misses and
+    evictions count what get found and missed and the values dropped.  The
+    tableau oracle's plan table is its own class, since the oracle that checks
+    the recursion shares no code with it."""
 
     def __init__(self, bound: int):
-        self.bound, self.size, self.entries = bound, 0, {}
+        self.bound, self.size, self.entries = bound, 0, OrderedDict()  # key -> (size, value)
+        self.hits = self.misses = self.evictions = 0
 
     def get(self, key):
-        entry = self.entries.pop(key, None)
+        entry = self.entries.get(key)
         if entry is None:
+            self.misses += 1
             return None
-        self.entries[key] = entry
+        self.hits += 1
+        self.entries.move_to_end(key)
         return entry[1]
 
     def put(self, key, size: int, value):
@@ -292,8 +328,9 @@ class _Table:
             old = self.entries.pop(key, None)
             self.size += size - (old[0] if old else 0)
             self.entries[key] = size, value
-            while self.size > self.bound:
-                self.size -= self.entries.pop(next(iter(self.entries)))[0]
+            while self.size > self.bound:  # a dict's first key would be a scan past freed slots
+                self.size -= self.entries.popitem(last=False)[1][0]
+                self.evictions += 1
         return value
 
 
@@ -303,6 +340,48 @@ class _Table:
 # 1.7 MB, and is not kept.
 _characters = _Table(2**20)
 _guard_masks = _Table(2**20)
+
+
+class _Shapes:
+    """The shape of a step, (k, lambda', the members of P(lambda', k) but
+    lambda), by its padded lambda, read by entries.get: at most `bound` bytes
+    in all, as sys.getsizeof counts them, the oldest shape dropped first.
+    misses counts the shapes the steps built, evictions those dropped."""
+
+    # per shape, besides its tuples of parts: its dict slot and (key, size)
+    # entry in `order` (at most 120 bytes at any fill, churn included, by
+    # tracemalloc), the (k, lambda', members) tuple and the size
+    SLOT = 120 + getsizeof((0, 0, 0)) + getsizeof(2**20)
+
+    def __init__(self, bound: int):
+        self.bound, self.size, self.entries, self.order = bound, 0, {}, deque()
+        self.misses = self.evictions = 0
+
+    def add(self, lam, shape) -> int:
+        """Keep shape under lam, drop the oldest shapes past the bound, and return
+        shape's size.  lam, lambda' and each member are tuples as long as lam.
+        Their parts are at most lam_1 + 1, and once lam_1 passes CPython's
+        cached small ints each part is counted as one more int that large."""
+        members = shape[2]
+        part = getsizeof(lam[0] + 1) if lam[0] > 255 else 0
+        row = getsizeof(lam) + len(lam) * part
+        size = self.SLOT + getsizeof(members) + (2 + len(members)) * row
+        self.entries[lam] = shape
+        self.order.append((lam, size))
+        self.size += size
+        while self.size > self.bound:
+            key, dropped = self.order.popleft()
+            del self.entries[key]
+            self.size -= dropped
+            self.evictions += 1
+        return size
+
+
+# One table per pivot rule.  The shapes hold the Pieri rule, no answer, so
+# engines of every type and width share them.  The 3919 shapes of a 20 s run of
+# the recursion benchmark (seed 7) take about 2.5 MB; principal sl_3 (600, 300)
+# takes 68k steps, and adds shapes only until they fill a quarter of the bound.
+_shapes = {"largest": _Shapes(3 * 2**20), "smallest": _Shapes(3 * 2**20)}
 
 
 def _shared_character(t, k, w, dim):
@@ -379,10 +458,10 @@ def branch(t: SubalgebraType, w: DominantWeight) -> MultVector:
 def clear_cache():
     """Forget every memoized branching: the shared engine's and the fundamentals'.
 
-    The strip table (_lower_strips) stays: it holds the Pieri rule, not an
-    answer, and no cache= or cache file writes to it.  The character and mask
-    tables (_characters, _guard_masks) and the tableau oracle's plan table
-    stay for the same reason.
+    The shape and strip tables (_shapes, _lower_strips) stay: they hold the
+    Pieri rule, not an answer, and no cache= or cache file writes to them.
+    The character and mask tables (_characters, _guard_masks) and the tableau
+    oracle's plan table stay for the same reason.
     """
     _DEFAULT_ENGINE.cache = {}
     _fundamental.cache_clear()

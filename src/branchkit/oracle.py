@@ -29,7 +29,7 @@ partition dictionary from weights, and the dim-difference arithmetic
 (mult_from_multiset) and InternalConsistencyError from sl2.
 """
 
-from collections import Counter
+from collections import Counter, OrderedDict
 
 from .sl2 import InternalConsistencyError, MultVector, mult_from_multiset
 from .subalgebra import SubalgebraType, h_diagonal
@@ -129,24 +129,30 @@ def tableau_weight_multiset(shape, values, budget: int | None = None) -> Counter
 
 
 class _PlanTable:
-    """Strip plans by (shape, n), least recently used first, `bound` slots at most in all."""
+    """Strip plans by (shape, n), least recently used first, `bound` slots at most
+    in all; hits, misses and evictions count what get found and missed and the
+    plans dropped."""
 
     def __init__(self, bound: int):
-        self.bound, self.slots, self.plans = bound, 0, {}
+        self.bound, self.slots, self.plans = bound, 0, OrderedDict()
+        self.hits = self.misses = self.evictions = 0
 
     def get(self, key):
-        entry = self.plans.pop(key, None)
+        entry = self.plans.get(key)
         if entry is None:
+            self.misses += 1
             return None
-        self.plans[key] = entry
+        self.hits += 1
+        self.plans.move_to_end(key)
         return entry[1]
 
     def put(self, key, slots: int, passes: list):
         if key not in self.plans:
             self.plans[key] = slots, passes
             self.slots += slots
-        while self.slots > self.bound:
-            self.slots -= self.plans.pop(next(iter(self.plans)))[0]
+        while self.slots > self.bound:  # a dict's first key would be a scan past freed slots
+            self.slots -= self.plans.popitem(last=False)[1][0]
+            self.evictions += 1
 
 
 # A slot is one source index or one group, about 60 bytes, so a full table

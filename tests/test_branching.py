@@ -546,6 +546,23 @@ def test_the_strip_table_gives_every_lower_pieri_member():
     assert cases == 20592
 
 
+def empty_shape_tables(bound=None):
+    """Empty shape tables, one per pivot rule, of the usual bound by default."""
+    return {pivot: branching._Shapes(table.bound if bound is None else bound)
+            for pivot, table in branching._shapes.items()}
+
+
+@contextlib.contextmanager
+def fresh_shapes(bound=None):
+    """Empty shape tables, the process's own put back."""
+    kept = branching._shapes
+    branching._shapes = empty_shape_tables(bound)
+    try:
+        yield branching._shapes
+    finally:
+        branching._shapes = kept
+
+
 def counting_pieri_set(monkeypatch):
     """The patterns branching.pieri_set is called on, from an empty strip table."""
     calls = []
@@ -556,6 +573,9 @@ def counting_pieri_set(monkeypatch):
         return real(prev, k)
 
     branching._lower_strips.cache_clear()
+    # the shape tables sit in front of the strip table: a shape they hold
+    # calls nothing
+    monkeypatch.setattr(branching, "_shapes", empty_shape_tables())
     monkeypatch.setattr(branching, "pieri_set", counting)
     return calls
 
@@ -728,3 +748,140 @@ def test_both_pivots_match_the_dict_recursion(case):
     w = partition_to_omega(lam, t.n)
     assert BranchEngine(pivot="largest").branch(t, w) == want
     assert BranchEngine(pivot="smallest").branch(t, w) == want
+
+
+def assert_shapes_hold_the_pieri_rule(tables):
+    for pivot, table in tables.items():
+        assert len(table.entries) == len(table.order)
+        assert table.size == sum(size for _, size in table.order) <= table.bound
+        for lam, size in table.order:
+            k, prev, members = table.entries[lam]
+            assert k == select_pivot(lam, largest=pivot == "largest"), (pivot, lam)
+            assert prev == tuple(x - (i < k) for i, x in enumerate(lam)), (pivot, lam)
+            assert len(members) == len(set(members))
+            assert set(members) == pieri_set(prev, k) - {lam}, (pivot, lam)
+            # sys.getsizeof of every tuple, and of every int part CPython does not
+            # share; each part is counted past the small ints, exactly below them
+            parts = [x for row in (lam, prev, *members) for x in row if x > 256]
+            counted = (branching._Shapes.SLOT + sys.getsizeof(members)
+                       + sum(map(sys.getsizeof, (lam, prev, *members)))
+                       + sum(map(sys.getsizeof, parts)))
+            big = sys.getsizeof(lam[0] + 1) * len(lam) * (2 + len(members)) if lam[0] > 255 else 0
+            assert counted <= size <= counted + big, (pivot, lam)
+
+
+@st.composite
+def shape_schedules(draw):
+    """(engine index, type, weight) of sl_2..sl_8 for the engines of shape_runs;
+    engine 2 takes no type of WIDE_ENTRY's, whose wrong entry may rightly make a
+    multiplicity negative."""
+    schedule = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(2, 8))
+        t = draw(st.sampled_from(all_types(n)))
+        boxes = draw(st.integers(0, 12 if n <= 4 else 7))
+        lam = draw(st.sampled_from(list(iter_partitions(boxes, n - 1))))
+        engines = [0, 1, 3] if (n, t.blocks) == (5, (5,)) else [0, 1, 2, 3]
+        schedule.append((draw(st.sampled_from(engines)), t, partition_to_omega(lam, n)))
+    return schedule
+
+
+def shape_runs(schedule, tables):
+    """Answers, caches and stats of schedule on engines 0 (largest pivot), 1
+    (smallest), 2 (WIDE_ENTRY, widened by its first query) and 3 (cache= of
+    principal sl_4's answers up to 4 boxes, smallest pivot), with the shape
+    tables shared ("shared"), emptied before each query ("emptied") or of
+    `tables` bytes each (an int), small enough to evict."""
+    donor = BranchEngine()
+    for w in iter_dominant_weights(4, 4):
+        donor.branch(SubalgebraType((4,)), w)
+    engines = [BranchEngine(), BranchEngine(pivot="smallest"), BranchEngine(cache=WIDE_ENTRY),
+               BranchEngine(pivot="smallest", cache=donor.cache)]
+    schedule = [(2, SubalgebraType((5,)), partition_to_omega((2,), 5)), *schedule]
+    answers = []
+    with fresh_shapes(None if isinstance(tables, str) else tables) as shapes:
+        for i, t, w in schedule:
+            if tables == "emptied":
+                branching._shapes = shapes = empty_shape_tables()
+            answers.append(engines[i].branch(t, w))
+        assert_shapes_hold_the_pieri_rule(shapes)
+    assert engines[2]._w == 8
+    return answers, [e.cache for e in engines], [e.stats for e in engines]
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape_schedules())
+def test_engines_answer_alike_however_the_shape_tables_are_shared(schedule):
+    shared = shape_runs(schedule, "shared")
+    assert shape_runs(schedule, "emptied") == shared
+    # shrunk, a table keeps a few shapes (3000 bytes) or none (300, less than
+    # one shape), dropping the oldest
+    assert shape_runs(schedule, 3000) == shared
+    assert shape_runs(schedule, 300) == shared
+
+
+def test_shape_tables_keep_their_bound_and_each_query_its_limit():
+    queries = [(t, w) for n in (3, 5) for t in all_types(n) for w in iter_dominant_weights(n, 6)]
+    # parts past CPython's small ints, and then a query far past its limit
+    queries.append((SubalgebraType((2,)), partition_to_omega((300,), 2)))
+    queries.append((SubalgebraType((3,)), partition_to_omega((60, 30), 3)))
+    want = [BranchEngine().branch(t, w) for t, w in queries]
+    with fresh_shapes(20000) as shapes:
+        table = shapes["largest"]
+        added = []
+        real = table.add
+        table.add = lambda lam, shape: added[-1].append(real(lam, shape)) or added[-1][-1]
+        got = []
+        for t, w in queries:
+            added.append([])
+            misses = table.misses
+            got.append(BranchEngine().branch(t, w))
+        assert got == want
+        assert table.evictions > 0
+        assert_shapes_hold_the_pieri_rule(shapes)
+        # a query adds shapes until those it added pass a quarter of the bound
+        for sizes in added:
+            assert sum(sizes[:-1]) <= 20000 // 4
+        # (60, 30) builds hundreds of shapes and keeps only the first few
+        assert sum(added[-1]) > 20000 // 4 and table.misses - misses > 50 * len(added[-1])
+
+
+def test_the_shape_tables_outlive_their_engine_and_clear_cache():
+    queries = [(t, w) for t in all_types(6) for w in iter_dominant_weights(6, 6)]
+    with fresh_shapes() as shapes:
+        answers = {p: [BranchEngine(pivot=p).branch(t, w) for t, w in queries] for p in shapes}
+        kept = {p: (dict(table.entries), table.misses) for p, table in shapes.items()}
+        assert all(misses for _, misses in kept.values())
+        clear_cache()
+        for p, table in shapes.items():
+            assert [BranchEngine(pivot=p).branch(t, w) for t, w in queries] == answers[p]
+            assert (table.entries, table.misses, table.evictions) == (*kept[p], 0), p
+
+
+def test_tables_count_their_hits_misses_and_evictions():
+    table = branching._Table(100)
+    assert table.get("a") is None
+    for key in "abcde":
+        table.put(key, 25, key.upper())
+    assert table.get("c") == "C" and table.get("c") == "C" and table.get("a") is None
+    table.put("f", 26, "F")  # not kept, so nothing is dropped
+    assert (table.hits, table.misses, table.evictions) == (2, 2, 1)
+    # the shapes of sl_3 below take one member each; a query may add two
+    t, size = SubalgebraType((3,)), (branching._Shapes.SLOT + sys.getsizeof((0,))
+                                     + 3 * sys.getsizeof((0, 0, 0)))
+    with fresh_shapes(4 * size) as tables:
+        shapes = tables["largest"]
+        BranchEngine().branch(t, partition_to_omega((3,), 3))  # steps on (3), (2), (2, 1)
+        assert (shapes.misses, shapes.evictions) == (3, 0)
+        assert list(shapes.entries) == [(3, 0, 0), (2, 0, 0)]
+        BranchEngine().branch(t, partition_to_omega((2,), 3))  # a hit, uncounted
+        assert (shapes.misses, shapes.evictions) == (3, 0)
+        # (4) misses, (3) and (2) hit, (2, 1) misses, and so does (3, 1), past
+        # the query's limit: the table is full
+        BranchEngine().branch(t, partition_to_omega((4,), 3))
+        assert (shapes.misses, shapes.evictions) == (6, 0)
+        assert list(shapes.entries) == [(3, 0, 0), (2, 0, 0), (4, 0, 0), (2, 1, 0)]
+        BranchEngine().branch(t, partition_to_omega((2, 2), 3))  # a miss, dropping (3)
+        assert (shapes.misses, shapes.evictions) == (7, 1)
+        assert list(shapes.entries) == [(2, 0, 0), (4, 0, 0), (2, 1, 0), (2, 2, 0)]
+        assert shapes.size == 4 * size and tables["smallest"].misses == 0

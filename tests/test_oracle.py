@@ -303,6 +303,17 @@ def test_plan_table_drops_the_least_recently_used_plan():
     assert table.get("b") is None
 
 
+def test_plan_table_counts_its_hits_misses_and_evictions():
+    table = oracle._PlanTable(10)
+    assert table.get("a") is None
+    for key in "abc":
+        table.put(key, 4, [f"plan {key}"])
+    assert table.get("c") == ["plan c"] and table.get("b") == ["plan b"] and table.get("a") is None
+    table.put("d", 4, ["plan d"])  # drops c, b being used more recently
+    assert list(table.plans) == ["b", "d"] and table.slots == 8
+    assert (table.hits, table.misses, table.evictions) == (2, 2, 2)
+
+
 def test_a_sweep_records_each_shape_once(monkeypatch):
     recorded = Counter()
     real = oracle._strip_passes
