@@ -19,16 +19,19 @@ cross-checks, run by fundamental_branching(verify=True):
     together they are one check of the weight multiset: a product formula
     against the recurrence, independent although both are packed alike;
   * types of more than one block: [r, 1, ..., 1] and [r, s] for k up to
-    floor(n/2), and k = 2 for any type.  These build on the principal
-    branchings of the blocks, so on a single block they would return the
-    result under check.
+    floor(n/2), and k = 2 for any type.  The first two multiply the blocks'
+    hook-content q-binomials: principal Res L(w_m) of sl_d has the character
+    q^{-m(d-m)} (d choose m)_{q^2}, qcomb.spread_row packs it, a tensor product
+    of two blocks is one multiply, and the sum is decoded once.  The k = 2 form
+    builds on the principal branchings of the blocks, so on a single block it
+    would return the result under check.
 """
 
 from collections import Counter
 from functools import cache
 from math import comb
 
-from .qcomb import digits, elementary, p_k_n, pi, width
+from .qcomb import digits, elementary, p_k_n, pi, spread_row, width
 from .sl2 import MultVector, cg_convolve, mult_from_multiset
 from .subalgebra import SubalgebraType, h_diagonal, is_principal
 
@@ -162,43 +165,51 @@ def _verify_closed_forms(t, k, result):
             )
 
 
-def _principal_factor(r: int, m: int) -> MultVector:
-    """Res of L(w_m) of sl_r to the principal subalgebra, reading w_0 and w_r as F_0."""
-    if m == 0 or m == r:
-        return {0: 1}
-    return fundamental_branching(SubalgebraType((r,)), m)
-
-
 def branching_k2_general(t: SubalgebraType) -> MultVector:
     """Res L(w_2) for an arbitrary type.
 
     Pairs drawn inside a block of size d >= 3 contribute the principal
     Res L(w_2) of sl_d, a pair inside a size-2 block sums to zero (one F_0
     each), and pairs straddling blocks i < j contribute
-    F_{d_i - 1} (x) F_{d_j - 1}.
+    F_{d_i - 1} (x) F_{d_j - 1}: half of (sum_i F_{d_i - 1})^{(x) 2} less the
+    squares F_{d-1} (x) F_{d-1} = F_0 + F_2 + ... + F_{2d-2}.
     """
     n = t.n
     if n < 3:
         raise ValueError(f"k=2 needs rank >= 3, got {n}")
+    tops = Counter(d - 1 for d in t.blocks)
+    pairs = Counter(cg_convolve(tops, tops))
     acc: Counter = Counter()
     for d in t.blocks:
+        pairs.subtract(range(0, 2 * d - 1, 2))
         if d >= 3:
             acc.update(fundamental_branching(SubalgebraType((d,)), 2))
         elif d == 2:
             acc[0] += 1
-    for i, di in enumerate(t.blocks):
-        for dj in t.blocks[i + 1:]:
-            # F_{di-1} (x) F_{dj-1} = F_{|di-dj|} + F_{|di-dj|+2} + ... + F_{di+dj-2}
-            acc.update(range(abs(di - dj), di + dj - 1, 2))
-    return dict(sorted(acc.items()))
+    acc.update({j: m // 2 for j, m in pairs.items()})
+    return {j: m for j, m in sorted(acc.items()) if m}
+
+
+def _decode(terms, w: int) -> MultVector:
+    """{j: m_j} of the sum of the characters in terms, pairs (x, top) of a
+    character symmetric about weight 0 packed from its lowest weight -top, one
+    digit per unit of weight, at a width w that holds every coefficient of the sum.
+
+    Shifted to the common lowest weight -T, the sum's digits T, T + 1, ... are
+    the weights c_0, c_1, ...; m_j = c_j - c_{j+2} is never negative, so one
+    shift and subtract borrows from no digit."""
+    top = max(t for _, t in terms)
+    c = sum(x << 8 * w * (top - t) for x, t in terms) >> 8 * w * top
+    return {j: m for j, m in enumerate(digits(c - (c >> 16 * w), w)) if m}
 
 
 def branching_hook(t: SubalgebraType, k: int) -> MultVector:
     """Res L(w_k) for type [r, 1, ..., 1].
 
     Basis vectors split by how many indices j land in the zero tail:
-    sum_{j=max(0,k-r)}^{min(k,n-r)} C(n-r, j) Res_{[r]} L(w_{k-j}), where
-    Res_{[r]} L(w_0) is F_0.
+    sum_{j=max(0,k-r)}^{min(k,n-r)} C(n-r, j) Res_{[r]} L(w_{k-j}).  The
+    principal Res_{[r]} L(w_m) has character q^{-m(r-m)} (r choose m)_{q^2}, read
+    from qcomb's hook-content row (spread_row), so L(w_0) is F_0.
     """
     n = t.n
     r = t.blocks[0]
@@ -209,24 +220,29 @@ def branching_hook(t: SubalgebraType, k: int) -> MultVector:
         raise ValueError(f"wedge power index {k} out of range for rank {n}")
     if ones and k > n // 2:
         raise ValueError(f"hook formula covers k <= {n // 2} for rank {n}, got k={k}")
-    acc: Counter = Counter()
-    for j in range(max(0, k - r), min(k, ones) + 1):
-        c = comb(ones, j)
-        for d, m in _principal_factor(r, k - j).items():
-            acc[d] += c * m
-    return dict(sorted(acc.items()))
+    w = width(comb(n, k))
+    return _decode(
+        [(comb(ones, j) * spread_row(r - k + j, k - j, w), (k - j) * (r - k + j))
+         for j in range(max(0, k - r), min(k, ones) + 1)],
+        w,
+    )
 
 
 def branching_two_blocks(t: SubalgebraType, k: int) -> MultVector:
     """Res L(w_k) for type [r, s]: sum over how many indices fall in the
-    second block, sum_{j=0}^{min(k,s)} Res_{[r]} L(w_{k-j}) (x) Res_{[s]} L(w_j)."""
+    second block, sum_{j=0}^{min(k,s)} Res_{[r]} L(w_{k-j}) (x) Res_{[s]} L(w_j),
+    each factor the principal character q^{-m(d-m)} (d choose m)_{q^2} of
+    qcomb's hook-content row (spread_row), and each tensor product one multiply."""
     if len(t.blocks) != 2:
         raise ValueError(f"type {t} does not have exactly two blocks")
     r, s = t.blocks
     n = t.n
     if not 1 <= k <= n // 2:
         raise ValueError(f"two-block formula covers 1 <= k <= {n // 2} for rank {n}, got k={k}")
-    acc: Counter = Counter()
-    for j in range(0, min(k, s) + 1):
-        acc.update(cg_convolve(_principal_factor(r, k - j), _principal_factor(s, j)))
-    return dict(sorted(acc.items()))
+    w = width(comb(n, k))
+    return _decode(
+        [(spread_row(r - k + j, k - j, w) * spread_row(s - j, j, w),
+          (k - j) * (r - k + j) + j * (s - j))
+         for j in range(0, min(k, s) + 1)],
+        w,
+    )

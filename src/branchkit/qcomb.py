@@ -13,12 +13,16 @@ lowest weight (e_k, for L(w_k)) and the subtraction of the few terms that fold
 back past weight 0 (fold).  guard_mask tests the top bits of every digit at
 once: a negative coefficient borrows from the digit above and so sets its own
 top bit, and clear guard bits leave room for a product to carry no digit.
+
+spread_row packs the Gaussian binomial row at q = Q**2, one digit a unit of
+weight: the principal character of one block.  The hook and two-block closed
+forms of fundamental multiply and sum such rows and decode the sum once.
 """
 
 import sys
 from functools import lru_cache
 from math import comb
-from struct import calcsize
+from struct import calcsize, pack as pack_machine
 
 QPolynomial = dict[int, int]
 
@@ -123,6 +127,22 @@ def guard_mask(w: int, bits: int, length: int) -> int:
 def _row(n: int, k: int) -> list[int]:
     """Coefficients of q^0 .. q^{nk} in (n+k choose k)_q: hook_content of one row."""
     return hook_content((min(n, k),), max(n, k) + 1, comb(n + k, k))
+
+
+def spread_row(n: int, k: int, w: int) -> int:
+    """(n+k choose k)_q at q = Q**2, Q = 256**w: the coefficients of _row(n, k),
+    each below Q, packed one empty digit apart.  Where machine integers are
+    little-endian, a width of at most 8 bytes writes the row as an array of
+    them and spreads each digit's bytes by strided copies, as digits reads."""
+    row = _row(n, k)
+    size = 1 << (w - 1).bit_length()
+    if size not in _MACHINE:
+        return int.from_bytes(b"".join(c.to_bytes(2 * w, "little") for c in row), "little")
+    raw = pack_machine(f"{len(row)}{_MACHINE[size]}", *row)
+    spread = bytearray(2 * w * len(row))
+    for b in range(w):
+        spread[b::2 * w] = raw[b::size]
+    return int.from_bytes(spread, "little")
 
 
 def pi(n: int, k: int, d: int) -> int:

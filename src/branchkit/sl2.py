@@ -10,8 +10,10 @@ The Clebsch-Gordan product costs O(|a|*|b| + span): one difference-array
 update per pair of components, then one running-sum pass over the output's
 range of j, however long each F_{|j-j'|} + ... + F_{j+j'} run is.  The
 recursion engine multiplies packed Weyl numerators by packed wedge characters
-instead (qcomb.fold); only its error path, which names a negative
-multiplicity, comes here, beside the multi-block closed forms and the demos.
+instead (qcomb.fold), and the hook and two-block closed forms multiply packed
+q-binomials (qcomb.spread_row).  Only the engine's error path, which names a
+negative multiplicity, the straddling pairs of the k = 2 closed form and the
+demos call cg_convolve.
 """
 
 from itertools import accumulate

@@ -206,6 +206,26 @@ def test_fundamental_verify_mismatch_exits_1(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("blocks, k, form", [("5,1,1,1", "3", "hook"), ("5,3", "3", "two-blocks")])
+def test_fundamental_verify_multi_block_mismatch_exits_1(capsys, monkeypatch, blocks, k, form):
+    # one copy of the top F_j of the queried (type, k) moves up to F_{j+1}
+    real = fundamental._fundamental
+
+    def moved(t, m):
+        result = dict(real(t, m))
+        if t.blocks == tuple(map(int, blocks.split(","))) and m == int(k):
+            top = max(result)
+            result[top] -= 1
+            result[top + 1] = 1
+        return result
+
+    monkeypatch.setattr(fundamental, "_fundamental", moved)
+    code, _, err = run(capsys, "fundamental", "--n", "8", "--type", blocks, "--k", k, "--verify")
+    assert code == 1
+    assert err.startswith(f"error: closed form {form} disagrees")
+    assert "Traceback" not in err
+
+
 def test_fundamental_beyond_old_rank_cap(capsys):
     code, out, _ = run(
         capsys, "fundamental", "--n", "40", "--type", "40", "--k", "20", "--verify",

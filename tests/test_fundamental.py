@@ -18,13 +18,14 @@ from branchkit import (
 )
 from branchkit import fundamental
 from branchkit.fundamental import (
+    ClosedFormMismatchError,
     branching_hook,
     branching_k2_general,
     branching_two_blocks,
     wedge_character,
 )
 from branchkit.qcomb import digits, width
-from branchkit.sl2 import CorruptMultisetError, mult_from_multiset
+from branchkit.sl2 import CorruptMultisetError, cg_convolve, mult_from_multiset
 
 # weight multiset of the third wedge power for type [4,3], written out in full
 LAMBDA3_43 = Counter(
@@ -203,8 +204,9 @@ def test_fundamental_branching_verify_mode_runs_all_closed_forms():
 
 
 def test_verify_skips_self_comparisons_on_one_block(monkeypatch):
-    # on a single block the hook and k = 2 forms return the memoized result
-    # under check, so verify leaves them to types with more than one block
+    # on a single block the k = 2 form returns the memoized result under
+    # check and the hook form reads the q-binomial of the principal checks,
+    # so verify leaves them to types with more than one block
     def self_comparison(*args):
         raise AssertionError("closed form compared with itself")
 
@@ -329,3 +331,116 @@ def test_verify_principal_above_half_rank_up_to_60():
             if 2 * k > n:
                 mv = fundamental_branching(SubalgebraType((n,)), k, verify=True)
                 assert rep_dimension(mv) == comb(n, k), (n, k)
+
+
+def reference_factor(r, m):
+    """Principal Res L(w_m) of sl_r from the memoized weight multiset, w_0 and
+    w_r read as F_0."""
+    return {0: 1} if m in (0, r) else fundamental._fundamental(SubalgebraType((r,)), m)
+
+
+def reference_hook(t, k):
+    """sum_j C(n - r, j) Res_[r] L(w_{k-j}), the hook form as dict arithmetic."""
+    r, ones = t.blocks[0], t.n - t.blocks[0]
+    acc = Counter()
+    for j in range(max(0, k - r), min(k, ones) + 1):
+        for d, m in reference_factor(r, k - j).items():
+            acc[d] += comb(ones, j) * m
+    return dict(sorted(acc.items()))
+
+
+def reference_two_blocks(t, k):
+    """sum_j Res_[r] L(w_{k-j}) (x) Res_[s] L(w_j) by Clebsch-Gordan products."""
+    r, s = t.blocks
+    acc = Counter()
+    for j in range(min(k, s) + 1):
+        acc.update(cg_convolve(reference_factor(r, k - j), reference_factor(s, j)))
+    return dict(sorted(acc.items()))
+
+
+def reference_k2(t):
+    """Res L(w_2): each block's own pairs, then one product per straddling pair."""
+    acc = Counter()
+    for d in t.blocks:
+        if d >= 3:
+            acc.update(reference_factor(d, 2))
+        elif d == 2:
+            acc[0] += 1
+    for i, di in enumerate(t.blocks):
+        for dj in t.blocks[i + 1:]:
+            acc.update(cg_convolve({di - 1: 1}, {dj - 1: 1}))
+    return dict(sorted(acc.items()))
+
+
+def assert_closed_forms_match_the_reference(t, k):
+    # items, not dicts, so that the keys must also ascend
+    if all(d == 1 for d in t.blocks[1:]):
+        assert list(branching_hook(t, k).items()) == list(reference_hook(t, k).items()), (t, k)
+    if len(t.blocks) == 2:
+        two_blocks = branching_two_blocks(t, k).items()
+        assert list(two_blocks) == list(reference_two_blocks(t, k).items()), (t, k)
+
+
+def test_packed_closed_forms_match_dict_products_up_to_sl14():
+    for n in range(3, 15):
+        for t in all_types(n):
+            assert list(branching_k2_general(t).items()) == list(reference_k2(t).items()), t
+            for k in range(1, n // 2 + 1):
+                assert_closed_forms_match_the_reference(t, k)
+
+
+@st.composite
+def hooks_and_two_blocks(draw):
+    n = draw(st.integers(min_value=15, max_value=40))
+    if draw(st.booleans()):
+        r = draw(st.integers(min_value=2, max_value=n))
+        t = SubalgebraType((r,) + (1,) * (n - r))
+    else:
+        s = draw(st.integers(min_value=1, max_value=n // 2))
+        t = SubalgebraType((n - s, s))
+    return t, draw(st.integers(min_value=1, max_value=n // 2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(hooks_and_two_blocks())
+def test_packed_closed_forms_match_dict_products_up_to_sl40(case):
+    t, k = case
+    assert_closed_forms_match_the_reference(t, k)
+    if k == 2:
+        assert list(branching_k2_general(t).items()) == list(reference_k2(t).items()), t
+
+
+@pytest.mark.parametrize("blocks", [(40, 30), (40,) + (1,) * 30])
+def test_packed_closed_forms_match_dict_products_wider_than_64_bits(blocks):
+    # C(70, 35) > 2**64: the rows are spread at 9 bytes a digit
+    assert width(comb(70, 35)) == 9
+    assert_closed_forms_match_the_reference(SubalgebraType(blocks), 35)
+
+
+def move_one_multiplicity(monkeypatch, t, k):
+    """Make the memoized Res L(w_k) of t move one copy of its top F_j up to F_{j+1}."""
+    real = fundamental._fundamental
+
+    def moved(u, m):
+        result = dict(real(u, m))
+        if (u, m) == (t, k):
+            top = max(result)
+            result[top] -= 1
+            result[top + 1] = 1
+        return {j: c for j, c in sorted(result.items()) if c}
+
+    monkeypatch.setattr(fundamental, "_fundamental", moved)
+
+
+@pytest.mark.parametrize("blocks, k, form", [
+    ((5, 1, 1, 1), 3, "hook"),
+    ((2, 1, 1), 1, "hook"),
+    ((5, 3), 3, "two-blocks"),
+    ((4, 4), 1, "two-blocks"),
+])
+def test_a_moved_multiplicity_fails_its_closed_form(monkeypatch, blocks, k, form):
+    t = SubalgebraType(blocks)
+    fundamental_branching(t, k, verify=True)
+    move_one_multiplicity(monkeypatch, t, k)
+    with pytest.raises(ClosedFormMismatchError, match=f"closed form {form} disagrees"):
+        fundamental_branching(t, k, verify=True)

@@ -24,6 +24,7 @@ from branchkit.qcomb import (
     guard_mask,
     hook_content,
     pack,
+    spread_row,
     width,
 )
 from branchkit.sl2 import mult_from_multiset
@@ -246,6 +247,26 @@ def test_rows_match_q_pascal_recurrence():
         for k in range(41):
             assert _row.__wrapped__(n, k) == rows[n][k], (n, k)
     assert _row.__wrapped__(50, 50) == rows[50][50]
+
+
+# the row (m, m) whose largest coefficient fills exactly w bytes, for w = 1..9
+FULL_ROWS = (7, 12, 16, 20, 25, 29, 33, 37, 41)
+
+
+@pytest.mark.parametrize("w", range(1, 10))
+def test_spread_row_packs_the_row_one_digit_apart(w):
+    # widths 1, 2, 4 and 8 are machine integers, 3, 5, 6 and 7 are padded to
+    # the next one, and 9 takes the byte path; (n, 0), (0, k) and (0, 0) are
+    # rows of one coefficient, and the full row sets the top byte of a digit
+    m = FULL_ROWS[w - 1]
+    assert 256 ** (w - 1) <= max(_row(m, m)) < 256**w
+    rows = [(0, 0), (5, 0), (0, 7), (1, 1), (3, 2), (6, 4), (20, 3), (m, m)]
+    for n, k in rows:
+        if max(_row(n, k)) < 256**w:
+            expected = pack({2 * d: c for d, c in enumerate(_row(n, k))}, w)
+            assert spread_row(n, k, w) == expected, (n, k, w)
+    assert spread_row(0, 3, w) == 1
+    assert digits(spread_row(2, 2, w), w) == [1, 0, 1, 0, 2, 0, 1, 0, 1]
 
 
 def test_row_cache_is_bounded():
