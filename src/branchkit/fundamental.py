@@ -22,16 +22,16 @@ cross-checks, run by fundamental_branching(verify=True):
     floor(n/2), and k = 2 for any type.  The first two multiply the blocks'
     hook-content q-binomials: principal Res L(w_m) of sl_d has the character
     q^{-m(d-m)} (d choose m)_{q^2}, qcomb.spread_row packs it, a tensor product
-    of two blocks is one multiply, and the sum is decoded once.  The k = 2 form
-    builds on the principal branchings of the blocks, so on a single block it
-    would return the result under check.
+    of two blocks is one multiply, and qcomb.decode_spread reads the sum once.
+    The k = 2 form builds on the principal branchings of the blocks, so on a
+    single block it would return the result under check.
 """
 
 from collections import Counter
 from functools import cache
 from math import comb
 
-from .qcomb import digits, elementary, p_k_n, pi, spread_row, width
+from .qcomb import decode_spread, digits, elementary, p_k_n, pi, spread_row, width
 from .sl2 import MultVector, cg_convolve, mult_from_multiset
 from .subalgebra import SubalgebraType, h_diagonal, is_principal
 
@@ -177,6 +177,8 @@ def branching_k2_general(t: SubalgebraType) -> MultVector:
     n = t.n
     if n < 3:
         raise ValueError(f"k=2 needs rank >= 3, got {n}")
+    # one cg_convolve of all the blocks rather than a range per pair, so that
+    # this module's cg_convolve binding, which perfbench/tracer.py patches, stays in use
     tops = Counter(d - 1 for d in t.blocks)
     pairs = Counter(cg_convolve(tops, tops))
     acc: Counter = Counter()
@@ -188,19 +190,6 @@ def branching_k2_general(t: SubalgebraType) -> MultVector:
             acc[0] += 1
     acc.update({j: m // 2 for j, m in pairs.items()})
     return {j: m for j, m in sorted(acc.items()) if m}
-
-
-def _decode(terms, w: int) -> MultVector:
-    """{j: m_j} of the sum of the characters in terms, pairs (x, top) of a
-    character symmetric about weight 0 packed from its lowest weight -top, one
-    digit per unit of weight, at a width w that holds every coefficient of the sum.
-
-    Shifted to the common lowest weight -T, the sum's digits T, T + 1, ... are
-    the weights c_0, c_1, ...; m_j = c_j - c_{j+2} is never negative, so one
-    shift and subtract borrows from no digit."""
-    top = max(t for _, t in terms)
-    c = sum(x << 8 * w * (top - t) for x, t in terms) >> 8 * w * top
-    return {j: m for j, m in enumerate(digits(c - (c >> 16 * w), w)) if m}
 
 
 def branching_hook(t: SubalgebraType, k: int) -> MultVector:
@@ -221,7 +210,7 @@ def branching_hook(t: SubalgebraType, k: int) -> MultVector:
     if ones and k > n // 2:
         raise ValueError(f"hook formula covers k <= {n // 2} for rank {n}, got k={k}")
     w = width(comb(n, k))
-    return _decode(
+    return decode_spread(
         [(comb(ones, j) * spread_row(r - k + j, k - j, w), (k - j) * (r - k + j))
          for j in range(max(0, k - r), min(k, ones) + 1)],
         w,
@@ -240,7 +229,7 @@ def branching_two_blocks(t: SubalgebraType, k: int) -> MultVector:
     if not 1 <= k <= n // 2:
         raise ValueError(f"two-block formula covers 1 <= k <= {n // 2} for rank {n}, got k={k}")
     w = width(comb(n, k))
-    return _decode(
+    return decode_spread(
         [(spread_row(r - k + j, k - j, w) * spread_row(s - j, j, w),
           (k - j) * (r - k + j) + j * (s - j))
          for j in range(0, min(k, s) + 1)],

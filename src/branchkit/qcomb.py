@@ -16,13 +16,14 @@ top bit, and clear guard bits leave room for a product to carry no digit.
 
 spread_row packs the Gaussian binomial row at q = Q**2, one digit a unit of
 weight: the principal character of one block.  The hook and two-block closed
-forms of fundamental multiply and sum such rows and decode the sum once.
+forms of fundamental multiply and sum such rows, and decode_spread reads the
+sum's multiplicities {j: m_j} once.
 """
 
 import sys
 from functools import lru_cache
 from math import comb
-from struct import calcsize, pack as pack_machine
+from struct import calcsize
 
 QPolynomial = dict[int, int]
 
@@ -131,18 +132,21 @@ def _row(n: int, k: int) -> list[int]:
 
 def spread_row(n: int, k: int, w: int) -> int:
     """(n+k choose k)_q at q = Q**2, Q = 256**w: the coefficients of _row(n, k),
-    each below Q, packed one empty digit apart.  Where machine integers are
-    little-endian, a width of at most 8 bytes writes the row as an array of
-    them and spreads each digit's bytes by strided copies, as digits reads."""
-    row = _row(n, k)
-    size = 1 << (w - 1).bit_length()
-    if size not in _MACHINE:
-        return int.from_bytes(b"".join(c.to_bytes(2 * w, "little") for c in row), "little")
-    raw = pack_machine(f"{len(row)}{_MACHINE[size]}", *row)
-    spread = bytearray(2 * w * len(row))
-    for b in range(w):
-        spread[b::2 * w] = raw[b::size]
-    return int.from_bytes(spread, "little")
+    each below Q, packed one empty digit apart."""
+    return int.from_bytes(b"".join(c.to_bytes(2 * w, "little") for c in _row(n, k)), "little")
+
+
+def decode_spread(terms, w: int) -> dict[int, int]:
+    """{j: m_j} of the sum of the characters in terms, pairs (x, top) of a
+    character symmetric about weight 0 packed from its lowest weight -top, one
+    digit per unit of weight, at a width w that holds every coefficient of the sum.
+
+    Shifted to the common lowest weight -T, the sum's digits T, T + 1, ... are
+    the weights c_0, c_1, ...; m_j = c_j - c_{j+2} is never negative, so one
+    shift and subtract borrows from no digit."""
+    top = max(t for _, t in terms)
+    c = sum(x << 8 * w * (top - t) for x, t in terms) >> 8 * w * top
+    return {j: m for j, m in enumerate(digits(c - (c >> 16 * w), w)) if m}
 
 
 def pi(n: int, k: int, d: int) -> int:

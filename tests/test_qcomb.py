@@ -19,6 +19,7 @@ from branchkit import (
 )
 from branchkit.qcomb import (
     _row,
+    decode_spread,
     digits,
     fold,
     guard_mask,
@@ -255,9 +256,8 @@ FULL_ROWS = (7, 12, 16, 20, 25, 29, 33, 37, 41)
 
 @pytest.mark.parametrize("w", range(1, 10))
 def test_spread_row_packs_the_row_one_digit_apart(w):
-    # widths 1, 2, 4 and 8 are machine integers, 3, 5, 6 and 7 are padded to
-    # the next one, and 9 takes the byte path; (n, 0), (0, k) and (0, 0) are
-    # rows of one coefficient, and the full row sets the top byte of a digit
+    # widths 1 to 9 bytes, past the 8 of a machine integer; (n, 0), (0, k) and
+    # (0, 0) are rows of one coefficient, and the full row sets the top byte of a digit
     m = FULL_ROWS[w - 1]
     assert 256 ** (w - 1) <= max(_row(m, m)) < 256**w
     rows = [(0, 0), (5, 0), (0, 7), (1, 1), (3, 2), (6, 4), (20, 3), (m, m)]
@@ -267,6 +267,21 @@ def test_spread_row_packs_the_row_one_digit_apart(w):
             assert spread_row(n, k, w) == expected, (n, k, w)
     assert spread_row(0, 3, w) == 1
     assert digits(spread_row(2, 2, w), w) == [1, 0, 1, 0, 2, 0, 1, 0, 1]
+
+
+@pytest.mark.parametrize("w", [1, 2, 9])
+def test_decode_spread_reads_the_multiplicities_of_a_sum_of_rows(w):
+    # each row (a, b) is a character of top weight ab, its digit e the weight
+    # 2e - ab; a sum of rows of different tops, one scaled, decodes as the
+    # sum of their weight multisets does
+    rows = [(0, 0), (3, 2), (4, 4), (1, 5), (6, 1)]
+    for terms in ([(3, 2)], [(0, 0)], rows, [(4, 4), (6, 1), (6, 1)]):
+        weights = Counter()
+        for a, b in terms:
+            weights.update({2 * e - a * b: c for e, c in enumerate(_row(a, b))})
+        packed = [(spread_row(a, b, w), a * b) for a, b in terms]
+        assert decode_spread(packed, w) == mult_from_multiset(weights), (terms, w)
+    assert decode_spread([(3 * spread_row(2, 2, w), 4)], w) == {0: 3, 4: 3}
 
 
 def test_row_cache_is_bounded():
