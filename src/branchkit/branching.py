@@ -21,27 +21,24 @@ subtraction per lower member.  Which k, lambda' and lower members a step uses
 depends on lambda and the pivot rule alone, so a step reads them with one
 dict.get from the process-wide shape table of its pivot rule (_shapes), keyed
 by the padded lambda.  A step that misses builds them: select_pivot, lambda
-minus the column, and the lower members from one bounded strip table per
-process (_lower_strips), keyed by k and the equal adjacent rows of lambda', so
-pieri_set runs once per such pattern, not once per step or engine.  Each
-shape table holds at most 3 MiB, counted with sys.getsizeof, and drops its
-oldest shape first; a query stops adding shapes once those it added pass a
-quarter of that, so a query too big to fit neither churns the table nor keeps
-its shapes alive.
-The character, its top weight and guard bits come from one process-wide table
-(_characters) keyed by (blocks, k, width), and the guard masks from another
-(_guard_masks) keyed by (width, guard bits): each holds at most 1 MiB, drops
-its least recently used entry first and keeps nothing over a quarter of that,
-so wedge_character runs once per key in the process, not once per engine.
-Every engine may share them, since an entry is fixed by its key (width
-included) and holds no answer.
+minus the column, and the lower members from the process-wide strip table
+(_strips, read through _lower_strips), keyed by k and the equal adjacent rows
+of lambda', so pieri_set runs once per such pattern, not once per step or
+engine; a query stops adding shapes once those it added pass a quarter of its
+table's bound, so a query too big to fit neither churns the table nor keeps
+its shapes alive.  The character, its top weight and guard bits come from the
+table _characters, keyed by (blocks, k, width), and the guard masks from
+_guard_masks, keyed by (width, guard bits, a power of two of length), so
+wedge_character runs once per key in the process, not once per engine.
+All five tables are one class, _Table: bounded in bytes, oldest value dropped
+first, nothing over a quarter of the bound kept.  Every engine may share them,
+since an entry is fixed by its key (width included) and holds no answer.
 The dict Clebsch-Gordan product and subtraction of sl2 run only when a check
 finds a negative multiplicity, to name it; entries cross the engine's edges
 (`branch`, `BranchEngine.cache`, cache files) as {j: m_j} dicts, checked by _admit.
 """
 
-from collections import OrderedDict, deque
-from functools import lru_cache
+from collections import deque
 from itertools import accumulate
 from math import comb
 from operator import add, eq, sub
@@ -98,21 +95,22 @@ class BranchEngine:
     members one by one, each checked by a sign test and one AND against the
     digits' top bits.  k, lambda' and the members come from the process-wide
     shape table of the engine's pivot rule (_shapes), and a step that misses
-    it builds them from the strip table (_lower_strips); both hold only the
-    Pieri rule, no answer, so every engine shares them.  The character and
-    the guard masks come from the process-wide tables _characters and
-    _guard_masks, bounded at 1 MiB each, once per engine and width (the
-    engine keeps what it read in _chars and _masks until it widens): an entry
-    is fixed by its key, width included, and holds no answer, so every engine
-    shares them too.  Before the multiply one AND certifies that every digit
-    of P(lambda') is below 2**(8w - 1 - b), b the bit length of C(n, k) =
-    dim L(w_k), so that no product digit carries.  A value that does not fit repacks the memo at
-    double the width and restarts the query; the width a query starts from,
-    read off dim L(lambda), is only a first guess.  Assigning cache= or
-    `cache` checks every entry at once (see _admit), so that a rejected
-    assignment leaves the engine as it was; each dict is copied, and packed
-    when a query first uses it.  `branch` keeps each answer it decoded beside
-    the memo, so a repeat is a dict copy.
+    it builds them from the strip table (_strips); both hold only the Pieri
+    rule, no answer, so every engine shares them.  The character and the
+    guard masks come from the process-wide tables _characters and
+    _guard_masks once per engine and width (the engine keeps what it read in
+    _chars and _masks until it widens): an entry is fixed by its key, width
+    included, and holds no answer, so every engine shares them too.  All of
+    these tables are bounded in bytes (see _Table).  Before the multiply one
+    AND certifies that every digit of P(lambda') is below 2**(8w - 1 - b), b
+    the bit length of C(n, k) = dim L(w_k), so that no product digit carries.
+    A value that does not fit repacks the memo at double the width and
+    restarts the query; the width a query starts from, read off dim
+    L(lambda), is only a first guess.  Assigning cache= or `cache` checks
+    every entry at once (see _admit), so that a rejected assignment leaves
+    the engine as it was; each dict is copied, and packed when a query first
+    uses it.  `branch` keeps each answer it decoded beside the memo, so a
+    repeat is a dict copy.
     """
 
     def __init__(self, pivot: str = "largest", cache: dict | None = None):
@@ -212,19 +210,19 @@ class BranchEngine:
             k, prev, members = shape
         if (p := self._get(t, memo, prev)) is None:
             p = yield prev
+        # past the query's room the step reads the strips and forms each member
+        # when it is needed: a tuple of members formed up front, or a generator
+        # or map over the strips, would outlive the steps below, and each object
+        # that does brings the next garbage collection nearer
+        strips = members is None
+        if strips:
+            members = _lower_strips(k, *map(eq, prev, prev[1:]))
         lower = []
-        if members is None:
-            # past the query's room each member is formed when it is needed: a
-            # tuple of them formed up front would outlive the steps below, and
-            # each object that does brings the next garbage collection nearer
-            for d in _lower_strips(k, *map(eq, prev, prev[1:])):
-                mu = tuple(map(add, prev, d))
-                m = self._get(t, memo, mu)
-                lower.append(m if m is not None else (yield mu))
-        else:
-            for mu in members:
-                m = self._get(t, memo, mu)
-                lower.append(m if m is not None else (yield mu))
+        for mu in members:
+            if strips:
+                mu = tuple(map(add, prev, mu))
+            m = self._get(t, memo, mu)
+            lower.append(m if m is not None else (yield mu))
         c, top, guard = self._character(t, k)
         if p & self._mask(guard, p.bit_length()):
             raise _TooNarrow
@@ -243,10 +241,18 @@ class BranchEngine:
 
     def _add_shape(self, shapes, lam, k, prev):
         """The members of P(prev, k) but lam, as padded partitions: (k, prev,
-        members) goes to shapes, and its size off the query's room."""
+        members) goes to shapes, and its size off the query's room.  The size
+        is what sys.getsizeof counts: lam, prev and each member are tuples as
+        long as lam, and their parts are at most lam_1 + 1, so once lam_1
+        passes CPython's cached small ints each part is counted as one more
+        int that large."""
         strips = _lower_strips(k, *map(eq, prev, prev[1:]))
         members = tuple([tuple(map(add, prev, d)) for d in strips])
-        self._room -= shapes.add(lam, (k, prev, members))
+        part = getsizeof(lam[0] + 1) if lam[0] > 255 else 0
+        row = getsizeof(lam) + len(lam) * part
+        size = _SHAPE_SLOT + getsizeof(members) + (2 + len(members)) * row
+        self._room -= size
+        shapes.put(lam, size, (k, prev, members))
         return members
 
     def _by_dicts(self, t, lam, p, k, lower):
@@ -303,85 +309,58 @@ class BranchEngine:
 
 
 class _Table:
-    """Values by key, least recently used first, at most `bound` bytes in all;
-    a value of more than a quarter of the bound is not kept.  hits, misses and
-    evictions count what get found and missed and the values dropped.  The
-    tableau oracle's plan table is its own class, since the oracle that checks
-    the recursion shares no code with it."""
+    """Values by key, at most `bound` bytes in all as their callers size them,
+    the oldest value dropped first; a value of more than a quarter of the bound
+    is not kept, and a key keeps the value it holds.  Hot readers take
+    entries.get and count their own misses; get counts hits and misses for the
+    others.  evictions counts the values dropped.  The tableau oracle's plan
+    table is its own class, since the oracle that checks the recursion shares
+    no code with it."""
 
     def __init__(self, bound: int):
-        self.bound, self.size, self.entries = bound, 0, OrderedDict()  # key -> (size, value)
+        self.bound, self.size, self.entries, self.order = bound, 0, {}, deque()  # (key, size) oldest first
         self.hits = self.misses = self.evictions = 0
 
     def get(self, key):
-        entry = self.entries.get(key)
-        if entry is None:
+        value = self.entries.get(key)
+        if value is None:
             self.misses += 1
-            return None
-        self.hits += 1
-        self.entries.move_to_end(key)
-        return entry[1]
+        else:
+            self.hits += 1
+        return value
 
     def put(self, key, size: int, value):
-        """value, kept under key (in place of any value there) if it is small enough."""
-        if size <= self.bound // 4:
-            old = self.entries.pop(key, None)
-            self.size += size - (old[0] if old else 0)
-            self.entries[key] = size, value
-            while self.size > self.bound:  # a dict's first key would be a scan past freed slots
-                self.size -= self.entries.popitem(last=False)[1][0]
+        """value, kept under key if it is small enough and key holds none."""
+        if size <= self.bound // 4 and key not in self.entries:
+            self.entries[key] = value
+            self.order.append((key, size))
+            self.size += size
+            while self.size > self.bound:
+                dropped, dropped_size = self.order.popleft()
+                del self.entries[dropped]
+                self.size -= dropped_size
                 self.evictions += 1
         return value
 
 
-# Both hold structure that every engine of a width shares, no answer.  A 20 s
-# run of the recursion benchmark (seed 7) fills them with 847 characters and
-# 28 masks, about 21 KB each in all; principal sl_300's w_150 alone takes
-# 1.7 MB, and is not kept.
+# Every table holds structure that engines of every type and width share, no
+# answer.  A 20 s run of the recursion benchmark (seed 7, 2520 fresh engines)
+# fills them with 847 characters (21 KB), 135 masks (60 KB), 3919 shapes of
+# the largest pivot (2.7 MB) and 273 strip patterns (161 KB), and drops
+# nothing.  Principal sl_300's w_150 alone takes 1.7 MB, and is not kept;
+# principal sl_3 (600, 300) takes 68k steps, and adds shapes only until they
+# fill a quarter of the bound.  sl_13 [6, 4, 2, 1] (20, 15, 10, 5, 3, 1) reads
+# 207 strip patterns, 330 KB; one pattern of sl_14 with all rows distinct
+# takes about 550 KB, and still fits.
 _characters = _Table(2**20)
 _guard_masks = _Table(2**20)
+_shapes = {"largest": _Table(3 * 2**20), "smallest": _Table(3 * 2**20)}
+_strips = _Table(2**22)
 
-
-class _Shapes:
-    """The shape of a step, (k, lambda', the members of P(lambda', k) but
-    lambda), by its padded lambda, read by entries.get: at most `bound` bytes
-    in all, as sys.getsizeof counts them, the oldest shape dropped first.
-    misses counts the shapes the steps built, evictions those dropped."""
-
-    # per shape, besides its tuples of parts: its dict slot and (key, size)
-    # entry in `order` (at most 120 bytes at any fill, churn included, by
-    # tracemalloc), the (k, lambda', members) tuple and the size
-    SLOT = 120 + getsizeof((0, 0, 0)) + getsizeof(2**20)
-
-    def __init__(self, bound: int):
-        self.bound, self.size, self.entries, self.order = bound, 0, {}, deque()
-        self.misses = self.evictions = 0
-
-    def add(self, lam, shape) -> int:
-        """Keep shape under lam, drop the oldest shapes past the bound, and return
-        shape's size.  lam, lambda' and each member are tuples as long as lam.
-        Their parts are at most lam_1 + 1, and once lam_1 passes CPython's
-        cached small ints each part is counted as one more int that large."""
-        members = shape[2]
-        part = getsizeof(lam[0] + 1) if lam[0] > 255 else 0
-        row = getsizeof(lam) + len(lam) * part
-        size = self.SLOT + getsizeof(members) + (2 + len(members)) * row
-        self.entries[lam] = shape
-        self.order.append((lam, size))
-        self.size += size
-        while self.size > self.bound:
-            key, dropped = self.order.popleft()
-            del self.entries[key]
-            self.size -= dropped
-            self.evictions += 1
-        return size
-
-
-# One table per pivot rule.  The shapes hold the Pieri rule, no answer, so
-# engines of every type and width share them.  The 3919 shapes of a 20 s run of
-# the recursion benchmark (seed 7) take about 2.5 MB; principal sl_3 (600, 300)
-# takes 68k steps, and adds shapes only until they fill a quarter of the bound.
-_shapes = {"largest": _Shapes(3 * 2**20), "smallest": _Shapes(3 * 2**20)}
+# per shape, besides its tuples of parts: its dict slot and (key, size) entry
+# in the table's order (at most 120 bytes at any fill, churn included, by
+# tracemalloc), the (k, lambda', members) tuple and the size
+_SHAPE_SLOT = 120 + getsizeof((0, 0, 0)) + getsizeof(2**20)
 
 
 def _shared_character(t, k, w, dim):
@@ -396,18 +375,21 @@ def _shared_character(t, k, w, dim):
 
 
 def _shared_mask(w, bits, length):
-    """guard_mask(w, bits, .) over at least length bits, from the process-wide table."""
-    mask = _guard_masks.get((w, bits)) or 0
-    if mask.bit_length() < length:
-        mask = guard_mask(w, bits, 2 * length)
-        _guard_masks.put((w, bits), mask.bit_length() // 8, mask)
+    """guard_mask(w, bits, .) over at least twice length bits, from the
+    process-wide table: one mask per power of two of length, so no key's mask
+    ever grows."""
+    key = (w, bits, length.bit_length())
+    mask = _guard_masks.get(key)
+    if mask is None:
+        mask = guard_mask(w, bits, 2 << key[2])
+        _guard_masks.put(key, mask.bit_length() // 8, mask)
     return mask
 
 
-@lru_cache(maxsize=1024)
 def _lower_strips(k: int, *eqs: bool) -> tuple[tuple[int, ...], ...]:
     """mu - lambda' for each mu in P(lambda', k) but lambda' + w_k, where eqs
-    tells which adjacent rows of the padded lambda' are equal.
+    tells which adjacent rows of the padded lambda' are equal, from the
+    process-wide table.
 
     A vertical strip puts a box in row i > 0 only where lambda'_{i-1} >
     lambda'_i or row i - 1 gets one too, and a box in row n takes off the full
@@ -415,9 +397,15 @@ def _lower_strips(k: int, *eqs: bool) -> tuple[tuple[int, ...], ...]:
     are read off a representative whose row i counts the unequal adjacent
     pairs below it.  Tuples, since every engine shares each entry.
     """
-    rep = tuple(accumulate((not e for e in reversed(eqs)), initial=0))[::-1]
-    top = lex_max_member(rep, k)
-    return tuple(tuple(map(sub, mu, rep)) for mu in pieri_set(rep, k) if mu != top)
+    key = k, eqs
+    strips = _strips.get(key)
+    if strips is None:
+        rep = tuple(accumulate((not e for e in reversed(eqs)), initial=0))[::-1]
+        top = lex_max_member(rep, k)
+        strips = tuple(tuple(map(sub, mu, rep)) for mu in pieri_set(rep, k) if mu != top)
+        _strips.put(key, getsizeof(key) + getsizeof(eqs) + getsizeof(strips)
+                    + sum(map(getsizeof, strips)), strips)
+    return strips
 
 
 def _admit(memos, key, mv):
@@ -458,10 +446,10 @@ def branch(t: SubalgebraType, w: DominantWeight) -> MultVector:
 def clear_cache():
     """Forget every memoized branching: the shared engine's and the fundamentals'.
 
-    The shape and strip tables (_shapes, _lower_strips) stay: they hold the
-    Pieri rule, not an answer, and no cache= or cache file writes to them.
-    The character and mask tables (_characters, _guard_masks) and the tableau
-    oracle's plan table stay for the same reason.
+    The process-wide tables of branching (_shapes, _strips, _characters,
+    _guard_masks), each bounded in bytes, and the tableau oracle's plan table
+    stay: they hold the Pieri rule or an entry fixed by its key, not an
+    answer, and no cache= or cache file writes to them.
     """
     _DEFAULT_ENGINE.cache = {}
     _fundamental.cache_clear()

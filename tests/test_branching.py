@@ -546,25 +546,35 @@ def test_the_strip_table_gives_every_lower_pieri_member():
     assert cases == 20592
 
 
-def empty_shape_tables(bound=None):
-    """Empty shape tables, one per pivot rule, of the usual bound by default."""
-    return {pivot: branching._Shapes(table.bound if bound is None else bound)
-            for pivot, table in branching._shapes.items()}
-
-
 @contextlib.contextmanager
-def fresh_shapes(bound=None):
-    """Empty shape tables, the process's own put back."""
-    kept = branching._shapes
-    branching._shapes = empty_shape_tables(bound)
-    try:
-        yield branching._shapes
-    finally:
-        branching._shapes = kept
+def fresh_tables(bound=None):
+    """Every process-wide table of branching swapped for an empty one of `bound`
+    bytes (of its own bound by default), the process's own put back.  Yields
+    the new tables by name, the shape tables by pivot rule."""
+    def empty(table):
+        return branching._Table(table.bound if bound is None else bound)
+
+    tables = {"characters": empty(branching._characters), "masks": empty(branching._guard_masks),
+              "strips": empty(branching._strips),
+              **{pivot: empty(table) for pivot, table in branching._shapes.items()}}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(branching, "_characters", tables["characters"])
+        mp.setattr(branching, "_guard_masks", tables["masks"])
+        mp.setattr(branching, "_strips", tables["strips"])
+        mp.setattr(branching, "_shapes", {pivot: tables[pivot] for pivot in branching._shapes})
+        yield tables
+
+
+def assert_bounded(table):
+    """table's size is the sum of the sizes it was given, within its bound, and
+    it keeps no value over a quarter of that."""
+    assert len(table.entries) == len(table.order)
+    assert table.size == sum(size for _, size in table.order) <= table.bound
+    assert all(size <= table.bound // 4 for _, size in table.order)
 
 
 def counting_pieri_set(monkeypatch):
-    """The patterns branching.pieri_set is called on, from an empty strip table."""
+    """The patterns branching.pieri_set is called on."""
     calls = []
     real = branching.pieri_set
 
@@ -572,10 +582,6 @@ def counting_pieri_set(monkeypatch):
         calls.append((k, *map(eq, prev, prev[1:])))
         return real(prev, k)
 
-    branching._lower_strips.cache_clear()
-    # the shape tables sit in front of the strip table: a shape they hold
-    # calls nothing
-    monkeypatch.setattr(branching, "_shapes", empty_shape_tables())
     monkeypatch.setattr(branching, "pieri_set", counting)
     return calls
 
@@ -584,60 +590,70 @@ def test_pieri_set_runs_once_per_pattern_of_the_process(monkeypatch):
     calls = counting_pieri_set(monkeypatch)
     queries = [(t, w) for t in all_types(6) for w in iter_dominant_weights(6, 6)]
     for pivot in ("largest", "smallest"):
-        calls.clear()
-        branching._lower_strips.cache_clear()
-        engine = BranchEngine(pivot=pivot)
-        answers = [engine.branch(t, w) for t, w in queries]
-        assert calls and len(calls) == len(set(calls)), pivot
-        assert branching._lower_strips.cache_info().currsize == len(calls), pivot
-        # the table outlives the engine and clear_cache: a fresh engine takes
-        # every pattern from it
-        calls.clear()
-        clear_cache()
-        fresh = BranchEngine(pivot=pivot)
-        assert [fresh.branch(t, w) for t, w in queries] == answers
-        assert calls == [], pivot
+        # an empty strip table, and empty shape tables in front of it: a shape
+        # they hold calls nothing
+        with fresh_tables() as tables:
+            calls.clear()
+            engine = BranchEngine(pivot=pivot)
+            answers = [engine.branch(t, w) for t, w in queries]
+            assert calls and len(calls) == len(set(calls)), pivot
+            assert len(tables["strips"].entries) == tables["strips"].misses == len(calls), pivot
+            # the table outlives the engine and clear_cache: a fresh engine takes
+            # every pattern from it
+            calls.clear()
+            clear_cache()
+            fresh = BranchEngine(pivot=pivot)
+            assert [fresh.branch(t, w) for t, w in queries] == answers
+            assert calls == [], pivot
+
+
+def strip_size(key, strips):
+    """The bytes of a strip entry as sys.getsizeof counts them: its key (k, eqs),
+    eqs, and the tuple of strips with each strip; every part is a small int."""
+    return sum(map(sys.getsizeof, (key, key[1], strips, *strips)))
 
 
 def test_strip_table_is_bounded():
-    branching._lower_strips.cache_clear()
-    for eqs in product((False, True), repeat=11):
-        branching._lower_strips(1, *eqs)
-    info = branching._lower_strips.cache_info()
-    assert info.misses == 2**11
-    assert info.currsize <= info.maxsize < 2**11
+    # the 2**11 patterns of k = 1 in sl_12 take more than a 64 KiB table
+    with fresh_tables(2**16) as tables:
+        strips = tables["strips"]
+        for eqs in product((False, True), repeat=11):
+            branching._lower_strips(1, *eqs)
+        assert strips.misses == 2**11 and strips.evictions > 0
+        assert_bounded(strips)
+        assert strips.size == sum(strip_size(key, strips.entries[key]) for key, _ in strips.order)
+        # sl_13's k = 6 pattern with all rows distinct, 260 KB, is past a quarter
+        # of the bound: it is returned, but not kept
+        prev = tuple(range(12, -1, -1))
+        eqs = tuple(map(eq, prev, prev[1:]))
+        kept = list(strips.order)
+        got = branching._lower_strips(6, *eqs)
+        assert strip_size((6, eqs), got) > 260000
+        assert len(got) == 1715
+        assert {tuple(map(add, prev, d)) for d in got} == pieri_set(prev, 6) - {lex_max_member(prev, 6)}
+        assert list(strips.order) == kept and (6, eqs) not in strips.entries
 
 
-@contextlib.contextmanager
-def fresh_tables(bound=None):
-    """Empty character and mask tables (of the usual bound by default), the process's own
-    put back."""
-    kept = branching._characters, branching._guard_masks
-    branching._characters, branching._guard_masks = (
-        branching._Table(table.bound if bound is None else bound) for table in kept)
-    try:
-        yield branching._characters, branching._guard_masks
-    finally:
-        branching._characters, branching._guard_masks = kept
-
-
-def assert_tables_hold_what_they_are_keyed_by(characters, masks):
-    for (blocks, k, w), (size, (c, top, guard)) in characters.entries.items():
+def assert_tables_hold_what_they_are_keyed_by(tables):
+    characters, masks = tables["characters"], tables["masks"]
+    sizes = dict(characters.order)
+    for (blocks, k, w), (c, top, guard) in characters.entries.items():
         t = SubalgebraType(blocks)
         assert (c, top) == wedge_character(t, k, w), (blocks, k, w)
         assert guard == comb(t.n, k).bit_length() + 1 and width(comb(t.n, k)) <= w
-        assert size == c.bit_length() // 8
-    for (w, bits), (size, mask) in masks.entries.items():
-        assert mask == guard_mask(w, bits, mask.bit_length() - 1), (w, bits)
-        assert size == mask.bit_length() // 8
-    for table in (characters, masks):
-        assert table.size == sum(size for size, _ in table.entries.values()) <= table.bound
+        assert sizes[blocks, k, w] == c.bit_length() // 8
+    sizes = dict(masks.order)
+    for (w, bits, b), mask in masks.entries.items():
+        assert mask == guard_mask(w, bits, 2 << b), (w, bits, b)
+        assert sizes[w, bits, b] == mask.bit_length() // 8
+    assert_bounded(characters)
+    assert_bounded(masks)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_each_character_entry_is_the_wedge_character_at_its_width(data):
-    with fresh_tables() as (characters, masks):
+    with fresh_tables() as tables:
         for _ in range(data.draw(st.integers(1, 4))):
             n = data.draw(st.integers(2, 8))
             t = data.draw(st.sampled_from(all_types(n)))
@@ -645,10 +661,10 @@ def test_each_character_entry_is_the_wedge_character_at_its_width(data):
             w = data.draw(st.integers(width(comb(n, k)), 9))
             got = branching._shared_character(t, k, w, comb(n, k))
             assert got == (*wedge_character(t, k, w), comb(n, k).bit_length() + 1)
-            assert characters.get((t.blocks, k, w)) == got
+            assert tables["characters"].get((t.blocks, k, w)) == got
         for t, w in data.draw(query_sequences()):
             BranchEngine().branch(t, w)
-        assert_tables_hold_what_they_are_keyed_by(characters, masks)
+        assert_tables_hold_what_they_are_keyed_by(tables)
 
 
 # wrong, but the engine trusts entries that pass its checks
@@ -682,23 +698,24 @@ def test_engines_of_every_width_share_the_tables_as_if_each_had_its_own(schedule
     # same types, so a character or mask of the wrong width would show
     with fresh_tables() as tables:
         assert interleaved_answers(schedule, False) == interleaved_answers(schedule, True)
-        assert {w for _, _, w in tables[0].entries} >= {8}
-        assert_tables_hold_what_they_are_keyed_by(*tables)
+        assert {w for _, _, w in tables["characters"].entries} >= {8}
+        assert_tables_hold_what_they_are_keyed_by(tables)
 
 
-def test_a_small_table_keeps_its_bound_and_drops_the_least_recently_used():
+def test_a_small_table_keeps_its_bound_and_drops_the_oldest():
     table = branching._Table(100)
     assert table.put("a", 25, "A") == "A"
     for key in "bcd":
         table.put(key, 25, key.upper())
     assert table.size == 100 and table.get("a") == "A"
-    table.put("e", 25, "E")  # over the bound: b, used least recently, goes
-    assert list(table.entries) == ["c", "d", "a", "e"] and table.size == 100
-    assert table.get("b") is None
+    table.put("e", 25, "E")  # over the bound: a, the oldest, goes, though just read
+    assert list(table.entries) == ["b", "c", "d", "e"] and table.size == 100
+    assert table.get("a") is None
     assert table.put("f", 26, "F") == "F"  # more than a quarter of the bound
     assert "f" not in table.entries and table.size == 100
-    table.put("c", 10, "C2")  # a new value replaces the old one
-    assert table.entries["c"] == (10, "C2") and table.size == 85
+    table.put("c", 10, "C2")  # a held key keeps its value and its size
+    assert table.entries["c"] == "C" and table.size == 100
+    assert list(table.order) == [("b", 25), ("c", 25), ("d", 25), ("e", 25)]
 
 
 def test_small_tables_never_exceed_their_bound():
@@ -708,11 +725,11 @@ def test_small_tables_never_exceed_their_bound():
     want = [BranchEngine().branch(t, w) for t, w in queries]
     with fresh_tables(256) as tables:
         sizes = []
-        put = tables[0].put
-        tables[0].put = lambda key, size, value: (sizes.append(size), put(key, size, value))[1]
+        put = tables["characters"].put
+        tables["characters"].put = lambda key, size, value: (sizes.append(size), put(key, size, value))[1]
         assert [BranchEngine().branch(t, w) for t, w in queries] == want
         assert sum(sizes) > 256 and max(sizes) > 256 // 4
-        assert_tables_hold_what_they_are_keyed_by(*tables)
+        assert_tables_hold_what_they_are_keyed_by(tables)
 
 
 def test_the_tables_outlive_their_engine_and_clear_cache(monkeypatch):
@@ -721,11 +738,12 @@ def test_the_tables_outlive_their_engine_and_clear_cache(monkeypatch):
     monkeypatch.setattr(branching, "wedge_character",
                         lambda t, k, w: (calls.append((t.blocks, k, w)), real_character(t, k, w))[1])
     monkeypatch.setattr(branching, "guard_mask",
-                        lambda w, bits, length: (calls.append((w, bits)), real_mask(w, bits, length))[1])
+                        lambda w, bits, length: (calls.append((w, bits, length)),
+                                                 real_mask(w, bits, length))[1])
     queries = [(t, w) for t in all_types(6) for w in iter_dominant_weights(6, 6)]
-    with fresh_tables() as (characters, masks):
+    with fresh_tables() as tables:
         answers = [BranchEngine().branch(t, w) for t, w in queries]
-        assert calls and len(set(calls)) == len(characters.entries) + len(masks.entries)
+        assert calls and len(set(calls)) == len(tables["characters"].entries) + len(tables["masks"].entries)
         calls.clear()
         clear_cache()
         assert [BranchEngine().branch(t, w) for t, w in queries] == answers
@@ -751,9 +769,9 @@ def test_both_pivots_match_the_dict_recursion(case):
 
 
 def assert_shapes_hold_the_pieri_rule(tables):
-    for pivot, table in tables.items():
-        assert len(table.entries) == len(table.order)
-        assert table.size == sum(size for _, size in table.order) <= table.bound
+    for pivot in ("largest", "smallest"):
+        table = tables[pivot]
+        assert_bounded(table)
         for lam, size in table.order:
             k, prev, members = table.entries[lam]
             assert k == select_pivot(lam, largest=pivot == "largest"), (pivot, lam)
@@ -763,7 +781,7 @@ def assert_shapes_hold_the_pieri_rule(tables):
             # sys.getsizeof of every tuple, and of every int part CPython does not
             # share; each part is counted past the small ints, exactly below them
             parts = [x for row in (lam, prev, *members) for x in row if x > 256]
-            counted = (branching._Shapes.SLOT + sys.getsizeof(members)
+            counted = (branching._SHAPE_SLOT + sys.getsizeof(members)
                        + sum(map(sys.getsizeof, (lam, prev, *members)))
                        + sum(map(sys.getsizeof, parts)))
             big = sys.getsizeof(lam[0] + 1) * len(lam) * (2 + len(members)) if lam[0] > 255 else 0
@@ -789,9 +807,9 @@ def shape_schedules(draw):
 def shape_runs(schedule, tables):
     """Answers, caches and stats of schedule on engines 0 (largest pivot), 1
     (smallest), 2 (WIDE_ENTRY, widened by its first query) and 3 (cache= of
-    principal sl_4's answers up to 4 boxes, smallest pivot), with the shape
-    tables shared ("shared"), emptied before each query ("emptied") or of
-    `tables` bytes each (an int), small enough to evict."""
+    principal sl_4's answers up to 4 boxes, smallest pivot), with the
+    process-wide tables shared ("shared"), emptied before each query
+    ("emptied") or of `tables` bytes each (an int), small enough to evict."""
     donor = BranchEngine()
     for w in iter_dominant_weights(4, 4):
         donor.branch(SubalgebraType((4,)), w)
@@ -799,12 +817,16 @@ def shape_runs(schedule, tables):
                BranchEngine(pivot="smallest", cache=donor.cache)]
     schedule = [(2, SubalgebraType((5,)), partition_to_omega((2,), 5)), *schedule]
     answers = []
-    with fresh_shapes(None if isinstance(tables, str) else tables) as shapes:
+    with fresh_tables(None if isinstance(tables, str) else tables) as held:
         for i, t, w in schedule:
             if tables == "emptied":
-                branching._shapes = shapes = empty_shape_tables()
-            answers.append(engines[i].branch(t, w))
-        assert_shapes_hold_the_pieri_rule(shapes)
+                with fresh_tables() as held:
+                    answers.append(engines[i].branch(t, w))
+            else:
+                answers.append(engines[i].branch(t, w))
+        assert_shapes_hold_the_pieri_rule(held)
+        assert_tables_hold_what_they_are_keyed_by(held)
+        assert_bounded(held["strips"])
     assert engines[2]._w == 8
     return answers, [e.cache for e in engines], [e.stats for e in engines]
 
@@ -814,8 +836,9 @@ def shape_runs(schedule, tables):
 def test_engines_answer_alike_however_the_shape_tables_are_shared(schedule):
     shared = shape_runs(schedule, "shared")
     assert shape_runs(schedule, "emptied") == shared
-    # shrunk, a table keeps a few shapes (3000 bytes) or none (300, less than
-    # one shape), dropping the oldest
+    # shrunk, every table (shapes, strips, characters and masks) keeps a few
+    # values (3000 bytes) or hardly any (300, less than one shape), dropping
+    # the oldest
     assert shape_runs(schedule, 3000) == shared
     assert shape_runs(schedule, 300) == shared
 
@@ -826,11 +849,11 @@ def test_shape_tables_keep_their_bound_and_each_query_its_limit():
     queries.append((SubalgebraType((2,)), partition_to_omega((300,), 2)))
     queries.append((SubalgebraType((3,)), partition_to_omega((60, 30), 3)))
     want = [BranchEngine().branch(t, w) for t, w in queries]
-    with fresh_shapes(20000) as shapes:
-        table = shapes["largest"]
+    with fresh_tables(20000) as tables:
+        table = tables["largest"]
         added = []
-        real = table.add
-        table.add = lambda lam, shape: added[-1].append(real(lam, shape)) or added[-1][-1]
+        real = table.put
+        table.put = lambda lam, size, shape: added[-1].append(size) or real(lam, size, shape)
         got = []
         for t, w in queries:
             added.append([])
@@ -838,7 +861,7 @@ def test_shape_tables_keep_their_bound_and_each_query_its_limit():
             got.append(BranchEngine().branch(t, w))
         assert got == want
         assert table.evictions > 0
-        assert_shapes_hold_the_pieri_rule(shapes)
+        assert_shapes_hold_the_pieri_rule(tables)
         # a query adds shapes until those it added pass a quarter of the bound
         for sizes in added:
             assert sum(sizes[:-1]) <= 20000 // 4
@@ -848,7 +871,8 @@ def test_shape_tables_keep_their_bound_and_each_query_its_limit():
 
 def test_the_shape_tables_outlive_their_engine_and_clear_cache():
     queries = [(t, w) for t in all_types(6) for w in iter_dominant_weights(6, 6)]
-    with fresh_shapes() as shapes:
+    with fresh_tables() as tables:
+        shapes = {p: tables[p] for p in ("largest", "smallest")}
         answers = {p: [BranchEngine(pivot=p).branch(t, w) for t, w in queries] for p in shapes}
         kept = {p: (dict(table.entries), table.misses) for p, table in shapes.items()}
         assert all(misses for _, misses in kept.values())
@@ -867,9 +891,9 @@ def test_tables_count_their_hits_misses_and_evictions():
     table.put("f", 26, "F")  # not kept, so nothing is dropped
     assert (table.hits, table.misses, table.evictions) == (2, 2, 1)
     # the shapes of sl_3 below take one member each; a query may add two
-    t, size = SubalgebraType((3,)), (branching._Shapes.SLOT + sys.getsizeof((0,))
+    t, size = SubalgebraType((3,)), (branching._SHAPE_SLOT + sys.getsizeof((0,))
                                      + 3 * sys.getsizeof((0, 0, 0)))
-    with fresh_shapes(4 * size) as tables:
+    with fresh_tables(4 * size) as tables:
         shapes = tables["largest"]
         BranchEngine().branch(t, partition_to_omega((3,), 3))  # steps on (3), (2), (2, 1)
         assert (shapes.misses, shapes.evictions) == (3, 0)
