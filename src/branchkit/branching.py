@@ -318,7 +318,8 @@ class _Table:
     no code with it."""
 
     def __init__(self, bound: int):
-        self.bound, self.size, self.entries, self.order = bound, 0, {}, deque()  # (key, size) oldest first
+        self.bound, self.size, self.entries = bound, 0, {}
+        self.order = deque()  # (key, size), oldest first
         self.hits = self.misses = self.evictions = 0
 
     def get(self, key):

@@ -630,7 +630,8 @@ def test_strip_table_is_bounded():
         got = branching._lower_strips(6, *eqs)
         assert strip_size((6, eqs), got) > 260000
         assert len(got) == 1715
-        assert {tuple(map(add, prev, d)) for d in got} == pieri_set(prev, 6) - {lex_max_member(prev, 6)}
+        want = pieri_set(prev, 6) - {lex_max_member(prev, 6)}
+        assert {tuple(map(add, prev, d)) for d in got} == want
         assert list(strips.order) == kept and (6, eqs) not in strips.entries
 
 
@@ -725,8 +726,9 @@ def test_small_tables_never_exceed_their_bound():
     want = [BranchEngine().branch(t, w) for t, w in queries]
     with fresh_tables(256) as tables:
         sizes = []
-        put = tables["characters"].put
-        tables["characters"].put = lambda key, size, value: (sizes.append(size), put(key, size, value))[1]
+        characters = tables["characters"]
+        put = characters.put
+        characters.put = lambda key, size, value: (sizes.append(size), put(key, size, value))[1]
         assert [BranchEngine().branch(t, w) for t, w in queries] == want
         assert sum(sizes) > 256 and max(sizes) > 256 // 4
         assert_tables_hold_what_they_are_keyed_by(tables)
@@ -743,7 +745,8 @@ def test_the_tables_outlive_their_engine_and_clear_cache(monkeypatch):
     queries = [(t, w) for t in all_types(6) for w in iter_dominant_weights(6, 6)]
     with fresh_tables() as tables:
         answers = [BranchEngine().branch(t, w) for t, w in queries]
-        assert calls and len(set(calls)) == len(tables["characters"].entries) + len(tables["masks"].entries)
+        assert calls
+        assert len(set(calls)) == len(tables["characters"].entries) + len(tables["masks"].entries)
         calls.clear()
         clear_cache()
         assert [BranchEngine().branch(t, w) for t, w in queries] == answers
