@@ -13,7 +13,8 @@ strips in one loop over the entries, with no recursion.
 The top level exports what the README, the demos and the benchmark use, plus
 the exception types.  Helpers such as the hook and two-block closed forms, the
 partition utilities and the tableau enumerator stay importable from their
-modules.
+modules.  The oracle's names load the oracle on first use, so that importing
+the package, or running `branchkit branch`, does not.
 """
 
 from .branching import (
@@ -31,10 +32,10 @@ from .fundamental import (
     mult_strict_count,
     wedge_weight_multiset,
 )
-from .oracle import BudgetExceededError, oracle_branch, ssyt_count
 from .pieri import lex_max_member, pieri_set
 from .qcomb import gaussian_binomial, p_k_n, pi, qpoly_str
 from .sl2 import (
+    BudgetExceededError,
     CorruptMultisetError,
     InternalConsistencyError,
     cg_convolve,
@@ -53,6 +54,15 @@ from .weights import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in ("oracle_branch", "ssyt_count"):
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BranchEngine",

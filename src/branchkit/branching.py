@@ -346,7 +346,7 @@ class _Table:
 
 # Every table holds structure that engines of every type and width share, no
 # answer.  A 20 s run of the recursion benchmark (seed 7, 2520 fresh engines)
-# fills them with 847 characters (21 KB), 135 masks (60 KB), 3919 shapes of
+# fills them with 847 characters (430 KB), 135 masks (107 KB), 3919 shapes of
 # the largest pivot (2.7 MB) and 273 strip patterns (161 KB), and drops
 # nothing.  Principal sl_300's w_150 alone takes 1.7 MB, and is not kept;
 # principal sl_3 (600, 300) takes 68k steps, and adds shapes only until they
@@ -358,32 +358,38 @@ _guard_masks = _Table(2**20)
 _shapes = {"largest": _Table(3 * 2**20), "smallest": _Table(3 * 2**20)}
 _strips = _Table(2**22)
 
-# per shape, besides its tuples of parts: its dict slot and (key, size) entry
-# in the table's order (at most 120 bytes at any fill, churn included, by
-# tracemalloc), the (k, lambda', members) tuple and the size
-_SHAPE_SLOT = 120 + getsizeof((0, 0, 0)) + getsizeof(2**20)
+# per entry, besides what it holds: its dict slot and (key, size) entry in the
+# table's order (at most 120 bytes at any fill, churn included, by
+# tracemalloc) and the size
+_SLOT = 120 + getsizeof(2**20)
+# per shape, besides its tuples of parts: the (k, lambda', members) tuple too
+_SHAPE_SLOT = _SLOT + getsizeof((0, 0, 0))
 
 
 def _shared_character(t, k, w, dim):
     """(packed character of w_k at width w, its top, guard bits): wedge_character
-    plus the bit length of dim = C(n, k), from the process-wide table."""
+    plus the bit length of dim = C(n, k), from the process-wide table, sized
+    as sys.getsizeof counts the key, the value and the items of each, plus
+    _SLOT."""
     key = (t.blocks, k, w)
     hit = _characters.get(key)
     if hit is None:
         c, top = wedge_character(t, k, w)
-        hit = _characters.put(key, c.bit_length() // 8, (c, top, dim.bit_length() + 1))
+        hit = c, top, dim.bit_length() + 1
+        _characters.put(key, _SLOT + sum(map(getsizeof, (key, *key, hit, *hit))), hit)
     return hit
 
 
 def _shared_mask(w, bits, length):
     """guard_mask(w, bits, .) over at least twice length bits, from the
     process-wide table: one mask per power of two of length, so no key's mask
-    ever grows."""
+    ever grows.  Sized as sys.getsizeof counts the key, its items and the
+    mask, plus _SLOT."""
     key = (w, bits, length.bit_length())
     mask = _guard_masks.get(key)
     if mask is None:
         mask = guard_mask(w, bits, 2 << key[2])
-        _guard_masks.put(key, mask.bit_length() // 8, mask)
+        _guard_masks.put(key, _SLOT + sum(map(getsizeof, (key, *key, mask))), mask)
     return mask
 
 

@@ -8,21 +8,22 @@ exceeded.
 
 `branch --cache` keeps the engine's memo table in a version-tagged file of
 compact JSON with sorted keys, its entries checked on load by the engine's
-`cache` setter, replaced atomically (a failed write names the file, not its
-temporary twin), and rewritten only when a run computed a new entry, before
-the answer is printed.  A run that loaded the file and then
-fails a consistency check is repeated once without it; if that run passes, the
-file holds a wrong entry (exit 2).  On load, the trivial and fundamental entries
-of the queried type are compared with {0: 1} and fundamental_branching, and a
-mismatch is rejected the same way.
+`cache` setter, written entry by entry and replaced atomically (a failed
+write names the file, not its temporary twin), and rewritten only when a run
+computed a new entry, before the answer is printed.  A run that loaded the
+file and then fails a consistency check is repeated once without it; if that
+run passes, the file holds a wrong entry (exit 2).  On load, the trivial and
+fundamental entries of the queried type are compared with {0: 1} and
+fundamental_branching, and a mismatch is rejected the same way.
 `verify` runs weight-major, one task per weight for every type, on
 min(--jobs, CPU count) worker processes, and imports the process pool only
-when that is more than one.  It refuses a sweep of more than
-VERIFY_MAX_PAIRS (type, weight) pairs, or of pairs whose weights hold more
-than VERIFY_MAX_COEFFS coefficients, n - 1 each (exit 2), counted from
-partition numbers before it lists a type or a weight.  `triple` refuses n above
-TRIPLE_MAX_N (exit 2) before it builds a matrix or imports numpy.  JSON output
-goes to stdout in blocks as it is encoded.
+when that is more than one; it alone imports the tableau oracle, when it
+runs.  It refuses a sweep of more than VERIFY_MAX_PAIRS (type, weight) pairs,
+or of pairs whose weights hold more than VERIFY_MAX_COEFFS coefficients,
+n - 1 each (exit 2), counted from partition numbers before it lists a type
+or a weight.  `triple` refuses n above TRIPLE_MAX_N (exit 2) before it builds
+a matrix or imports numpy.  JSON output goes to stdout in blocks as it is
+encoded.
 """
 
 import argparse
@@ -33,9 +34,10 @@ from itertools import islice
 
 from .branching import BranchEngine, branch
 from .fundamental import ClosedFormMismatchError, fundamental_branching
-from .oracle import DEFAULT_BUDGET, BudgetExceededError, oracle_branch
 from .pieri import pieri_set
 from .sl2 import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
     InternalConsistencyError,
     highest_component,
     lowest_component,
@@ -209,18 +211,26 @@ def load_cache(path, t) -> dict:
 def save_cache(path, cache):
     """Write the memo cache to a temporary file beside path, then rename it over path.
 
-    Compact separators keep json.dumps on its C encoder (indent forces the
-    pure-Python one); sort_keys orders entries and components as before.  An
-    OSError names path, not the temporary file.
+    The bytes are json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    and a newline, payload being {"version": 1, "entries": {key string:
+    {str(j): m_j}}}, but the entries go out one at a time in the order of
+    their key strings: no copy of the memo with string keys, and no text of
+    the whole file, is ever held.  Compact separators keep each json.dumps on
+    its C encoder (indent forces the pure-Python one).  An OSError names path,
+    not the temporary file.
     """
-    entries = {
-        _cache_key_str(key): {str(j): m for j, m in mv.items()} for key, mv in cache.items()
-    }
-    payload = {"version": CACHE_VERSION, "entries": entries}
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+            fh.write('{"entries":{')
+            sep = ""
+            # key strings are distinct, so the sort never compares two entries
+            for key_str, mv in sorted(zip(map(_cache_key_str, cache), cache.values())):
+                components = {str(j): m for j, m in mv.items()}
+                fh.write(f"{sep}{json.dumps(key_str)}:"
+                         f"{json.dumps(components, sort_keys=True, separators=(',', ':'))}")
+                sep = ","
+            fh.write(f'}},"version":{CACHE_VERSION}}}\n')
         os.replace(tmp, path)
     except OSError as exc:
         raise OSError(f"cannot write cache {path}: {exc.strerror or exc}") from None
@@ -348,6 +358,8 @@ def cmd_triple(args) -> int:
 
 def _verify_task(task):
     """Every type against one weight: (type index, recursion, oracle) for each mismatch."""
+    from .oracle import oracle_branch  # only verify runs the oracle
+
     all_blocks, w, budget = task
     bad = []
     for k, blocks in enumerate(all_blocks):

@@ -26,20 +26,21 @@ answer.
 Deliberately independent of the recursion and the closed forms: it imports
 nothing from fundamental or branching, only h_diagonal from subalgebra, the
 partition dictionary from weights, and the dim-difference arithmetic
-(mult_from_multiset) and InternalConsistencyError from sl2.
+(mult_from_multiset), InternalConsistencyError, DEFAULT_BUDGET and
+BudgetExceededError from sl2.
 """
 
 from collections import Counter, OrderedDict
 
-from .sl2 import InternalConsistencyError, MultVector, mult_from_multiset
+from .sl2 import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
+    InternalConsistencyError,
+    MultVector,
+    mult_from_multiset,
+)
 from .subalgebra import SubalgebraType, h_diagonal
 from .weights import DominantWeight, Partition, canonical_partition, omega_to_partition
-
-DEFAULT_BUDGET = 10**7
-
-
-class BudgetExceededError(RuntimeError):
-    """Tableau enumeration passed the configured cap."""
 
 
 def _tableau_count(shape: Partition, n: int) -> int:

@@ -25,6 +25,15 @@ class InternalConsistencyError(RuntimeError):
     """A computation produced a negative multiplicity; this is always a bug."""
 
 
+# the tableau oracle's default cap and its error live here, so that the
+# package and the CLI name them without importing the oracle
+DEFAULT_BUDGET = 10**7
+
+
+class BudgetExceededError(RuntimeError):
+    """Tableau enumeration passed the configured cap."""
+
+
 class CorruptMultisetError(ValueError):
     """The multiset is not the weight system of any sl_2 representation."""
 

@@ -9,33 +9,43 @@ engine consumes, but the full (H, X, Y) triple can be built for self tests
 and export.
 """
 
-from dataclasses import dataclass, field
 from operator import index
 
-from .weights import iter_partitions
+from .weights import _Frozen, iter_partitions
 
 
-@dataclass(frozen=True)
-class SubalgebraType:
+class SubalgebraType(_Frozen):
     """Jordan type of an sl_2 subalgebra; blocks are stored canonically sorted.
 
-    n, the rank sum(blocks), is stored once; it takes no part in equality,
-    hashing, repr or pickling, which see the blocks alone.
+    Immutable.  n, the rank sum(blocks), is stored once; it takes no part in
+    equality, hashing, repr or pickling, which see the blocks alone.
     """
 
+    __slots__ = ("blocks", "n")
     blocks: tuple[int, ...]
-    n: int = field(init=False, repr=False, compare=False)
+    n: int
 
-    def __post_init__(self):
-        b = tuple(sorted(map(index, self.blocks), reverse=True))
-        object.__setattr__(self, "blocks", b)
-        if not b or any(d < 1 for d in b):
-            raise ValueError(f"block sizes must be positive integers, got {self.blocks}")
+    def __init__(self, blocks: tuple[int, ...]):
+        b = tuple(sorted(map(index, blocks), reverse=True))
+        if not b or b[-1] < 1:
+            raise ValueError(f"block sizes must be positive integers, got {b}")
         if b[0] < 2:
             raise ValueError(
                 f"type {list(b)} has only unit blocks (zero nilpotent); no sl_2 subalgebra"
             )
+        object.__setattr__(self, "blocks", b)
         object.__setattr__(self, "n", sum(b))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.blocks == other.blocks
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.blocks,))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(blocks={self.blocks!r})"
 
     def __getstate__(self):
         return {"blocks": self.blocks}

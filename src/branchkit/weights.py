@@ -11,7 +11,6 @@ Everything here is pure and exact; dimensions use Python's arbitrary
 precision integers.
 """
 
-from dataclasses import dataclass
 from itertools import accumulate
 from math import prod
 from operator import index, mul
@@ -37,24 +36,54 @@ def _check_rank(rank: int) -> None:
         raise ValueError(f"rank must be >= 2, got {rank}")
 
 
-@dataclass(frozen=True)
-class DominantWeight:
-    """A dominant integral weight of sl_n in fundamental-weight coordinates."""
+class _Frozen:
+    """Base of the value classes: an instance sets its slots once, through
+    object.__setattr__, and assigning or deleting one raises AttributeError."""
 
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class DominantWeight(_Frozen):
+    """A dominant integral weight of sl_n in fundamental-weight coordinates.
+
+    Immutable; equal, hashed and shown by (rank, coeffs).
+    """
+
+    __slots__ = ("rank", "coeffs")
     rank: int
     coeffs: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "rank", index(self.rank))
-        object.__setattr__(self, "coeffs", tuple(map(index, self.coeffs)))
-        _check_rank(self.rank)
-        if len(self.coeffs) != self.rank - 1:
+    def __init__(self, rank: int, coeffs: tuple[int, ...]):
+        rank, coeffs = index(rank), tuple(map(index, coeffs))
+        _check_rank(rank)
+        if len(coeffs) != rank - 1:
             raise ValueError(
-                f"need {self.rank - 1} coefficients for rank {self.rank}, "
-                f"got {len(self.coeffs)}"
+                f"need {rank - 1} coefficients for rank {rank}, got {len(coeffs)}"
             )
-        if any(a < 0 for a in self.coeffs):
-            raise ValueError(f"weight {self.coeffs} is not dominant")
+        if any(a < 0 for a in coeffs):
+            raise ValueError(f"weight {coeffs} is not dominant")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rank, self.coeffs) == (other.rank, other.coeffs)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rank, self.coeffs))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(rank={self.rank!r}, coeffs={self.coeffs!r})"
+
+    def __reduce__(self):
+        return type(self), (self.rank, self.coeffs)
 
     @classmethod
     def zero(cls, rank: int) -> "DominantWeight":

@@ -635,6 +635,12 @@ def test_strip_table_is_bounded():
         assert list(strips.order) == kept and (6, eqs) not in strips.entries
 
 
+def entry_size(key, *values):
+    """The bytes of a character or mask entry: the slot, and what sys.getsizeof
+    counts for its key, the key's items and its value or the value's items."""
+    return branching._SLOT + sum(map(sys.getsizeof, (key, *key, *values)))
+
+
 def assert_tables_hold_what_they_are_keyed_by(tables):
     characters, masks = tables["characters"], tables["masks"]
     sizes = dict(characters.order)
@@ -642,13 +648,44 @@ def assert_tables_hold_what_they_are_keyed_by(tables):
         t = SubalgebraType(blocks)
         assert (c, top) == wedge_character(t, k, w), (blocks, k, w)
         assert guard == comb(t.n, k).bit_length() + 1 and width(comb(t.n, k)) <= w
-        assert sizes[blocks, k, w] == c.bit_length() // 8
+        value = characters.entries[blocks, k, w]
+        assert sizes[blocks, k, w] == entry_size((blocks, k, w), value, *value)
     sizes = dict(masks.order)
     for (w, bits, b), mask in masks.entries.items():
         assert mask == guard_mask(w, bits, 2 << b), (w, bits, b)
-        assert sizes[w, bits, b] == mask.bit_length() // 8
+        assert sizes[w, bits, b] == entry_size((w, bits, b), mask)
     assert_bounded(characters)
     assert_bounded(masks)
+
+
+def held_bytes(table):
+    """What sys.getsizeof counts for table's dict and order and for every
+    distinct object reachable from them through tuples, less the cached small
+    ints and bools, which the interpreter holds whether or not the table does."""
+    seen = {id(x) for x in (*range(-5, 257), True, False, None)}
+    stack, total = [table.entries, table.order, *table.order, *table.entries.values()], 0
+    while stack:
+        x = stack.pop()
+        if id(x) not in seen:
+            seen.add(id(x))
+            total += sys.getsizeof(x)
+            if type(x) is tuple:
+                stack.extend(x)
+    return total
+
+
+def test_each_table_counts_at_least_what_it_holds():
+    # characters at several widths, masks, and shapes with parts past the small ints
+    queries = [(t, w) for n in range(3, 7) for t in all_types(n) for w in iter_dominant_weights(n, 5)]
+    queries += [(SubalgebraType((3,)), partition_to_omega((60, 30), 3)),
+                (SubalgebraType((2, 1)), partition_to_omega((300,), 3))]
+    with fresh_tables() as tables:
+        for t, w in queries:
+            BranchEngine().branch(t, w)
+        for name in ("characters", "masks", "largest"):
+            table = tables[name]
+            assert table.entries and table.evictions == 0, name
+            assert table.size >= held_bytes(table), name
 
 
 @settings(max_examples=60, deadline=None)

@@ -399,13 +399,13 @@ def test_verify_small_sweep(capsys):
 
 
 def test_verify_reports_a_mismatch(capsys, monkeypatch):
-    real = cli.oracle_branch
+    real = oracle.oracle_branch
 
-    def oracle(t, w, budget):
+    def wrong_oracle(t, w, budget):
         want = real(t, w, budget=budget)
         return {**want, 0: want.get(0, 0) + 1} if t.blocks == (3,) and w.coeffs == (1, 0) else want
 
-    monkeypatch.setattr(cli, "oracle_branch", oracle)
+    monkeypatch.setattr(oracle, "oracle_branch", wrong_oracle)
     code, out, _ = run(capsys, "verify", "--n", "3", "--max-boxes", "2")
     assert code == 1
     assert out.splitlines() == [
@@ -528,14 +528,14 @@ def test_verify_exits_3_when_the_oracle_fails_its_count_check(capsys, monkeypatc
 
 
 def test_verify_keeps_each_mismatch_with_its_type(capsys, monkeypatch):
-    real = cli.oracle_branch
+    real = oracle.oracle_branch
     wrong = {((3,), (1, 0)), ((3,), (0, 1)), ((2, 1), (2, 0))}
 
-    def oracle(t, w, budget):
+    def wrong_oracle(t, w, budget):
         want = real(t, w, budget=budget)
         return {**want, 99: 1} if (t.blocks, w.coeffs) in wrong else want
 
-    monkeypatch.setattr(cli, "oracle_branch", oracle)
+    monkeypatch.setattr(oracle, "oracle_branch", wrong_oracle)
     code, out, _ = run(capsys, "verify", "--n", "3", "--max-boxes", "2")
     assert code == 1
     assert out.splitlines() == [
@@ -680,6 +680,37 @@ def test_cache_file_is_compact_sorted_version_1(tmp_path, capsys):
         cli._cache_key_str(key): {str(j): m for j, m in mv.items()}
         for key, mv in engine.cache.items()
     }
+    # two types; keys 2|2|9 and 2|2|10, and components 9 and 10 in one entry,
+    # sort one way as ints and the other as strings
+    engine = BranchEngine()
+    engine.branch(SubalgebraType((2,)), partition_to_omega((10,), 2))
+    engine.branch(SubalgebraType((2, 1)), partition_to_omega((10,), 3))
+    memo = engine.cache
+    assert memo[2, (2,), (10,)] == {10: 1} and {9, 10} <= memo[3, (2, 1), (10,)].keys()
+    payload = {"version": 1, "entries": {
+        cli._cache_key_str(key): {str(j): m for j, m in mv.items()} for key, mv in memo.items()
+    }}
+    cli.save_cache(cache, memo)
+    assert cache.read_text() == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    assert cli.load_cache(cache, SubalgebraType((2, 1))) == memo
+
+
+def test_save_cache_holds_no_copy_of_the_memo_or_the_text(tmp_path):
+    # 2000 entries of 40 components, about 1 MB of file: the file's text and a
+    # copy of the memo with string keys held a traced peak of about 10 MiB
+    memo = {
+        (3, (3,), (a + 41, a % 41)): {j: 10**6 + j for j in range(a % 2, 80, 2)}
+        for a in range(2000)
+    }
+    cache = tmp_path / "memo.json"
+    tracemalloc.start()
+    try:
+        cli.save_cache(cache, memo)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cache.stat().st_size > 2**20
+    assert peak < 2 * 2**20
 
 
 def test_indented_cache_file_still_loads(tmp_path, capsys):

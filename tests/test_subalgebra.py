@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import pickle
 import subprocess
@@ -8,20 +7,36 @@ import numpy as np
 import pytest
 
 import branchkit
-from branchkit import SubalgebraType, all_types, build_triple, h_diagonal
+from branchkit import DominantWeight, SubalgebraType, all_types, build_triple, h_diagonal
 from branchkit.subalgebra import is_principal
 
 
 def test_import_does_not_load_numpy():
-    # only build_triple needs numpy; importing the package and the CLI must not
+    # only build_triple needs numpy, and only verify the oracle; importing the
+    # package and the CLI loads neither, nor dataclasses (with inspect, ast and
+    # dis), and the oracle's exported names still resolve
     src = os.path.dirname(os.path.dirname(branchkit.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, branchkit, branchkit.cli; print('numpy' in sys.modules)"
+    code = (
+        "import sys, branchkit, branchkit.cli\n"
+        "print([m for m in ('numpy', 'dataclasses', 'branchkit.oracle') if m in sys.modules])\n"
+        "from branchkit import oracle_branch, ssyt_count\n"
+        "from branchkit import oracle\n"
+        "assert oracle_branch is oracle.oracle_branch and ssyt_count is oracle.ssyt_count\n"
+        "assert branchkit.oracle_branch is oracle.oracle_branch\n"
+        "assert branchkit.BudgetExceededError is oracle.BudgetExceededError\n"
+        "names = {}\n"
+        "exec('from branchkit import *', names)\n"
+        "assert set(branchkit.__all__) <= names.keys()\n"
+        "assert names['oracle_branch'] is oracle.oracle_branch\n"
+        "assert not hasattr(branchkit, 'no_such_name')\n"
+        "print('ok')\n"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True, timeout=60,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split("\n") == ["[]", "ok", ""]
 
 
 def test_h_diagonal_examples():
@@ -49,12 +64,40 @@ def test_rank_is_stored_and_the_blocks_alone_make_the_type():
     assert t.n == 6
     assert repr(t) == "SubalgebraType(blocks=(3, 2, 1))"
     assert t == SubalgebraType((1, 2, 3))
-    assert hash(t) == hash(((3, 2, 1),))  # the dataclass hash of the blocks alone
+    assert hash(t) == hash(((3, 2, 1),))  # the hash of the blocks alone
     assert t.__reduce_ex__(2)[2] == {"blocks": (3, 2, 1)}  # pickles as before
     u = pickle.loads(pickle.dumps(t))
     assert u == t and u.n == 6
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         t.n = 7
+
+
+# (value, an equal one built another way, an unequal one, its repr, the tuple it hashes as)
+VALUES = [
+    (SubalgebraType((2, 3, 1)), SubalgebraType(blocks=[1, 2, 3]), SubalgebraType((3, 3)),
+     "SubalgebraType(blocks=(3, 2, 1))", ((3, 2, 1),)),
+    (DominantWeight(4, (1, 0, 2)), DominantWeight(rank=4, coeffs=[1, 0, 2]),
+     DominantWeight(4, (1, 0, 1)), "DominantWeight(rank=4, coeffs=(1, 0, 2))", (4, (1, 0, 2))),
+]
+
+
+@pytest.mark.parametrize("value, same, other, text, fields", VALUES,
+                         ids=[type(v[0]).__name__ for v in VALUES])
+def test_value_classes_compare_hash_show_pickle_and_stay_frozen(value, same, other, text, fields):
+    assert value == same and hash(value) == hash(same) == hash(fields)
+    assert value != other and value != fields
+    assert repr(value) == text
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(value, protocol))
+        assert type(copy) is type(value) and copy == value and repr(copy) == text
+    for name in type(value).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert value == same and repr(value) == text
 
 
 def test_invalid_types_rejected():
