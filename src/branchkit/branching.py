@@ -41,14 +41,14 @@ finds a negative multiplicity, to name it; entries cross the engine's edges
 from collections import deque
 from itertools import accumulate
 from math import comb
-from operator import add, eq, sub
+from operator import add, eq, mul, sub
 from sys import getsizeof
 
 from .fundamental import _fundamental, fundamental_branching, wedge_character
 from .pieri import lex_max_member, pieri_set
 from .qcomb import digits, fold, guard_mask, pack, width
 from .sl2 import InternalConsistencyError, MultVector, cg_convolve, mv_subtract
-from .subalgebra import SubalgebraType
+from .subalgebra import SubalgebraType, h_diagonal
 from .weights import DominantWeight, Partition, canonical_partition, dim_irrep, padded_partition
 
 __all__ = [
@@ -96,12 +96,12 @@ class BranchEngine:
     digits' top bits.  k, lambda' and the members come from the process-wide
     shape table of the engine's pivot rule (_shapes), and a step that misses
     it builds them from the strip table (_strips); both hold only the Pieri
-    rule, no answer, so every engine shares them.  The character and the
-    guard masks come from the process-wide tables _characters and
-    _guard_masks once per engine and width (the engine keeps what it read in
-    _chars and _masks until it widens): an entry is fixed by its key, width
-    included, and holds no answer, so every engine shares them too.  All of
-    these tables are bounded in bytes (see _Table).  Before the multiply one
+    rule, no answer, so every engine shares them.  The character comes from
+    _characters once per engine and width, and each guard mask from
+    _guard_masks at most once per query, as long as lambda's top weight
+    bounds (_chars and _masks keep them until the engine widens): an entry is
+    fixed by its key, width included, and holds no answer, so all share them.
+    These tables are bounded in bytes (see _Table).  Before the multiply one
     AND certifies that every digit of P(lambda') is below 2**(8w - 1 - b), b
     the bit length of C(n, k) = dim L(w_k), so that no product digit carries.
     A value that does not fit repacks the memo at double the width and
@@ -136,8 +136,9 @@ class BranchEngine:
             memo, lam = _admit(memos, key, mv)
             memo[lam] = dict(mv)
         self._memos = memos
-        self._answers: dict = {}  # key -> the decoded answer `branch` returned for it
+        self._answers: dict = {}  # (blocks, padded lambda) -> the answer `branch` decoded
         self._w = 1
+        self._digits = 0  # at most this many digits in any value of the current query
         self._chars: dict = {}  # (blocks, k) -> (packed character of w_k, its top, guard bits)
         self._masks: dict = {}  # guard bits -> guard_mask at width _w
 
@@ -146,15 +147,17 @@ class BranchEngine:
         if w.rank != t.n:
             raise ValueError(f"weight rank {w.rank} does not match type {t} of sl_{t.n}")
         lam = padded_partition(w)
-        rows = lam.index(0)
-        key = (t.n, t.blocks, lam[:rows])
+        key = (t.blocks, lam)
         mv = self._answers.get(key)
         if mv is not None:
             self.stats["hits"] += 1
             return dict(mv)
-        memo = self._memos.setdefault(key[:2], {})
+        memo = self._memos.setdefault((t.n, t.blocks), {})
         if lam not in memo:
+            rows = lam.index(0)
             self._widen(width(dim_irrep(w) * comb(t.n, min(rows, t.n - rows))))
+            # the query's weights lie below lam: 2 + lam's top weight digits bound its values
+            self._digits = 2 + sum(map(mul, lam, sorted(h_diagonal(t), reverse=True)))
         self._room = _shapes[self.pivot].bound // 4  # bytes of shapes this query may still add
         while True:
             try:
@@ -279,7 +282,8 @@ class BranchEngine:
 
     def _mask(self, bits, length):
         mask = self._masks.get(bits, 0)
-        if mask.bit_length() < length:
+        if mask.bit_length() < length:  # as long as any value of the query can be
+            length = max(length, 8 * self._w * self._digits)
             mask = self._masks[bits] = _shared_mask(self._w, bits, length)
         return mask
 
@@ -410,7 +414,7 @@ def _lower_strips(k: int, *eqs: bool) -> tuple[tuple[int, ...], ...]:
         rep = tuple(accumulate((not e for e in reversed(eqs)), initial=0))[::-1]
         top = lex_max_member(rep, k)
         strips = tuple(tuple(map(sub, mu, rep)) for mu in pieri_set(rep, k) if mu != top)
-        _strips.put(key, getsizeof(key) + getsizeof(eqs) + getsizeof(strips)
+        _strips.put(key, _SLOT + getsizeof(key) + getsizeof(eqs) + getsizeof(strips)
                     + sum(map(getsizeof, strips)), strips)
     return strips
 

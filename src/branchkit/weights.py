@@ -5,7 +5,9 @@ fundamental weights, a_i >= 0) corresponds to the partition of suffix sums
 lambda_i = a_i + a_{i+1} + ... + a_{n-1}.  Partitions are plain tuples in
 canonical form (weakly decreasing, no trailing zeros), so one type serves as
 Young diagram shape, highest weight, and Jordan type alike.  The recursion core
-works on the padded form (lambda_1, ..., lambda_n), lambda_n = 0, instead.
+works on the padded form (lambda_1, ..., lambda_n), lambda_n = 0, instead; a
+DominantWeight carries it, built once when the weight is made, and
+padded_partition only reads it.
 
 Everything here is pure and exact; dimensions use Python's arbitrary
 precision integers.
@@ -13,7 +15,7 @@ precision integers.
 
 from itertools import accumulate
 from math import prod
-from operator import index, mul
+from operator import ge, index, mul, sub
 
 Partition = tuple[int, ...]
 
@@ -21,13 +23,11 @@ Partition = tuple[int, ...]
 def canonical_partition(parts) -> Partition:
     """Validate an iterable of integers as a partition and strip trailing zeros."""
     p = tuple(map(index, parts))
-    if any(x < 0 for x in p):
+    if p and min(p) < 0:
         raise ValueError(f"partition parts must be nonnegative, got {p}")
-    if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
+    if not all(map(ge, p, p[1:])):
         raise ValueError(f"partition parts must be weakly decreasing, got {p}")
-    while p and p[-1] == 0:
-        p = p[:-1]
-    return p
+    return p[: p.index(0)] if p and not p[-1] else p
 
 
 def _check_rank(rank: int) -> None:
@@ -52,10 +52,10 @@ class _Frozen:
 class DominantWeight(_Frozen):
     """A dominant integral weight of sl_n in fundamental-weight coordinates.
 
-    Immutable; equal, hashed and shown by (rank, coeffs).
+    Immutable; equal, hashed, shown and pickled by (rank, coeffs) alone.
     """
 
-    __slots__ = ("rank", "coeffs")
+    __slots__ = ("rank", "coeffs", "_padded")
     rank: int
     coeffs: tuple[int, ...]
 
@@ -66,10 +66,9 @@ class DominantWeight(_Frozen):
             raise ValueError(
                 f"need {rank - 1} coefficients for rank {rank}, got {len(coeffs)}"
             )
-        if any(a < 0 for a in coeffs):
+        if min(coeffs) < 0:
             raise ValueError(f"weight {coeffs} is not dominant")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "coeffs", coeffs)
+        _set(self, rank, coeffs, tuple(accumulate(reversed(coeffs), initial=0))[::-1])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -106,14 +105,22 @@ class DominantWeight(_Frozen):
         return " + ".join(terms) if terms else "0"
 
 
+def _set(w, rank, coeffs, padded):
+    """Fill a weight's three slots, once; returns it."""
+    object.__setattr__(w, "rank", rank)
+    object.__setattr__(w, "coeffs", coeffs)
+    object.__setattr__(w, "_padded", padded)
+    return w
+
+
 def padded_partition(w: DominantWeight) -> Partition:
     """(lambda_1, ..., lambda_n) with lambda_n = 0: the suffix sums of w.coeffs, then 0."""
-    return tuple(accumulate(reversed(w.coeffs), initial=0))[::-1]
+    return w._padded
 
 
 def omega_to_partition(w: DominantWeight) -> Partition:
     """Canonical partition of w: its padded partition without trailing zeros."""
-    lam = padded_partition(w)
+    lam = w._padded
     return lam[: lam.index(0)]
 
 
@@ -127,7 +134,8 @@ def partition_to_omega(parts, rank: int) -> DominantWeight:
     if len(p) > rank - 1:
         raise ValueError(f"partition {p} has too many parts for rank {rank}")
     padded = p + (0,) * (rank - len(p))
-    return DominantWeight(rank, tuple(padded[i] - padded[i + 1] for i in range(rank - 1)))
+    _check_rank(rank := index(rank))
+    return _set(object.__new__(DominantWeight), rank, tuple(map(sub, padded, padded[1:])), padded)
 
 
 def dual_weight(w: DominantWeight) -> DominantWeight:
@@ -146,11 +154,14 @@ def dim_irrep(w: DominantWeight) -> int:
     balanced product tree down to a few factors, since folding O(n^2) factors
     one at a time into a growing product costs about n^4 at large n.
     """
-    n = w.rank
-    lam = padded_partition(w)
-    l = [x + n - 1 - i for i, x in enumerate(lam)]
-    pairs = [(i, j) for i in range(lam.index(0)) for j in range(i + 1, n) if lam[i] != lam[j]]
-    return _tree_prod([l[i] - l[j] for i, j in pairs]) // _tree_prod([j - i for i, j in pairs])
+    n, lam = w.rank, w._padded
+    num, den = [], []
+    for i in range(lam.index(0)):
+        for j in range(i + 1, n):
+            if lam[i] != lam[j]:
+                num.append(lam[i] - lam[j] + j - i)
+                den.append(j - i)
+    return _tree_prod(num) // _tree_prod(den)
 
 
 def _tree_prod(xs: list[int]) -> int:

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -69,3 +70,37 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+README_BLOCKS = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
+
+
+def shown_values(block):
+    """Run a README block line by line; yield (expression, its value, the value
+    its comment shows) for each expression whose comment, on its line or the
+    next, is a literal or "the same" (as the expression before)."""
+    namespace, prev, pending = {}, None, None
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        code, comment = code.strip(), comment.strip()
+        if code:
+            try:
+                expr = compile(code, "README.md", "eval")
+            except SyntaxError:  # a statement: its comment is prose
+                exec(code, namespace)
+                pending = None
+                continue
+            pending = code, eval(expr, namespace)
+        if comment and pending:
+            code, value = pending
+            shown = prev if comment.startswith("the same") else ast.literal_eval(comment)
+            yield code, value, shown
+            prev, pending = value, None
+
+
+@pytest.mark.parametrize("block", README_BLOCKS, ids=("branch", "pieri_set"))
+def test_readme_python_block_shows_its_values(block):
+    shown = list(shown_values(block))
+    assert shown
+    for code, value, want in shown:
+        assert value == want, code

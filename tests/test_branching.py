@@ -608,9 +608,10 @@ def test_pieri_set_runs_once_per_pattern_of_the_process(monkeypatch):
 
 
 def strip_size(key, strips):
-    """The bytes of a strip entry as sys.getsizeof counts them: its key (k, eqs),
-    eqs, and the tuple of strips with each strip; every part is a small int."""
-    return sum(map(sys.getsizeof, (key, key[1], strips, *strips)))
+    """The bytes of a strip entry: the slot, and what sys.getsizeof counts for
+    its key (k, eqs), eqs, and the tuple of strips with each strip; every part
+    is a small int."""
+    return branching._SLOT + sum(map(sys.getsizeof, (key, key[1], strips, *strips)))
 
 
 def test_strip_table_is_bounded():

@@ -1,13 +1,16 @@
+import pickle
 from math import comb
+from operator import index
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from branchkit import (
     DominantWeight,
     dim_irrep,
     iter_dominant_weights,
     omega_to_partition,
+    padded_partition,
     partition_to_omega,
 )
 from branchkit.weights import canonical_partition, dual_weight, iter_partitions
@@ -176,3 +179,97 @@ def test_dim_irrep_of_rho_at_rank_400():
     n = 400
     rho = partition_to_omega(tuple(range(n - 1, 0, -1)), n)
     assert dim_irrep(rho) == 2 ** (n * (n - 1) // 2)
+
+
+def reference_canonical_partition(parts):
+    """canonical_partition as it was before weights carried their padded
+    partition: one Python-level check per part."""
+    p = tuple(map(index, parts))
+    if any(x < 0 for x in p):
+        raise ValueError(f"partition parts must be nonnegative, got {p}")
+    if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
+        raise ValueError(f"partition parts must be weakly decreasing, got {p}")
+    while p and p[-1] == 0:
+        p = p[:-1]
+    return p
+
+
+def reference_weight(rank, coeffs):
+    """(rank, coeffs) as DominantWeight checked and stored them before."""
+    rank, coeffs = index(rank), tuple(map(index, coeffs))
+    if rank < 2:
+        raise ValueError(f"rank must be >= 2, got {rank}")
+    if len(coeffs) != rank - 1:
+        raise ValueError(f"need {rank - 1} coefficients for rank {rank}, got {len(coeffs)}")
+    if any(a < 0 for a in coeffs):
+        raise ValueError(f"weight {coeffs} is not dominant")
+    return rank, coeffs
+
+
+def reference_partition_to_omega(parts, rank):
+    """partition_to_omega as it was before: through DominantWeight's own checks."""
+    p = reference_canonical_partition(parts)
+    if len(p) > rank - 1:
+        raise ValueError(f"partition {p} has too many parts for rank {rank}")
+    padded = p + (0,) * (rank - len(p))
+    return reference_weight(rank, tuple(padded[i] - padded[i + 1] for i in range(rank - 1)))
+
+
+def outcome(f, *args):
+    """f(*args), or the type and text of what it raised."""
+    try:
+        return f(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def padded_inputs(draw):
+    """A rank of 2..40 and a partition of fewer parts, with some trailing zeros."""
+    rank = draw(st.integers(2, 40))
+    parts = sorted(draw(st.lists(st.integers(1, 12), max_size=rank - 1)), reverse=True)
+    return rank, parts + [0] * draw(st.integers(0, rank + 2))
+
+
+@settings(max_examples=300)
+@given(padded_inputs())
+def test_a_weight_from_a_partition_is_the_weight_of_its_coefficients(case):
+    rank, parts = case
+    w = partition_to_omega(parts, rank)
+    coeffs = reference_partition_to_omega(parts, rank)[1]
+    same = DominantWeight(rank, coeffs)
+    assert (w.rank, w.coeffs) == (same.rank, same.coeffs) == (rank, coeffs)
+    assert w == same and hash(w) == hash(same) and repr(w) == repr(same)
+    suffix_sums = tuple(sum(coeffs[i:]) for i in range(rank))
+    assert padded_partition(w) == padded_partition(same) == suffix_sums
+    assert omega_to_partition(w) == reference_canonical_partition(parts)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(w, protocol))
+        assert copy == w and repr(copy) == repr(w) and padded_partition(copy) == suffix_sums
+
+
+PARTS = st.one_of(st.integers(-3, 8), st.booleans(), st.sampled_from((2.0, 1.5, "3", None)))
+RANKS = st.one_of(st.integers(-2, 40), st.booleans(), st.sampled_from((3.0, 2.5, "4")))
+
+
+@settings(max_examples=400)
+@given(st.lists(PARTS, max_size=8), RANKS)
+def test_every_input_raises_or_reads_as_before(parts, rank):
+    got = outcome(partition_to_omega, parts, rank)
+    if isinstance(got, DominantWeight):
+        got = got.rank, got.coeffs
+    assert got == outcome(reference_partition_to_omega, parts, rank)
+    assert outcome(canonical_partition, parts) == outcome(reference_canonical_partition, parts)
+    got = outcome(DominantWeight, rank, parts)
+    if isinstance(got, DominantWeight):
+        assert padded_partition(got) == tuple(sum(got.coeffs[i:]) for i in range(got.rank))
+        got = got.rank, got.coeffs
+    assert got == outcome(reference_weight, rank, parts)
+
+
+def test_one_pass_dim_irrep_is_the_weyl_product():
+    for n in range(2, 10):
+        for w in iter_dominant_weights(n, 8):
+            assert dim_irrep(w) == weyl_product(w), w
+    rho = partition_to_omega(tuple(range(299, 0, -1)), 300)
+    assert dim_irrep(rho) == weyl_product(rho)
