@@ -268,7 +268,8 @@ def test_every_input_raises_or_reads_as_before(parts, rank):
 
 
 def test_one_pass_dim_irrep_is_the_weyl_product():
-    for n in range(2, 10):
+    # sl_2..sl_7 are checked above
+    for n in (8, 9):
         for w in iter_dominant_weights(n, 8):
             assert dim_irrep(w) == weyl_product(w), w
     rho = partition_to_omega(tuple(range(299, 0, -1)), 300)
