@@ -27,18 +27,17 @@ of lambda', so pieri_set runs once per such pattern, not once per step or
 engine; a query stops adding shapes once those it added pass a quarter of its
 table's bound, so a query too big to fit neither churns the table nor keeps
 its shapes alive.  The character, its top weight and guard bits come from the
-table _characters, keyed by (blocks, k, width), and the guard masks from
-_guard_masks, keyed by (width, guard bits, a power of two of length), so
-wedge_character runs once per key in the process, not once per engine.
-All five tables are one class, _Table: bounded in bytes, oldest value dropped
-first, nothing over a quarter of the bound kept.  Every engine may share them,
-since an entry is fixed by its key (width included) and holds no answer.
+table _characters, keyed by (blocks, k, width), so wedge_character runs once
+per key in the process, not once per engine.  All four tables are
+tables.Table, the class of the tableau oracle's plan table too: bounded in
+bytes, oldest value dropped first, nothing over a quarter of the bound kept.
+Every engine may share them, since an entry is fixed by its key (width
+included) and holds no answer.  The guard masks are the engine's own.
 The dict Clebsch-Gordan product and subtraction of sl2 run only when a check
 finds a negative multiplicity, to name it; entries cross the engine's edges
 (`branch`, `BranchEngine.cache`, cache files) as {j: m_j} dicts, checked by _admit.
 """
 
-from collections import deque
 from itertools import accumulate
 from math import comb
 from operator import add, eq, mul, sub
@@ -49,6 +48,7 @@ from .pieri import lex_max_member, pieri_set
 from .qcomb import digits, fold, guard_mask, pack, width
 from .sl2 import InternalConsistencyError, MultVector, cg_convolve, mv_subtract
 from .subalgebra import SubalgebraType, h_diagonal
+from .tables import SLOT, Table
 from .weights import DominantWeight, Partition, canonical_partition, dim_irrep, padded_partition
 
 __all__ = [
@@ -97,13 +97,14 @@ class BranchEngine:
     shape table of the engine's pivot rule (_shapes), and a step that misses
     it builds them from the strip table (_strips); both hold only the Pieri
     rule, no answer, so every engine shares them.  The character comes from
-    _characters once per engine and width, and each guard mask from
-    _guard_masks at most once per query, as long as lambda's top weight
-    bounds (_chars and _masks keep them until the engine widens): an entry is
-    fixed by its key, width included, and holds no answer, so all share them.
-    These tables are bounded in bytes (see _Table).  Before the multiply one
-    AND certifies that every digit of P(lambda') is below 2**(8w - 1 - b), b
-    the bit length of C(n, k) = dim L(w_k), so that no product digit carries.
+    _characters once per engine and width (_chars keeps it until the engine
+    widens): an entry is fixed by its key, width included, and holds no
+    answer, so all share them.  These tables are bounded in bytes (see
+    tables.Table).  Each guard mask is built by the engine, as long as
+    lambda's top weight bounds, at most once per query, and kept in _masks
+    until the engine widens.  Before the multiply one AND certifies that every
+    digit of P(lambda') is below 2**(8w - 1 - b), b the bit length of
+    C(n, k) = dim L(w_k), so that no product digit carries.
     A value that does not fit repacks the memo at double the width and
     restarts the query; the width a query starts from, read off dim
     L(lambda), is only a first guess.  Assigning cache= or `cache` checks
@@ -283,8 +284,7 @@ class BranchEngine:
     def _mask(self, bits, length):
         mask = self._masks.get(bits, 0)
         if mask.bit_length() < length:  # as long as any value of the query can be
-            length = max(length, 8 * self._w * self._digits)
-            mask = self._masks[bits] = _shared_mask(self._w, bits, length)
+            mask = self._masks[bits] = guard_mask(self._w, bits, max(length, 8 * self._w * self._digits))
         return mask
 
     def _pack(self, mv):
@@ -312,89 +312,34 @@ class BranchEngine:
             memo[lam] = self._pack(mv)
 
 
-class _Table:
-    """Values by key, at most `bound` bytes in all as their callers size them,
-    the oldest value dropped first; a value of more than a quarter of the bound
-    is not kept, and a key keeps the value it holds.  Hot readers take
-    entries.get and count their own misses; get counts hits and misses for the
-    others.  evictions counts the values dropped.  The tableau oracle's plan
-    table is its own class, since the oracle that checks the recursion shares
-    no code with it."""
-
-    def __init__(self, bound: int):
-        self.bound, self.size, self.entries = bound, 0, {}
-        self.order = deque()  # (key, size), oldest first
-        self.hits = self.misses = self.evictions = 0
-
-    def get(self, key):
-        value = self.entries.get(key)
-        if value is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return value
-
-    def put(self, key, size: int, value):
-        """value, kept under key if it is small enough and key holds none."""
-        if size <= self.bound // 4 and key not in self.entries:
-            self.entries[key] = value
-            self.order.append((key, size))
-            self.size += size
-            while self.size > self.bound:
-                dropped, dropped_size = self.order.popleft()
-                del self.entries[dropped]
-                self.size -= dropped_size
-                self.evictions += 1
-        return value
-
-
 # Every table holds structure that engines of every type and width share, no
 # answer.  A 20 s run of the recursion benchmark (seed 7, 2520 fresh engines)
-# fills them with 847 characters (430 KB), 135 masks (107 KB), 3919 shapes of
-# the largest pivot (2.7 MB) and 273 strip patterns (161 KB), and drops
-# nothing.  Principal sl_300's w_150 alone takes 1.7 MB, and is not kept;
-# principal sl_3 (600, 300) takes 68k steps, and adds shapes only until they
-# fill a quarter of the bound.  sl_13 [6, 4, 2, 1] (20, 15, 10, 5, 3, 1) reads
-# 207 strip patterns, 330 KB; one pattern of sl_14 with all rows distinct
-# takes about 550 KB, and still fits.
-_characters = _Table(2**20)
-_guard_masks = _Table(2**20)
-_shapes = {"largest": _Table(3 * 2**20), "smallest": _Table(3 * 2**20)}
-_strips = _Table(2**22)
-
-# per entry, besides what it holds: its dict slot and (key, size) entry in the
-# table's order (at most 120 bytes at any fill, churn included, by
-# tracemalloc) and the size
-_SLOT = 120 + getsizeof(2**20)
+# fills them with 847 characters (450 KB), 3919 shapes of the largest pivot
+# (2.8 MB) and 273 strip patterns (208 KB), and drops nothing.  Principal
+# sl_300's w_150 alone takes 1.7 MB, and is not kept; principal sl_3
+# (600, 300) takes 68k steps, and adds shapes only until they fill a quarter
+# of the bound.  sl_13 [6, 4, 2, 1] (20, 15, 10, 5, 3, 1) reads 207 strip
+# patterns, 330 KB; one pattern of sl_14 with all rows distinct takes about
+# 550 KB, and still fits.
+_characters = Table(2**20)
+_shapes = {"largest": Table(3 * 2**20), "smallest": Table(3 * 2**20)}
+_strips = Table(2**22)
 # per shape, besides its tuples of parts: the (k, lambda', members) tuple too
-_SHAPE_SLOT = _SLOT + getsizeof((0, 0, 0))
+_SHAPE_SLOT = SLOT + getsizeof((0, 0, 0))
 
 
 def _shared_character(t, k, w, dim):
     """(packed character of w_k at width w, its top, guard bits): wedge_character
     plus the bit length of dim = C(n, k), from the process-wide table, sized
     as sys.getsizeof counts the key, the value and the items of each, plus
-    _SLOT."""
+    SLOT."""
     key = (t.blocks, k, w)
     hit = _characters.get(key)
     if hit is None:
         c, top = wedge_character(t, k, w)
         hit = c, top, dim.bit_length() + 1
-        _characters.put(key, _SLOT + sum(map(getsizeof, (key, *key, hit, *hit))), hit)
+        _characters.put(key, SLOT + sum(map(getsizeof, (key, *key, hit, *hit))), hit)
     return hit
-
-
-def _shared_mask(w, bits, length):
-    """guard_mask(w, bits, .) over at least twice length bits, from the
-    process-wide table: one mask per power of two of length, so no key's mask
-    ever grows.  Sized as sys.getsizeof counts the key, its items and the
-    mask, plus _SLOT."""
-    key = (w, bits, length.bit_length())
-    mask = _guard_masks.get(key)
-    if mask is None:
-        mask = guard_mask(w, bits, 2 << key[2])
-        _guard_masks.put(key, _SLOT + sum(map(getsizeof, (key, *key, mask))), mask)
-    return mask
 
 
 def _lower_strips(k: int, *eqs: bool) -> tuple[tuple[int, ...], ...]:
@@ -414,7 +359,7 @@ def _lower_strips(k: int, *eqs: bool) -> tuple[tuple[int, ...], ...]:
         rep = tuple(accumulate((not e for e in reversed(eqs)), initial=0))[::-1]
         top = lex_max_member(rep, k)
         strips = tuple(tuple(map(sub, mu, rep)) for mu in pieri_set(rep, k) if mu != top)
-        _strips.put(key, _SLOT + getsizeof(key) + getsizeof(eqs) + getsizeof(strips)
+        _strips.put(key, SLOT + getsizeof(key) + getsizeof(eqs) + getsizeof(strips)
                     + sum(map(getsizeof, strips)), strips)
     return strips
 
@@ -457,10 +402,10 @@ def branch(t: SubalgebraType, w: DominantWeight) -> MultVector:
 def clear_cache():
     """Forget every memoized branching: the shared engine's and the fundamentals'.
 
-    The process-wide tables of branching (_shapes, _strips, _characters,
-    _guard_masks), each bounded in bytes, and the tableau oracle's plan table
-    stay: they hold the Pieri rule or an entry fixed by its key, not an
-    answer, and no cache= or cache file writes to them.
+    The process-wide tables of branching (_shapes, _strips, _characters),
+    each bounded in bytes, and the tableau oracle's plan table stay: all four
+    are tables.Table, they hold the Pieri rule or an entry fixed by its key,
+    not an answer, and no cache= or cache file writes to them.
     """
     _DEFAULT_ENGINE.cache = {}
     _fundamental.cache_clear()

@@ -215,9 +215,10 @@ def save_cache(path, cache):
     and a newline, payload being {"version": 1, "entries": {key string:
     {str(j): m_j}}}, but the entries go out one at a time in the order of
     their key strings: no copy of the memo with string keys, and no text of
-    the whole file, is ever held.  Compact separators keep each json.dumps on
-    its C encoder (indent forces the pure-Python one).  An OSError names path,
-    not the temporary file.
+    the whole file, is ever held.  Each entry's pairs "j":m_j, j and m_j
+    ints, are written straight from the memo in the order of str(j), the
+    order sort_keys gives them.  An OSError names path, not the temporary
+    file.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -226,9 +227,8 @@ def save_cache(path, cache):
             sep = ""
             # key strings are distinct, so the sort never compares two entries
             for key_str, mv in sorted(zip(map(_cache_key_str, cache), cache.values())):
-                components = {str(j): m for j, m in mv.items()}
-                fh.write(f"{sep}{json.dumps(key_str)}:"
-                         f"{json.dumps(components, sort_keys=True, separators=(',', ':'))}")
+                components = ",".join(f'"{j}":{mv[j]}' for j in sorted(mv, key=str))
+                fh.write(f"{sep}{json.dumps(key_str)}:{{{components}}}")
                 sep = ","
             fh.write(f'}},"version":{CACHE_VERSION}}}\n')
         os.replace(tmp, path)

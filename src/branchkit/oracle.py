@@ -19,18 +19,20 @@ Which state feeds which running sum, and which states a pass keeps, depends
 on the shape and n alone.  The first count of a (shape, n) records that as
 its plan, and later counts, whatever their values, replay only the sums.  The
 plans share one process-wide table (_plans) of at most 2**14 slots, a slot
-being one source index or one group; clear_cache leaves it, as it leaves the
-Pieri strip table, since a plan holds the structure of the chains and no
-answer.
+being one source index or one group, the oldest plan dropped first; it is a
+tables.Table, the class of the recursion's Pieri tables, and clear_cache
+leaves it, as it leaves them, since a plan holds the structure of the chains
+and no answer.
 
 Deliberately independent of the recursion and the closed forms: it imports
 nothing from fundamental or branching, only h_diagonal from subalgebra, the
-partition dictionary from weights, and the dim-difference arithmetic
+partition dictionary from weights, the dim-difference arithmetic
 (mult_from_multiset), InternalConsistencyError, DEFAULT_BUDGET and
-BudgetExceededError from sl2.
+BudgetExceededError from sl2, and the table class, which holds no arithmetic,
+from tables.
 """
 
-from collections import Counter, OrderedDict
+from collections import Counter
 
 from .sl2 import (
     DEFAULT_BUDGET,
@@ -40,6 +42,7 @@ from .sl2 import (
     mult_from_multiset,
 )
 from .subalgebra import SubalgebraType, h_diagonal
+from .tables import Table
 from .weights import DominantWeight, Partition, canonical_partition, omega_to_partition
 
 
@@ -87,8 +90,8 @@ def tableau_weight_multiset(shape, values, budget: int | None = None) -> Counter
     records, pass by pass as it sums, which states feed each group's sum;
     that plan goes to the process-wide table _plans, and a later call with
     any values runs only the sums.  The table holds at most 2**14 slots, a
-    slot being one source index or one group, and drops the least recently
-    used plan first.  It takes no plan of more than a quarter of that: a
+    slot being one source index or one group, and drops the oldest plan
+    first.  It takes no plan of more than a quarter of that: a
     larger shape stops recording at the pass that outgrows it and sums on
     just the same.  branching.clear_cache leaves the table, which holds no
     answer, only how the strips of a shape chain together.
@@ -129,38 +132,11 @@ def tableau_weight_multiset(shape, values, budget: int | None = None) -> Counter
     return out
 
 
-class _PlanTable:
-    """Strip plans by (shape, n), least recently used first, `bound` slots at most
-    in all; hits, misses and evictions count what get found and missed and the
-    plans dropped."""
-
-    def __init__(self, bound: int):
-        self.bound, self.slots, self.plans = bound, 0, OrderedDict()
-        self.hits = self.misses = self.evictions = 0
-
-    def get(self, key):
-        entry = self.plans.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        self.plans.move_to_end(key)
-        return entry[1]
-
-    def put(self, key, slots: int, passes: list):
-        if key not in self.plans:
-            self.plans[key] = slots, passes
-            self.slots += slots
-        while self.slots > self.bound:  # a dict's first key would be a scan past freed slots
-            self.slots -= self.plans.popitem(last=False)[1][0]
-            self.evictions += 1
-
-
 # A slot is one source index or one group, about 60 bytes, so a full table
 # holds about 1 MiB.  Every shape of the sl_7 sweep up to 7 boxes takes 7834
 # slots in all, so they fit together; the largest shape of the sl_3 sweep up
 # to 60 boxes takes 1926.
-_plans = _PlanTable(2**14)
+_plans = Table(2**14)
 
 
 def _sum_pass(states: list, groups, step: int) -> list:

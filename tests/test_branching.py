@@ -30,8 +30,9 @@ from branchkit import (
 )
 from branchkit import branching, fundamental, pieri_set
 from branchkit.fundamental import fundamental_branching, wedge_character
-from branchkit.qcomb import guard_mask, width
+from branchkit.qcomb import width
 from branchkit.sl2 import mv_subtract
+from branchkit.tables import SLOT, Table
 from branchkit.weights import dual_weight, iter_partitions
 from test_qcomb import principal_by_hook_content
 
@@ -552,14 +553,12 @@ def fresh_tables(bound=None):
     bytes (of its own bound by default), the process's own put back.  Yields
     the new tables by name, the shape tables by pivot rule."""
     def empty(table):
-        return branching._Table(table.bound if bound is None else bound)
+        return Table(table.bound if bound is None else bound)
 
-    tables = {"characters": empty(branching._characters), "masks": empty(branching._guard_masks),
-              "strips": empty(branching._strips),
+    tables = {"characters": empty(branching._characters), "strips": empty(branching._strips),
               **{pivot: empty(table) for pivot, table in branching._shapes.items()}}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(branching, "_characters", tables["characters"])
-        mp.setattr(branching, "_guard_masks", tables["masks"])
         mp.setattr(branching, "_strips", tables["strips"])
         mp.setattr(branching, "_shapes", {pivot: tables[pivot] for pivot in branching._shapes})
         yield tables
@@ -611,7 +610,7 @@ def strip_size(key, strips):
     """The bytes of a strip entry: the slot, and what sys.getsizeof counts for
     its key (k, eqs), eqs, and the tuple of strips with each strip; every part
     is a small int."""
-    return branching._SLOT + sum(map(sys.getsizeof, (key, key[1], strips, *strips)))
+    return SLOT + sum(map(sys.getsizeof, (key, key[1], strips, *strips)))
 
 
 def test_strip_table_is_bounded():
@@ -637,13 +636,13 @@ def test_strip_table_is_bounded():
 
 
 def entry_size(key, *values):
-    """The bytes of a character or mask entry: the slot, and what sys.getsizeof
-    counts for its key, the key's items and its value or the value's items."""
-    return branching._SLOT + sum(map(sys.getsizeof, (key, *key, *values)))
+    """The bytes of a character entry: the slot, and what sys.getsizeof counts
+    for its key, the key's items, its value and the value's items."""
+    return SLOT + sum(map(sys.getsizeof, (key, *key, *values)))
 
 
 def assert_tables_hold_what_they_are_keyed_by(tables):
-    characters, masks = tables["characters"], tables["masks"]
+    characters = tables["characters"]
     sizes = dict(characters.order)
     for (blocks, k, w), (c, top, guard) in characters.entries.items():
         t = SubalgebraType(blocks)
@@ -651,12 +650,7 @@ def assert_tables_hold_what_they_are_keyed_by(tables):
         assert guard == comb(t.n, k).bit_length() + 1 and width(comb(t.n, k)) <= w
         value = characters.entries[blocks, k, w]
         assert sizes[blocks, k, w] == entry_size((blocks, k, w), value, *value)
-    sizes = dict(masks.order)
-    for (w, bits, b), mask in masks.entries.items():
-        assert mask == guard_mask(w, bits, 2 << b), (w, bits, b)
-        assert sizes[w, bits, b] == entry_size((w, bits, b), mask)
     assert_bounded(characters)
-    assert_bounded(masks)
 
 
 def held_bytes(table):
@@ -676,14 +670,15 @@ def held_bytes(table):
 
 
 def test_each_table_counts_at_least_what_it_holds():
-    # characters at several widths, masks, and shapes with parts past the small ints
+    # characters at several widths, strip patterns, and shapes with parts past
+    # the small ints
     queries = [(t, w) for n in range(3, 7) for t in all_types(n) for w in iter_dominant_weights(n, 5)]
     queries += [(SubalgebraType((3,)), partition_to_omega((60, 30), 3)),
                 (SubalgebraType((2, 1)), partition_to_omega((300,), 3))]
     with fresh_tables() as tables:
         for t, w in queries:
             BranchEngine().branch(t, w)
-        for name in ("characters", "masks", "largest"):
+        for name in ("characters", "strips", "largest"):
             table = tables[name]
             assert table.entries and table.evictions == 0, name
             assert table.size >= held_bytes(table), name
@@ -734,7 +729,7 @@ def interleaved_answers(schedule, empty_between):
     min_size=1, max_size=8))
 def test_engines_of_every_width_share_the_tables_as_if_each_had_its_own(schedule):
     # engines 0 and 1 work at one or two bytes and engine 2 at eight, on the
-    # same types, so a character or mask of the wrong width would show
+    # same types, so a character of the wrong width would show
     with fresh_tables() as tables:
         assert interleaved_answers(schedule, False) == interleaved_answers(schedule, True)
         assert {w for _, _, w in tables["characters"].entries} >= {8}
@@ -742,7 +737,7 @@ def test_engines_of_every_width_share_the_tables_as_if_each_had_its_own(schedule
 
 
 def test_a_small_table_keeps_its_bound_and_drops_the_oldest():
-    table = branching._Table(100)
+    table = Table(100)
     assert table.put("a", 25, "A") == "A"
     for key in "bcd":
         table.put(key, 25, key.upper())
@@ -750,11 +745,17 @@ def test_a_small_table_keeps_its_bound_and_drops_the_oldest():
     table.put("e", 25, "E")  # over the bound: a, the oldest, goes, though just read
     assert list(table.entries) == ["b", "c", "d", "e"] and table.size == 100
     assert table.get("a") is None
+    assert (table.hits, table.misses, table.evictions) == (1, 1, 1)
     assert table.put("f", 26, "F") == "F"  # more than a quarter of the bound
     assert "f" not in table.entries and table.size == 100
     table.put("c", 10, "C2")  # a held key keeps its value and its size
     assert table.entries["c"] == "C" and table.size == 100
     assert list(table.order) == [("b", 25), ("c", 25), ("d", 25), ("e", 25)]
+    # no read keeps a value: the oldest goes first, as in the oracle's plan table
+    assert table.get("c") == "C" and table.get("b") == "B"
+    table.put("g", 25, "G")  # b goes, though read last
+    assert list(table.entries) == ["c", "d", "e", "g"] and table.get("b") is None
+    assert (table.hits, table.misses, table.evictions) == (3, 2, 2)
 
 
 def test_small_tables_never_exceed_their_bound():
@@ -774,17 +775,14 @@ def test_small_tables_never_exceed_their_bound():
 
 def test_the_tables_outlive_their_engine_and_clear_cache(monkeypatch):
     calls = []
-    real_character, real_mask = branching.wedge_character, branching.guard_mask
+    real_character = branching.wedge_character
     monkeypatch.setattr(branching, "wedge_character",
                         lambda t, k, w: (calls.append((t.blocks, k, w)), real_character(t, k, w))[1])
-    monkeypatch.setattr(branching, "guard_mask",
-                        lambda w, bits, length: (calls.append((w, bits, length)),
-                                                 real_mask(w, bits, length))[1])
     queries = [(t, w) for t in all_types(6) for w in iter_dominant_weights(6, 6)]
     with fresh_tables() as tables:
         answers = [BranchEngine().branch(t, w) for t, w in queries]
         assert calls
-        assert len(set(calls)) == len(tables["characters"].entries) + len(tables["masks"].entries)
+        assert len(set(calls)) == len(tables["characters"].entries)
         calls.clear()
         clear_cache()
         assert [BranchEngine().branch(t, w) for t, w in queries] == answers
@@ -877,7 +875,7 @@ def shape_runs(schedule, tables):
 def test_engines_answer_alike_however_the_shape_tables_are_shared(schedule):
     shared = shape_runs(schedule, "shared")
     assert shape_runs(schedule, "emptied") == shared
-    # shrunk, every table (shapes, strips, characters and masks) keeps a few
+    # shrunk, every table (shapes, strips and characters) keeps a few
     # values (3000 bytes) or hardly any (300, less than one shape), dropping
     # the oldest
     assert shape_runs(schedule, 3000) == shared
@@ -924,7 +922,7 @@ def test_the_shape_tables_outlive_their_engine_and_clear_cache():
 
 
 def test_tables_count_their_hits_misses_and_evictions():
-    table = branching._Table(100)
+    table = Table(100)
     assert table.get("a") is None
     for key in "abcde":
         table.put(key, 25, key.upper())

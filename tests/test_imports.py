@@ -2,7 +2,8 @@
 imports: a binding kept only so that something outside can patch it is dead
 code, so the name goes with its last use.  The tableau oracle imports from
 no module of the package but those its docstring names, so that it stays an
-independent route to the answers of the other two."""
+independent route to the answers of the other two, and the table class it
+shares with the recursion imports from none."""
 
 import ast
 from pathlib import Path
@@ -76,4 +77,9 @@ def test_the_check_finds_every_package_import():
 
 def test_the_oracle_imports_only_what_its_docstring_names():
     source = (SRC / "oracle.py").read_text(encoding="utf-8")
-    assert package_imports(source) <= {"sl2", "subalgebra", "weights"}
+    assert package_imports(source) <= {"sl2", "subalgebra", "tables", "weights"}
+
+
+def test_the_table_class_imports_nothing_from_the_package():
+    source = (SRC / "tables.py").read_text(encoding="utf-8")
+    assert package_imports(source) == set()

@@ -23,6 +23,7 @@ from branchkit import (
 )
 from branchkit import oracle
 from branchkit.oracle import tableau_weight_multiset
+from branchkit.tables import Table
 from branchkit.weights import canonical_partition, iter_partitions
 
 
@@ -267,7 +268,7 @@ def test_long_row_needs_no_recursion_limit():
 def fresh_plan_table(bound=None):
     """An empty strip plan table (of the usual bound by default), the process's own put back."""
     kept = oracle._plans
-    oracle._plans = oracle._PlanTable(kept.bound if bound is None else bound)
+    oracle._plans = Table(kept.bound if bound is None else bound)
     try:
         yield oracle._plans
     finally:
@@ -285,33 +286,33 @@ def test_plan_table_is_bounded():
         table.put = lambda key, slots, passes: (recorded.append(slots), put(key, slots, passes))
         first = {shape: tableau_weight_multiset(shape, values) for shape in shapes}
         assert len(recorded) == len(shapes) and sum(recorded) > table.bound
-        assert table.slots == sum(slots for slots, _ in table.plans.values()) <= table.bound
+        assert table.size == sum(slots for _, slots in table.order) <= table.bound
         # the plans kept are the latest ones, and they answer as the first calls did
-        kept = list(table.plans)
+        kept = list(table.entries)
         assert kept == [(s, 8) for s in shapes[-len(kept):]]
         for shape, _ in kept:
             assert tableau_weight_multiset(shape, values) == first[shape]
 
 
-def test_plan_table_drops_the_least_recently_used_plan():
-    table = oracle._PlanTable(10)
-    table.put("a", 4, ["plan a"])
-    table.put("b", 4, ["plan b"])
-    assert table.get("a") == ["plan a"]
-    table.put("c", 4, ["plan c"])
-    assert list(table.plans) == ["a", "c"] and table.slots == 8
-    assert table.get("b") is None
-
-
 def test_plan_table_counts_its_hits_misses_and_evictions():
-    table = oracle._PlanTable(10)
-    assert table.get("a") is None
-    for key in "abc":
-        table.put(key, 4, [f"plan {key}"])
-    assert table.get("c") == ["plan c"] and table.get("b") == ["plan b"] and table.get("a") is None
-    table.put("d", 4, ["plan d"])  # drops c, b being used more recently
-    assert list(table.plans) == ["b", "d"] and table.slots == 8
-    assert (table.hits, table.misses, table.evictions) == (2, 2, 2)
+    # each shape of sl_4 up to 8 boxes counted twice in a row: the second count
+    # replays the plan the first recorded, if the table kept it
+    shapes = [s for boxes in range(9) for s in iter_partitions(boxes, max_parts=4)]
+    with fresh_plan_table() as table:
+        for shape in shapes:
+            for _ in range(2):
+                tableau_weight_multiset(shape, (0,) * 4)
+        assert (table.hits, table.misses, table.evictions) == (len(shapes), len(shapes), 0)
+    # a table of 256 slots keeps only the plans of up to 64, and drops the oldest
+    with fresh_plan_table(256) as table:
+        kept = 0
+        for shape in shapes:
+            tableau_weight_multiset(shape, (0,) * 4)
+            kept += (shape, 4) in table.entries
+            tableau_weight_multiset(shape, (0,) * 4)
+        assert 0 < kept < len(shapes)
+        assert (table.hits, table.misses) == (kept, 2 * len(shapes) - kept)
+        assert table.evictions == kept - len(table.entries) > 0
 
 
 def test_a_sweep_records_each_shape_once(monkeypatch):
@@ -330,7 +331,7 @@ def test_a_sweep_records_each_shape_once(monkeypatch):
             for shape in shapes:
                 assert tableau_weight_multiset(shape, values) == reference_multiset(shape, values)
         assert recorded == Counter((s, 6) for s in shapes)
-        assert set(table.plans) == set(recorded)
+        assert set(table.entries) == set(recorded)
 
 
 @pytest.mark.parametrize("bound", [64, 256])
@@ -344,7 +345,7 @@ def test_a_plan_past_the_limit_is_not_kept(bound):
         for n, shapes_n in shapes.items():
             for shape in shapes_n:
                 tableau_weight_multiset(shape, (0,) * n)
-        slots = {key: size for key, (size, _) in table.plans.items()}
+        slots = dict(table.order)
     assert len(slots) == sum(map(len, shapes.values()))
     seen = set()
     with fresh_plan_table(bound) as table:
@@ -355,8 +356,8 @@ def test_a_plan_past_the_limit_is_not_kept(bound):
                 for values, want in ((a, want_a), (b, want_b), (a, want_a)):
                     assert tableau_weight_multiset(shape, values) == want, (shape, values)
                 fits = slots[shape, n] <= bound // 4
-                assert ((shape, n) in table.plans) == fits, shape
-                assert table.slots == sum(slots[key] for key in table.plans)
+                assert ((shape, n) in table.entries) == fits, shape
+                assert table.size == sum(slots[key] for key in table.entries)
                 seen.add(fits)
     assert seen == {True, False}
 
