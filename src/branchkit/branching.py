@@ -133,9 +133,9 @@ class BranchEngine:
     @cache.setter
     def cache(self, entries: dict[tuple, MultVector]):
         memos: dict = {}  # (n, blocks) -> padded lambda -> packed value, or checked dict
+        heights: dict = {}  # (n, blocks) -> h_diagonal sorted descending
         for key, mv in entries.items():
-            memo, lam = _admit(memos, key, mv)
-            memo[lam] = dict(mv)
+            _admit(memos, heights, key, mv)
         self._memos = memos
         self._answers: dict = {}  # (blocks, padded lambda) -> the answer `branch` decoded
         self._w = 1
@@ -204,27 +204,11 @@ class BranchEngine:
 
     def _step(self, t, memo, shapes, lam):
         """Yields each weight it needs that the memo lacks, is sent its value, yields its own."""
-        shape = shapes.entries.get(lam)
-        if shape is None:
-            shapes.misses += 1
-            k = select_pivot(lam, largest=self.pivot == "largest")
-            prev = tuple(map(sub, lam, (1,) * k + (0,) * (len(lam) - k)))
-            members = self._add_shape(shapes, lam, k, prev) if self._room >= 0 else None
-        else:
-            k, prev, members = shape
+        k, prev, members = shapes.entries.get(lam) or self._add_shape(shapes, lam)
         if (p := self._get(t, memo, prev)) is None:
             p = yield prev
-        # past the query's room the step reads the strips and forms each member
-        # when it is needed: a tuple of members formed up front, or a generator
-        # or map over the strips, would outlive the steps below, and each object
-        # that does brings the next garbage collection nearer
-        strips = members is None
-        if strips:
-            members = _lower_strips(k, *map(eq, prev, prev[1:]))
         lower = []
         for mu in members:
-            if strips:
-                mu = tuple(map(add, prev, mu))
             m = self._get(t, memo, mu)
             lower.append(m if m is not None else (yield mu))
         c, top, guard = self._character(t, k)
@@ -243,21 +227,26 @@ class BranchEngine:
         memo[lam] = r
         yield r
 
-    def _add_shape(self, shapes, lam, k, prev):
-        """The members of P(prev, k) but lam, as padded partitions: (k, prev,
-        members) goes to shapes, and its size off the query's room.  The size
-        is what sys.getsizeof counts: lam, prev and each member are tuples as
-        long as lam, and their parts are at most lam_1 + 1, so once lam_1
-        passes CPython's cached small ints each part is counted as one more
-        int that large."""
+    def _add_shape(self, shapes, lam):
+        """(k, lam', the members of P(lam', k) but lam) for a step that missed
+        shapes, lam' being lam less the column of w_k, all padded partitions;
+        while the query has room, it goes to shapes and its size off the room.
+        The size is what sys.getsizeof counts: lam, lam' and each member are
+        tuples as long as lam, and their parts are at most lam_1 + 1, so once
+        lam_1 passes CPython's cached small ints each part is counted as one
+        more int that large."""
+        shapes.misses += 1
+        k = select_pivot(lam, largest=self.pivot == "largest")
+        prev = tuple(map(sub, lam, (1,) * k + (0,) * (len(lam) - k)))
         strips = _lower_strips(k, *map(eq, prev, prev[1:]))
-        members = tuple([tuple(map(add, prev, d)) for d in strips])
-        part = getsizeof(lam[0] + 1) if lam[0] > 255 else 0
-        row = getsizeof(lam) + len(lam) * part
-        size = _SHAPE_SLOT + getsizeof(members) + (2 + len(members)) * row
-        self._room -= size
-        shapes.put(lam, size, (k, prev, members))
-        return members
+        shape = k, prev, tuple([tuple(map(add, prev, d)) for d in strips])
+        if self._room >= 0:
+            part = getsizeof(lam[0] + 1) if lam[0] > 255 else 0
+            row = getsizeof(lam) + len(lam) * part
+            size = _SHAPE_SLOT + getsizeof(shape[2]) + (2 + len(strips)) * row
+            self._room -= size
+            shapes.put(lam, size, shape)
+        return shape
 
     def _by_dicts(self, t, lam, p, k, lower):
         """The step on {j: m_j} dicts, which names the negative multiplicity."""
@@ -364,11 +353,14 @@ def _lower_strips(k: int, *eqs: bool) -> tuple[tuple[int, ...], ...]:
     return strips
 
 
-def _admit(memos, key, mv):
-    """The memo of key's type in memos, made on first use, and key's lambda padded
-    to n rows.  ValueError names the key unless it is (n, blocks, lambda) as
-    `branch` looks it up (blocks a type of sl_n, lambda a partition of fewer than
-    n parts without trailing zeros) and mv a non-empty dict of int j >= 0 to int m_j >= 1."""
+def _admit(memos, heights, key, mv):
+    """A copy of mv into the memo of key's type in memos, under key's lambda padded
+    to n rows; the memo and the type's entry of heights are made on first use.
+    ValueError names the key unless it is (n, blocks, lambda) as `branch` looks it
+    up (blocks a type of sl_n, lambda a partition of fewer than n parts without
+    trailing zeros) and mv a non-empty dict of int j >= 0 to int m_j >= 1, none
+    above lambda's top weight, which bounds `branch`'s values: packing a j takes
+    bytes in proportion to it."""
     try:
         n, blocks, lam = key
         memo = memos.get((n, blocks))
@@ -377,6 +369,7 @@ def _admit(memos, key, mv):
             if t.blocks != blocks or t.n != n:
                 raise ValueError(f"{blocks} does not name a type of sl_{n} as {t}")
             memo = memos[t.n, t.blocks] = {}
+            heights[t.n, t.blocks] = sorted(h_diagonal(t), reverse=True)
         part = canonical_partition(lam)
         if part != lam or len(part) >= n:
             raise ValueError(f"{lam} needs fewer than {n} parts, none zero")
@@ -388,7 +381,9 @@ def _admit(memos, key, mv):
             and min(mv) >= 0 and min(mv.values()) >= 1):
         raise ValueError(f"cache entry {key!r} is not a non-empty dict of j >= 0 to m_j >= 1: "
                          f"{mv!r}")
-    return memo, lam
+    if max(mv) > (top := sum(map(mul, lam, heights[n, blocks]))):
+        raise ValueError(f"cache entry {key!r} has j = {max(mv)}, above the top weight {top}")
+    memo[lam] = dict(mv)
 
 
 _DEFAULT_ENGINE = BranchEngine()

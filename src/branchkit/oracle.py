@@ -16,10 +16,13 @@ hook-content formula: it sizes the digits, sets off the budget before any
 work, and must equal the sum of the digits read back.
 
 Which state feeds which running sum, and which states a pass keeps, depends
-on the shape and n alone.  The first count of a (shape, n) records that as
-its plan, and later counts, whatever their values, replay only the sums.  The
-plans share one process-wide table (_plans) of at most 2**14 slots, a slot
-being one source index or one group, the oldest plan dropped first; it is a
+on the shape and n alone, so it is kept apart from the arithmetic: a
+generator (_passes) yields it pass by pass, codes only, and one routine
+(_sum_pass) runs the sums of every pass, of a first count and a replay
+alike.  The first count of a (shape, n) records the passes as its plan, and
+later counts, whatever their values, replay only the sums.  The plans share
+one process-wide table (_plans) of at most 2**14 slots, a slot being one
+source index or one group, the oldest plan dropped first; it is a
 tables.Table, the class of the recursion's Pieri tables, and clear_cache
 leaves it, as it leaves them, since a plan holds the structure of the chains
 and no answer.
@@ -82,16 +85,17 @@ def tableau_weight_multiset(shape, values, budget: int | None = None) -> Counter
     R_{i+1} = R_i * (shape_i + 1), so the full shape is R_rows - 1.  A pass
     over row i reads nu_i as code // R_i % (shape_i + 1) and groups the
     states by key = code - nu_i * R_i, each group the indices of its states
-    by nu_i up to the strip's bound.  A state feeds one sum and is freed once
-    that sum reads it, so a pass frees the level below as it goes; the sum at
-    x becomes the state key + x * R_i.
+    by nu_i up to the strip's bound; the sum at x becomes the state
+    key + x * R_i.  One loop runs every pass through _sum_pass, which frees
+    each state once the one sum it feeds has read it, so a pass frees the
+    level below as it goes, on a first call and a replay alike.
 
-    The grouping depends on (shape, n) alone.  So the first call for it
-    records, pass by pass as it sums, which states feed each group's sum;
-    that plan goes to the process-wide table _plans, and a later call with
-    any values runs only the sums.  The table holds at most 2**14 slots, a
-    slot being one source index or one group, and drops the oldest plan
-    first.  It takes no plan of more than a quarter of that: a
+    The grouping depends on (shape, n) alone.  So the first call for it takes
+    the groups from _passes, which records them pass by pass; that plan goes
+    to the process-wide table _plans, and a later call with any values takes
+    its groups from the plan and runs only the sums.  The table holds at most
+    2**14 slots, a slot being one source index or one group, and drops the
+    oldest plan first.  It takes no plan of more than a quarter of that: a
     larger shape stops recording at the pass that outgrows it and sums on
     just the same.  branching.clear_cache leaves the table, which holds no
     answer, only how the strips of a shape chain together.
@@ -118,7 +122,10 @@ def tableau_weight_multiset(shape, values, budget: int | None = None) -> Counter
     size = -(-count.bit_length() // 8)  # bytes per digit
     steps = [8 * size * (h - low) for h in values]
     plan = _plans.get((shape, n))
-    packed = _strip_passes(shape, n, steps) if plan is None else _replay(plan, steps)
+    states = [0, 1]
+    for v, groups in _passes(shape, n) if plan is None else plan:
+        states = _sum_pass(states, groups, steps[v - 1])
+    packed = states[-1]
     raw = packed.to_bytes(-(-packed.bit_length() // 8), "little")
     if size > 1:
         raw = [int.from_bytes(raw[k:k + size], "little") for k in range(0, len(raw), size)]
@@ -143,7 +150,9 @@ def _sum_pass(states: list, groups, step: int) -> list:
     """One pass's running sums over a list of packed counts, index 0 holding 0.
 
     Each group is (pre, post), the indices of the states that feed its
-    positions in order; the sums at post's positions are kept, in order.
+    positions in order; the sums at post's positions are kept, in order.  A
+    state feeds one sum, so each is set to 0 once that sum has read it, and a
+    pass frees the level below as it builds the next.
     """
     new = [0]
     append = new.append
@@ -152,34 +161,24 @@ def _sum_pass(states: list, groups, step: int) -> list:
         if pre:
             for j in pre:
                 acc = (acc << step) + states[j]
+                states[j] = 0
         for j in post:
             acc = (acc << step) + states[j]
+            states[j] = 0
             append(acc)
     return new
 
 
-def _replay(passes, steps) -> int:
-    """The packed count of the full shape: a recorded plan's sums on these steps."""
-    states = [0, 1]
-    for v, groups in passes:
-        states = _sum_pass(states, groups, steps[v - 1])
-    return states[-1]
-
-
-def _strip_passes(shape, n, steps) -> int:
-    """The packed count of the full shape, and its plan for _plans while that stays small.
-
-    Each state is freed once the sum it feeds has read it.
-    """
+def _passes(shape, n):
+    """Yields (v, groups) for each pass of the strips of (shape, n), groups as
+    _sum_pass takes them, and then offers them to _plans as the plan of (shape, n)."""
     lam = shape + (0,) * n
     radix = [1]  # the place value of each row's length in a state's code
     for r in shape:
         radix.append(radix[-1] * (r + 1))
-    limit = _plans.bound // 4  # no plan takes more than a quarter of the table
-    # state j (from 1) has code codes[j - 1] and counts states[j]
-    codes, states = [0], [0, 1]
-    passes, slots = [], 0  # the plan so far, None once past the limit
-    for v, step in enumerate(steps, 1):
+    codes = [0]  # state j (from 1) has code codes[j - 1]
+    plan, slots = [], 0
+    for v in range(1, n + 1):
         below = n - v
         for i in reversed(range(min(v, len(shape)))):
             lo, top = lam[i + below], lam[i]
@@ -187,43 +186,29 @@ def _strip_passes(shape, n, steps) -> int:
                 continue  # row i was full before entry v
             place, width = radix[i], top + 1
             # a group lists, by row i's new length, the indices of its states
-            groups: dict = {}
+            by_key: dict = {}
             for j, code in enumerate(codes, 1):
                 x = code // place % width
                 key = code - x * place
-                src = groups.get(key)
+                src = by_key.get(key)
                 if src is None:
                     # the strip's bound: row i - 1 as it was before entry v
                     end = min(top, key % place // radix[i - 1]) if i else top
-                    src = groups[key] = [0] * (end + 1)
+                    src = by_key[key] = [0] * (end + 1)
                 src[x] = j
-            recorded, codes, new = [], [], [0]
-            append, extend = new.append, codes.extend
-            for key, src in groups.items():
+            groups, codes = [], []
+            append, extend = groups.append, codes.extend
+            for key, src in by_key.items():
                 # the sum starts at the group's first state; x < lo feeds it but is not kept
                 first = 0 if src[0] else src.index(next(filter(None, src)))
                 cut = lo if lo > first else first
-                pre, post = src[first:cut] if cut > first else (), src[cut:] if cut else src
-                acc = 0
-                for j in pre:
-                    acc = (acc << step) + states[j]
-                    states[j] = 0  # a state feeds one sum: free it once read
-                for j in post:
-                    acc = (acc << step) + states[j]
-                    states[j] = 0
-                    append(acc)
+                append((src[first:cut] if cut > first else (), src[cut:] if cut else src))
                 extend(range(key + cut * place, key + len(src) * place, place))
-                if passes is not None:
-                    slots += len(src) - first + 1
-                    recorded.append((pre, post))
-            states = new
-            if passes is not None and slots <= limit:
-                passes.append((v, recorded))
-            else:
-                passes = None
-    if passes is not None:
-        _plans.put((shape, n), slots, passes)
-    return states[-1]
+                slots += len(src) - first + 1
+            if slots <= _plans.bound // 4:  # the most that put keeps: record no more
+                plan.append((v, groups))
+            yield v, groups
+    _plans.put((shape, n), slots, plan)
 
 
 def ssyt_count(shape: Partition, n: int) -> int:

@@ -405,16 +405,16 @@ def test_entries_wider_than_the_estimate_widen_the_memo(big):
     # a transplanted omega_1 entry of multiplicities big (wrong, but the
     # engine trusts entries that pass its checks) does not fit the width that
     # dim L(3) suggests, or leaves no room for the product by omega_1, where
-    # three of its components meet in F_2: the engine repacks its memo at
+    # two of its components meet in F_2: the engine repacks its memo at
     # doubled widths, restarts the query, and answers as the dict recursion does
     t, u = SubalgebraType((3,)), SubalgebraType((2, 1))
-    memo = {(3, (3,), (1,)): {0: big, 2: big, 4: big}}
+    memo = {(3, (3,), (1,)): {0: big, 2: big}}
     engine = BranchEngine(cache=memo)
     assert engine.branch(u, partition_to_omega((3, 1), 3)) == oracle_branch(
         u, partition_to_omega((3, 1), 3))
     got = engine.branch(t, partition_to_omega((3,), 3))
     assert got == branch_by_dicts(t, (3, 0, 0), dict(memo))
-    assert got[8] == big
+    assert got[6] == big
     # the entries of type u, packed at the narrow width, were repacked
     w = partition_to_omega((4, 2), 3)
     assert engine.branch(u, w) == BranchEngine().branch(u, w) == oracle_branch(u, w)
@@ -516,6 +516,26 @@ def test_cache_rejects_keys_it_would_never_look_up(key, entry):
     assert engine.stats == stats
     assert engine.branch(t, w) == answer
     assert engine.stats == {"computed": stats["computed"], "hits": stats["hits"] + 1}
+
+
+def test_cache_rejects_a_j_above_the_top_weight():
+    # lambda's top weight, sum lambda_i h_(i) with h sorted descending, is the
+    # largest j of every true entry; packing {10**12: 1} for (2) of principal
+    # sl_3, top weight 4, would take 10**12 bytes and more
+    key = (3, (3,), (2,))
+    with pytest.raises(ValueError, match=re.escape(f"cache entry {key!r} has j = 10")):
+        BranchEngine(cache={key: {10**12: 1}})
+    engine = BranchEngine()
+    for t in all_types(4):
+        for w in iter_dominant_weights(4, 4):
+            engine.branch(t, w)
+    entries = engine.cache
+    for key, mv in entries.items():
+        top = max(mv)
+        above = re.escape(f"has j = {top + 1}, above the top weight {top}")
+        with pytest.raises(ValueError, match=above):
+            BranchEngine(cache={key: {**mv, top + 1: 1}})
+    assert BranchEngine(cache=entries).cache == entries
 
 
 @settings(max_examples=30, deadline=None)
@@ -681,6 +701,16 @@ def test_each_table_counts_at_least_what_it_holds():
         for name in ("characters", "strips", "largest"):
             table = tables[name]
             assert table.entries and table.evictions == 0, name
+            assert table.size >= held_bytes(table), name
+    # churned: tables of 20000 bytes that drop and add at their bound, whose
+    # dicts stay larger than a growing table's; characters held 12792 bytes
+    # against 19552 counted, shapes 17568 against 19920
+    with fresh_tables(20000) as tables:
+        for t, w in queries:
+            BranchEngine().branch(t, w)
+        for name in ("characters", "largest"):
+            table = tables[name]
+            assert table.evictions > 0, name
             assert table.size >= held_bytes(table), name
 
 

@@ -793,6 +793,8 @@ MALFORMED_CACHES = {
     "key lambda with n parts": {"version": 1, "entries": {"4|4|1,1,1,1": {"5": 3}}},
     "key lambda trailing zero": {"version": 1, "entries": {"4|4|1,0": {"3": 1}}},
     "key lambda negative part": {"version": 1, "entries": {"4|4|1,-1": {"0": 1}}},
+    # j = 8 above the top weight 6 of (2): a j of 10**12 would take 10**12 bytes to pack
+    "component above the top weight": {"version": 1, "entries": {"4|4|2": {"2": 1, "8": 1}}},
     # versions equal to 1 that are not the int 1
     "version true": {"version": True, "entries": {}},
     "version float": {"version": 1.0, "entries": {}},
@@ -840,7 +842,7 @@ WRONG_ENTRIES = {
     "sub-weight, negative multiplicity": ({"4|4|1,1": {"8": 1}}, ["--partition", "2"]),
     # neither trivial nor fundamental, so only the re-run without the file finds them
     "top level, not fundamental": ({"4|4|3": {"0": 5}}, ["--partition", "3"]),
-    "sub-weight, not fundamental": ({"4|4|2": {"8": 1}}, ["--partition", "3"]),
+    "sub-weight, not fundamental": ({"4|4|2": {"6": 1}}, ["--partition", "3"]),
 }
 
 
@@ -874,10 +876,11 @@ def test_wrong_cache_entry_blamed_by_rerun(tmp_path, capsys, case):
 @pytest.mark.xfail(strict=True, reason="only the dimension of a non-fundamental entry is checked")
 def test_wrong_entry_of_the_right_dimension_is_not_trusted(tmp_path, capsys):
     # principal sl_4: Res L(2) = Sym^2 F_3 = F_2 + F_6, of dimension 10, and
-    # the entry F_0 + F_8 has dimension 10 as well; a check of the final
-    # answer against an independent route (Jacobi-Trudi) would see it
+    # the entry 3 F_0 + F_6 has dimension 10 as well, and the top weight 6; a
+    # check of the final answer against an independent route (Jacobi-Trudi)
+    # would see it
     cache = tmp_path / "memo.json"
-    cache.write_text(json.dumps({"version": 1, "entries": {"4|4|2": {"8": 1, "0": 1}}}))
+    cache.write_text(json.dumps({"version": 1, "entries": {"4|4|2": {"6": 1, "0": 3}}}))
     code, out, err = run(
         capsys, "branch", "--n", "4", "--type", "4", "--partition", "2", "--cache", str(cache)
     )
