@@ -24,13 +24,14 @@ by the padded lambda.  A step that misses builds them: select_pivot, lambda
 minus the column, and the lower members from the process-wide strip table
 (_strips, read through _lower_strips), keyed by k and the equal adjacent rows
 of lambda', so pieri_set runs once per such pattern, not once per step or
-engine; a query stops adding shapes once those it added pass a quarter of its
-table's bound, so a query too big to fit neither churns the table nor keeps
-its shapes alive.  The character, its top weight and guard bits come from the
+engine; a query stops adding shapes once those it added pass its table's
+limit, so a query too big to fit neither churns the table nor keeps its
+shapes alive.  The character, its top weight and guard bits come from the
 table _characters, keyed by (blocks, k, width), so wedge_character runs once
-per key in the process, not once per engine.  All four tables are
-tables.Table, the class of the tableau oracle's plan table too: bounded in
-bytes, oldest value dropped first, nothing over a quarter of the bound kept.
+per key in the process, not once per engine; no engine keeps a copy, so one
+over the table's limit is built at each use.  All four tables are
+tables.Table, the class of the oracle's plan table too: bounded in bytes by
+tables.footprint, oldest value dropped first, nothing over the limit kept.
 Every engine may share them, since an entry is fixed by its key (width
 included) and holds no answer.  The guard masks are the engine's own.
 The dict Clebsch-Gordan product and subtraction of sl2 run only when a check
@@ -41,14 +42,13 @@ finds a negative multiplicity, to name it; entries cross the engine's edges
 from itertools import accumulate
 from math import comb
 from operator import add, eq, mul, sub
-from sys import getsizeof
 
 from .fundamental import _fundamental, fundamental_branching, wedge_character
 from .pieri import lex_max_member, pieri_set
 from .qcomb import digits, fold, guard_mask, pack, width
 from .sl2 import InternalConsistencyError, MultVector, cg_convolve, mv_subtract
 from .subalgebra import SubalgebraType, h_diagonal
-from .tables import SLOT, Table
+from .tables import Table, footprint
 from .weights import DominantWeight, Partition, canonical_partition, dim_irrep, padded_partition
 
 __all__ = [
@@ -97,14 +97,14 @@ class BranchEngine:
     shape table of the engine's pivot rule (_shapes), and a step that misses
     it builds them from the strip table (_strips); both hold only the Pieri
     rule, no answer, so every engine shares them.  The character comes from
-    _characters once per engine and width (_chars keeps it until the engine
-    widens): an entry is fixed by its key, width included, and holds no
-    answer, so all share them.  These tables are bounded in bytes (see
-    tables.Table).  Each guard mask is built by the engine, as long as
-    lambda's top weight bounds, at most once per query, and kept in _masks
-    until the engine widens.  Before the multiply one AND certifies that every
-    digit of P(lambda') is below 2**(8w - 1 - b), b the bit length of
-    C(n, k) = dim L(w_k), so that no product digit carries.
+    _characters at every step, or is built when the table lacks it: an entry
+    is fixed by its key, width included, and holds no answer, so all share
+    them.  These tables are bounded in bytes (see tables).  Each guard mask
+    is built by the engine, as long as lambda's top weight bounds, at most
+    once per query, and kept in _masks until the engine widens.  Before the
+    multiply one AND certifies that every digit of P(lambda') is below
+    2**(8w - 1 - b), b the bit length of C(n, k) = dim L(w_k), so that no
+    product digit carries.
     A value that does not fit repacks the memo at double the width and
     restarts the query; the width a query starts from, read off dim
     L(lambda), is only a first guess.  Assigning cache= or `cache` checks
@@ -140,7 +140,6 @@ class BranchEngine:
         self._answers: dict = {}  # (blocks, padded lambda) -> the answer `branch` decoded
         self._w = 1
         self._digits = 0  # at most this many digits in any value of the current query
-        self._chars: dict = {}  # (blocks, k) -> (packed character of w_k, its top, guard bits)
         self._masks: dict = {}  # guard bits -> guard_mask at width _w
 
     def branch(self, t: SubalgebraType, w: DominantWeight) -> MultVector:
@@ -159,7 +158,7 @@ class BranchEngine:
             self._widen(width(dim_irrep(w) * comb(t.n, min(rows, t.n - rows))))
             # the query's weights lie below lam: 2 + lam's top weight digits bound its values
             self._digits = 2 + sum(map(mul, lam, sorted(h_diagonal(t), reverse=True)))
-        self._room = _shapes[self.pivot].bound // 4  # bytes of shapes this query may still add
+        self._room = _shapes[self.pivot].limit  # bytes of shapes this query may still add
         while True:
             try:
                 p = self._solve(t, memo, lam)
@@ -230,20 +229,15 @@ class BranchEngine:
     def _add_shape(self, shapes, lam):
         """(k, lam', the members of P(lam', k) but lam) for a step that missed
         shapes, lam' being lam less the column of w_k, all padded partitions;
-        while the query has room, it goes to shapes and its size off the room.
-        The size is what sys.getsizeof counts: lam, lam' and each member are
-        tuples as long as lam, and their parts are at most lam_1 + 1, so once
-        lam_1 passes CPython's cached small ints each part is counted as one
-        more int that large."""
+        while the query has room, it goes to shapes and its footprint off the
+        room."""
         shapes.misses += 1
         k = select_pivot(lam, largest=self.pivot == "largest")
         prev = tuple(map(sub, lam, (1,) * k + (0,) * (len(lam) - k)))
         strips = _lower_strips(k, *map(eq, prev, prev[1:]))
         shape = k, prev, tuple([tuple(map(add, prev, d)) for d in strips])
         if self._room >= 0:
-            part = getsizeof(lam[0] + 1) if lam[0] > 255 else 0
-            row = getsizeof(lam) + len(lam) * part
-            size = _SHAPE_SLOT + getsizeof(shape[2]) + (2 + len(strips)) * row
+            size = footprint(lam, shape)
             self._room -= size
             shapes.put(lam, size, shape)
         return shape
@@ -261,13 +255,17 @@ class BranchEngine:
             raise InternalConsistencyError(f"{err} in branch({t}, {lam[: lam.index(0)]})") from None
 
     def _character(self, t, k):
-        key = (t.blocks, k)
-        hit = self._chars.get(key)
+        """(packed character of w_k at the engine's width, its top, guard bits),
+        from the process-wide table, or built and offered to it."""
+        key = (t.blocks, k, self._w)
+        hit = _characters.entries.get(key)
         if hit is None:
             dim = comb(t.n, k)
             if width(dim) > self._w:
                 raise _TooNarrow
-            hit = self._chars[key] = _shared_character(t, k, self._w, dim)
+            _characters.misses += 1
+            hit = *wedge_character(t, k, self._w), dim.bit_length() + 1
+            _characters.put(key, footprint(key, hit), hit)
         return hit
 
     def _mask(self, bits, length):
@@ -295,7 +293,6 @@ class BranchEngine:
             if isinstance(v, int)
         ]
         self._w = w
-        self._chars.clear()
         self._masks.clear()
         for memo, lam, mv in unpacked:
             memo[lam] = self._pack(mv)
@@ -303,32 +300,16 @@ class BranchEngine:
 
 # Every table holds structure that engines of every type and width share, no
 # answer.  A 20 s run of the recursion benchmark (seed 7, 2520 fresh engines)
-# fills them with 847 characters (450 KB), 3919 shapes of the largest pivot
-# (2.8 MB) and 273 strip patterns (208 KB), and drops nothing.  Principal
-# sl_300's w_150 alone takes 1.7 MB, and is not kept; principal sl_3
-# (600, 300) takes 68k steps, and adds shapes only until they fill a quarter
-# of the bound.  sl_13 [6, 4, 2, 1] (20, 15, 10, 5, 3, 1) reads 207 strip
+# fills them with 847 characters (356 KB), 3919 shapes of the largest pivot
+# (2.6 MB) and 273 strip patterns (208 KB), and drops nothing.  Principal
+# sl_300's w_150 alone takes 1.8 MB, and is not kept; principal sl_3
+# (600, 300) takes 68k steps, and adds shapes only until they fill the
+# limit.  sl_13 [6, 4, 2, 1] (20, 15, 10, 5, 3, 1) reads 207 strip
 # patterns, 330 KB; one pattern of sl_14 with all rows distinct takes about
 # 550 KB, and still fits.
 _characters = Table(2**20)
 _shapes = {"largest": Table(3 * 2**20), "smallest": Table(3 * 2**20)}
 _strips = Table(2**22)
-# per shape, besides its tuples of parts: the (k, lambda', members) tuple too
-_SHAPE_SLOT = SLOT + getsizeof((0, 0, 0))
-
-
-def _shared_character(t, k, w, dim):
-    """(packed character of w_k at width w, its top, guard bits): wedge_character
-    plus the bit length of dim = C(n, k), from the process-wide table, sized
-    as sys.getsizeof counts the key, the value and the items of each, plus
-    SLOT."""
-    key = (t.blocks, k, w)
-    hit = _characters.get(key)
-    if hit is None:
-        c, top = wedge_character(t, k, w)
-        hit = c, top, dim.bit_length() + 1
-        _characters.put(key, SLOT + sum(map(getsizeof, (key, *key, hit, *hit))), hit)
-    return hit
 
 
 def _lower_strips(k: int, *eqs: bool) -> tuple[tuple[int, ...], ...]:
@@ -348,8 +329,7 @@ def _lower_strips(k: int, *eqs: bool) -> tuple[tuple[int, ...], ...]:
         rep = tuple(accumulate((not e for e in reversed(eqs)), initial=0))[::-1]
         top = lex_max_member(rep, k)
         strips = tuple(tuple(map(sub, mu, rep)) for mu in pieri_set(rep, k) if mu != top)
-        _strips.put(key, SLOT + getsizeof(key) + getsizeof(eqs) + getsizeof(strips)
-                    + sum(map(getsizeof, strips)), strips)
+        _strips.put(key, footprint(key, strips), strips)
     return strips
 
 

@@ -21,9 +21,11 @@ when that is more than one; it alone imports the tableau oracle, when it
 runs.  It refuses a sweep of more than VERIFY_MAX_PAIRS (type, weight) pairs,
 or of pairs whose weights hold more than VERIFY_MAX_COEFFS coefficients,
 n - 1 each (exit 2), counted from partition numbers before it lists a type
-or a weight.  `triple` refuses n above TRIPLE_MAX_N (exit 2) before it builds
-a matrix or imports numpy.  JSON output goes to stdout in blocks as it is
-encoded.
+or a weight.  `pieri` refuses a set of more than PIERI_MAX_MEMBERS members,
+or of more than PIERI_MAX_PARTS parts, n each (exit 2), counted by
+pieri_size before it builds any.  `triple` refuses n above TRIPLE_MAX_N
+(exit 2) before it builds a matrix or imports numpy.  JSON output goes to
+stdout in blocks as it is encoded.
 """
 
 import argparse
@@ -34,7 +36,7 @@ from itertools import islice
 
 from .branching import BranchEngine, branch
 from .fundamental import ClosedFormMismatchError, fundamental_branching
-from .pieri import pieri_set
+from .pieri import pieri_set, pieri_size
 from .sl2 import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -75,6 +77,14 @@ VERIFY_MAX_PAIRS = 10**5
 # at rank 10^9, 7 pairs asked for gigabytes.  Every type of sl_20 up to 6
 # boxes comes to 356820
 VERIFY_MAX_COEFFS = 10**6
+# `pieri` refuses a set of more members than this, counted before it builds
+# any: sl_22's 705432 members of (21, 20, ..., 1) and k = 11 print in about
+# 16 s and 410 MB of peak RSS on a 2-vCPU VM, and sl_24's 2704156 of k = 12
+# ended in MemoryError under a 1 GB address-space limit
+PIERI_MAX_MEMBERS = 10**6
+# and one whose members times n, the parts it holds, pass this: sl_180's
+# 955860 members of k = 3 ended in MemoryError under the same limit
+PIERI_MAX_PARTS = 2 * 10**7
 
 
 def _parse_ints(text, what):
@@ -332,7 +342,13 @@ def cmd_table(args) -> int:
 
 def cmd_pieri(args) -> int:
     w = DominantWeight(args.n, _parse_ints(args.weight, "--weight"))
-    for mu in sorted(pieri_set(padded_partition(w), args.k), reverse=True):
+    lam = padded_partition(w)
+    cap = min(PIERI_MAX_MEMBERS, PIERI_MAX_PARTS // args.n)
+    if pieri_size(lam, args.k, cap) > cap:
+        raise ValueError(f"pieri lists at most {PIERI_MAX_MEMBERS} members and "
+                         f"{PIERI_MAX_PARTS} parts, n = {args.n} per member; "
+                         f"P(lambda, {args.k}) has more, so lower --k or --n")
+    for mu in sorted(pieri_set(lam, args.k), reverse=True):
         omega_str = ",".join(str(a) for a in partition_to_omega(mu, args.n).coeffs)
         part_str = "(" + ",".join(str(x) for x in mu if x) + ")"
         print(f"{omega_str}  {part_str}")

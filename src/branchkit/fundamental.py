@@ -124,12 +124,16 @@ def fundamental_branching(t: SubalgebraType, k: int, verify: bool = False) -> Mu
     """Decomposition of Res L(w_k) as a multiplicity vector.
 
     Always computed from the weight multiset (defined for every type and
-    1 <= k <= n - 1; wedge_weight_multiset rejects any other k, which is
-    never memoized); with verify=True every applicable closed form is
-    evaluated as well and a disagreement raises ClosedFormMismatchError.
-    Results are memoized per (type, k); callers get their own copy.
+    1 <= k <= n - 1; any other k is a ValueError); with verify=True every
+    applicable closed form for k is evaluated as well and a disagreement
+    raises ClosedFormMismatchError.  L(w_{n-k}) is the dual of L(w_k), and
+    every sl_2 module is its own dual, so both restrict alike: results are
+    memoized per (type, min(k, n - k)), and callers get their own copy.
     """
-    result = dict(_fundamental(t, k))
+    n = t.n
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"wedge power index {k} out of range for rank {n}")
+    result = dict(_fundamental(t, min(k, n - k)))
     if verify:
         _verify_closed_forms(t, k, result)
     return result

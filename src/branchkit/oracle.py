@@ -95,9 +95,9 @@ def tableau_weight_multiset(shape, values, budget: int | None = None) -> Counter
     to the process-wide table _plans, and a later call with any values takes
     its groups from the plan and runs only the sums.  The table holds at most
     2**14 slots, a slot being one source index or one group, and drops the
-    oldest plan first.  It takes no plan of more than a quarter of that: a
-    larger shape stops recording at the pass that outgrows it and sums on
-    just the same.  branching.clear_cache leaves the table, which holds no
+    oldest plan first.  It takes no plan over its limit, a quarter of that: a
+    larger shape stops recording at the pass that outgrows the limit and sums
+    on just the same.  branching.clear_cache leaves the table, which holds no
     answer, only how the strips of a shape chain together.
 
     A state's counts are packed into one integer: the partial tableaux of
@@ -205,7 +205,7 @@ def _passes(shape, n):
                 append((src[first:cut] if cut > first else (), src[cut:] if cut else src))
                 extend(range(key + cut * place, key + len(src) * place, place))
                 slots += len(src) - first + 1
-            if slots <= _plans.bound // 4:  # the most that put keeps: record no more
+            if slots <= _plans.limit:  # the most that put keeps: record no more
                 plan.append((v, groups))
             yield v, groups
     _plans.put((shape, n), slots, plan)

@@ -1,9 +1,10 @@
 """The one bounded table class of branchkit, and the bytes an entry costs it.
 
 The recursion's process-wide tables (characters, shapes and strips, in
-branching) and the tableau oracle's plan table are all instances of Table.
-It holds no arithmetic and imports nothing from the package, so the oracle
-that uses it still shares no arithmetic with the recursion it checks.
+branching), sized in bytes by footprint, and the tableau oracle's plan table,
+sized in slots, are all instances of Table.  It holds no arithmetic and
+imports nothing from the package, so the oracle that uses it still shares no
+arithmetic with the recursion it checks.
 """
 
 from collections import deque
@@ -13,12 +14,12 @@ from sys import getsizeof
 class Table:
     """Values by key, at most `bound` in all as their callers size them (bytes,
     or the oracle's slots), the oldest value dropped first; a value of more than
-    a quarter of the bound is not kept, and a key keeps the value it holds.  Hot
-    readers take entries.get and count their own misses; get counts hits and
-    misses for the others.  evictions counts the values dropped."""
+    `limit`, a quarter of the bound, is not kept, and a key keeps the value it
+    holds.  Hot readers take entries.get and count their own misses; get counts
+    hits and misses for the others.  evictions counts the values dropped."""
 
     def __init__(self, bound: int):
-        self.bound, self.size, self.entries = bound, 0, {}
+        self.bound, self.limit, self.size, self.entries = bound, bound // 4, 0, {}
         self.order = deque()  # (key, size), oldest first
         self.hits = self.misses = self.evictions = 0
 
@@ -32,7 +33,7 @@ class Table:
 
     def put(self, key, size: int, value):
         """value, kept under key if it is small enough and key holds none."""
-        if size <= self.bound // 4 and key not in self.entries:
+        if size <= self.limit and key not in self.entries:
             self.entries[key] = value
             self.order.append((key, size))
             self.size += size
@@ -52,3 +53,20 @@ class Table:
 # of more than 100 entries that drops and adds at its bound can hold up to 34
 # bytes an entry more, until its dict resizes.
 SLOT = 88 + getsizeof((0, 0)) + getsizeof(2**20)
+_SHARED = frozenset(map(id, (*range(-5, 257), True, False, None)))
+
+
+def footprint(*objs) -> int:
+    """The bytes of a table entry of key and value objs: SLOT, and what
+    sys.getsizeof counts for each of objs and for everything they hold through
+    tuples, less CPython's cached small ints and bools (_SHARED), which the
+    interpreter holds whether or not a table does.  An object held twice is
+    counted twice, so the sum is at least what the entry holds."""
+    total, stack = SLOT, list(objs)
+    while stack:
+        x = stack.pop()
+        if id(x) not in _SHARED:
+            total += getsizeof(x)
+            if type(x) is tuple:
+                stack.extend(x)
+    return total

@@ -32,7 +32,7 @@ from branchkit import branching, fundamental, pieri_set
 from branchkit.fundamental import fundamental_branching, wedge_character
 from branchkit.qcomb import width
 from branchkit.sl2 import mv_subtract
-from branchkit.tables import SLOT, Table
+from branchkit.tables import Table, footprint
 from branchkit.weights import dual_weight, iter_partitions
 from test_qcomb import principal_by_hook_content
 
@@ -626,13 +626,6 @@ def test_pieri_set_runs_once_per_pattern_of_the_process(monkeypatch):
             assert calls == [], pivot
 
 
-def strip_size(key, strips):
-    """The bytes of a strip entry: the slot, and what sys.getsizeof counts for
-    its key (k, eqs), eqs, and the tuple of strips with each strip; every part
-    is a small int."""
-    return SLOT + sum(map(sys.getsizeof, (key, key[1], strips, *strips)))
-
-
 def test_strip_table_is_bounded():
     # the 2**11 patterns of k = 1 in sl_12 take more than a 64 KiB table
     with fresh_tables(2**16) as tables:
@@ -641,24 +634,18 @@ def test_strip_table_is_bounded():
             branching._lower_strips(1, *eqs)
         assert strips.misses == 2**11 and strips.evictions > 0
         assert_bounded(strips)
-        assert strips.size == sum(strip_size(key, strips.entries[key]) for key, _ in strips.order)
+        assert strips.size == sum(footprint(key, strips.entries[key]) for key, _ in strips.order)
         # sl_13's k = 6 pattern with all rows distinct, 260 KB, is past a quarter
         # of the bound: it is returned, but not kept
         prev = tuple(range(12, -1, -1))
         eqs = tuple(map(eq, prev, prev[1:]))
         kept = list(strips.order)
         got = branching._lower_strips(6, *eqs)
-        assert strip_size((6, eqs), got) > 260000
+        assert footprint((6, eqs), got) > 260000
         assert len(got) == 1715
         want = pieri_set(prev, 6) - {lex_max_member(prev, 6)}
         assert {tuple(map(add, prev, d)) for d in got} == want
         assert list(strips.order) == kept and (6, eqs) not in strips.entries
-
-
-def entry_size(key, *values):
-    """The bytes of a character entry: the slot, and what sys.getsizeof counts
-    for its key, the key's items, its value and the value's items."""
-    return SLOT + sum(map(sys.getsizeof, (key, *key, *values)))
 
 
 def assert_tables_hold_what_they_are_keyed_by(tables):
@@ -668,8 +655,7 @@ def assert_tables_hold_what_they_are_keyed_by(tables):
         t = SubalgebraType(blocks)
         assert (c, top) == wedge_character(t, k, w), (blocks, k, w)
         assert guard == comb(t.n, k).bit_length() + 1 and width(comb(t.n, k)) <= w
-        value = characters.entries[blocks, k, w]
-        assert sizes[blocks, k, w] == entry_size((blocks, k, w), value, *value)
+        assert sizes[blocks, k, w] == footprint((blocks, k, w), (c, top, guard))
     assert_bounded(characters)
 
 
@@ -694,7 +680,8 @@ def test_each_table_counts_at_least_what_it_holds():
     # the small ints
     queries = [(t, w) for n in range(3, 7) for t in all_types(n) for w in iter_dominant_weights(n, 5)]
     queries += [(SubalgebraType((3,)), partition_to_omega((60, 30), 3)),
-                (SubalgebraType((2, 1)), partition_to_omega((300,), 3))]
+                (SubalgebraType((2, 1)), partition_to_omega((300,), 3)),
+                (SubalgebraType((3,)), partition_to_omega((300, 290), 3))]
     with fresh_tables() as tables:
         for t, w in queries:
             BranchEngine().branch(t, w)
@@ -723,9 +710,11 @@ def test_each_character_entry_is_the_wedge_character_at_its_width(data):
             t = data.draw(st.sampled_from(all_types(n)))
             k = data.draw(st.integers(1, n - 1))
             w = data.draw(st.integers(width(comb(n, k)), 9))
-            got = branching._shared_character(t, k, w, comb(n, k))
+            engine = BranchEngine()
+            engine._widen(w)
+            got = engine._character(t, k)
             assert got == (*wedge_character(t, k, w), comb(n, k).bit_length() + 1)
-            assert tables["characters"].get((t.blocks, k, w)) == got
+            assert tables["characters"].entries[t.blocks, k, w] == got
         for t, w in data.draw(query_sequences()):
             BranchEngine().branch(t, w)
         assert_tables_hold_what_they_are_keyed_by(tables)
@@ -789,8 +778,9 @@ def test_a_small_table_keeps_its_bound_and_drops_the_oldest():
 
 
 def test_small_tables_never_exceed_their_bound():
-    # principal sl_9's omega_3 at width 2 takes 72 bytes, more than a quarter
-    # of 256, and all the characters together take 2508
+    # every character takes more than a quarter of 256 bytes (principal
+    # sl_9's omega_3 at width 2 takes 452), so none is kept: each is built
+    # again at each use
     queries = [(t, w) for n in (6, 9) for t in all_types(n) for w in iter_dominant_weights(n, 3)]
     want = [BranchEngine().branch(t, w) for t, w in queries]
     with fresh_tables(256) as tables:
@@ -847,14 +837,7 @@ def assert_shapes_hold_the_pieri_rule(tables):
             assert prev == tuple(x - (i < k) for i, x in enumerate(lam)), (pivot, lam)
             assert len(members) == len(set(members))
             assert set(members) == pieri_set(prev, k) - {lam}, (pivot, lam)
-            # sys.getsizeof of every tuple, and of every int part CPython does not
-            # share; each part is counted past the small ints, exactly below them
-            parts = [x for row in (lam, prev, *members) for x in row if x > 256]
-            counted = (branching._SHAPE_SLOT + sys.getsizeof(members)
-                       + sum(map(sys.getsizeof, (lam, prev, *members)))
-                       + sum(map(sys.getsizeof, parts)))
-            big = sys.getsizeof(lam[0] + 1) * len(lam) * (2 + len(members)) if lam[0] > 255 else 0
-            assert counted <= size <= counted + big, (pivot, lam)
+            assert size == footprint(lam, table.entries[lam]), (pivot, lam)
 
 
 @st.composite
@@ -959,9 +942,9 @@ def test_tables_count_their_hits_misses_and_evictions():
     assert table.get("c") == "C" and table.get("c") == "C" and table.get("a") is None
     table.put("f", 26, "F")  # not kept, so nothing is dropped
     assert (table.hits, table.misses, table.evictions) == (2, 2, 1)
-    # the shapes of sl_3 below take one member each; a query may add two
-    t, size = SubalgebraType((3,)), (branching._SHAPE_SLOT + sys.getsizeof((0,))
-                                     + 3 * sys.getsizeof((0, 0, 0)))
+    # the shapes of sl_3 below take one member each, of small parts, so each
+    # takes as much as (3)'s; a query may add two
+    t, size = SubalgebraType((3,)), footprint((3, 0, 0), (1, (2, 0, 0), ((2, 1, 0),)))
     with fresh_tables(4 * size) as tables:
         shapes = tables["largest"]
         BranchEngine().branch(t, partition_to_omega((3,), 3))  # steps on (3), (2), (2, 1)

@@ -1,6 +1,7 @@
 import argparse
 import concurrent.futures
 import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from branchkit import (
     BranchEngine,
@@ -271,6 +273,34 @@ def test_pieri_at_rank_1200(capsys):
         ",".join(["1"] + ["0"] * 1197 + ["1"]) + "  (2" + ",1" * 1198 + ")",
         ",".join(["0"] * 1199) + "  ()",
     ]
+
+
+@pytest.mark.parametrize("n, k", [(24, 12), (180, 3)])
+def test_pieri_refuses_a_set_past_its_cap_before_building_it(capsys, monkeypatch, n, k):
+    # C(24, 12) = 2704156 members, past PIERI_MAX_MEMBERS; C(180, 3) = 955860
+    # members of 180 parts, past PIERI_MAX_PARTS
+    def building(lam, k):
+        raise AssertionError("pieri_set ran")
+
+    monkeypatch.setattr(cli, "pieri_set", building)
+    code, out, err = run(capsys, "pieri", "--n", str(n), "--weight", ",".join(["1"] * (n - 1)),
+                         "--k", str(k))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: pieri lists at most 1000000 members")
+
+
+def test_table_runs_the_wedge_recurrence_once_per_pair_k_and_n_minus_k(capsys, monkeypatch):
+    calls = []
+    real = fundamental.wedge_character
+    monkeypatch.setattr(fundamental, "wedge_character",
+                        lambda t, k, w: (calls.append(k), real(t, k, w))[1])
+    fundamental._fundamental.cache_clear()
+    code, out, _ = run(capsys, "table", "--n", "60", "--type", "60", "--format", "json")
+    assert code == 0
+    assert sorted(calls) == list(range(1, 31))
+    table = json.loads(out)["table"]
+    assert all(table[str(k)] == table[str(60 - k)] for k in range(1, 60))
 
 
 def test_branch_at_rank_1200(capsys):
@@ -960,3 +990,63 @@ def test_save_cache_failure_keeps_old_file(tmp_path, monkeypatch):
     assert cache.read_text() == before
     assert [p.name for p in tmp_path.iterdir()] == ["memo.json"]  # no temp file left
     assert cli.load_cache(cache, SubalgebraType((4,))) == {(4, (4,), (1,)): {3: 1}}
+
+
+INT_LISTS = st.lists(st.integers(-2, 6), max_size=4).map(lambda xs: ",".join(map(str, xs)))
+ODD_LISTS = st.sampled_from(["", ",", "a", "1,,2", "2;3"])
+LISTS = st.one_of(INT_LISTS, ODD_LISTS)
+
+
+def int_lists(size):
+    """Lists of `size` entries from -2 to 6, as a command line spells them."""
+    return st.lists(st.integers(-2, 6), min_size=size, max_size=size).map(
+        lambda xs: ",".join(map(str, xs)))
+
+
+@st.composite
+def command_lines(draw):
+    """An argv of the six commands, each option present or not; ranks up to
+    8, lists of at most 4 entries, or a type of sl_n or a weight of up to
+    sl_5 as often, and verify sweeps up to 4 boxes on one job."""
+    command = draw(st.sampled_from(["branch", "fundamental", "table", "pieri", "triple", "verify"]))
+    n = draw(st.integers(-1, 8))
+    argv = [command, "--n", str(n)]
+    types = [",".join(map(str, t.blocks)) for t in all_types(n)] if n >= 2 else [""]
+    type_lists = st.one_of(LISTS, st.sampled_from(types))
+    weights = st.one_of(LISTS, int_lists(n - 1)) if 2 <= n <= 5 else LISTS
+
+    def option(name, values):  # present three times in four
+        if draw(st.integers(0, 3)):
+            argv.extend([name, draw(values)])
+
+    if command in ("branch", "fundamental", "table", "triple"):
+        option("--type", type_lists)
+    if command in ("branch", "pieri"):
+        option("--weight", weights)
+    if command == "branch":
+        option("--partition", LISTS)
+    if command in ("fundamental", "pieri"):
+        option("--k", st.integers(-3, 10).map(str))
+    if command == "fundamental" and draw(st.booleans()):
+        argv.append("--verify")
+    if command in ("branch", "fundamental", "table"):
+        option("--format", st.sampled_from(FORMATS))
+    if command == "verify":
+        option("--types", st.one_of(st.just("all"), ODD_LISTS,
+                                    st.lists(type_lists, min_size=1, max_size=3).map(";".join)))
+        option("--budget", st.integers(-1, 20).map(str))
+        argv += ["--max-boxes", str(draw(st.integers(-1, 4))), "--jobs", "1"]
+    return argv
+
+
+@settings(max_examples=250, deadline=None)
+@given(command_lines())
+def test_every_command_line_exits_0_2_or_4_without_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 2, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

@@ -12,6 +12,7 @@ from branchkit import (
     partition_to_omega,
     pieri_set,
 )
+from branchkit.pieri import pieri_size
 
 
 def strips_by_subset_enumeration(lam, k):
@@ -122,7 +123,29 @@ def padded_partitions(draw):
 @given(padded_partitions())
 def test_matches_subset_enumeration_up_to_rank_10(lam):
     for k in range(1, len(lam)):
-        assert pieri_set(lam, k) == strips_by_subset_enumeration(lam, k), k
+        members = pieri_set(lam, k)
+        assert members == strips_by_subset_enumeration(lam, k), k
+        # counted without the set: exactly up to the cap, cap + 1 past it
+        size = len(members)
+        assert pieri_size(lam, k, size) == size == pieri_size(lam, k, size - 1), k
+        assert pieri_size(lam, k, 0) == 1, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=8), st.data())
+def test_pieri_size_counts_the_set_of_any_rows(parts, data):
+    lam = tuple(sorted(parts, reverse=True)) + (0,)
+    k = data.draw(st.integers(1, len(lam) - 1))
+    assert pieri_size(lam, k, 10**9) == len(pieri_set(lam, k))
+
+
+def test_pieri_size_stops_past_its_cap_at_once():
+    # C(65536, 32768) members: the runs stop as soon as their kept
+    # coefficients pass the cap, long before the rows run out
+    lam = tuple(range(65535, -1, -1))
+    assert pieri_size(lam, 32768, 10**6) == 10**6 + 1
+    with pytest.raises(ValueError, match="strip size"):
+        pieri_size(lam, 65536, 10**6)
 
 
 def test_rank_beyond_the_recursion_limit():
