@@ -142,6 +142,10 @@ class BranchEngine:
         self._digits = 0  # at most this many digits in any value of the current query
         self._masks: dict = {}  # guard bits -> guard_mask at width _w
 
+    def __len__(self) -> int:
+        """len(self.cache), counted without decoding an entry."""
+        return sum(map(len, self._memos.values()))
+
     def branch(self, t: SubalgebraType, w: DominantWeight) -> MultVector:
         """Multiplicity vector of Res L(w) restricted to the subalgebra of type t."""
         if w.rank != t.n:

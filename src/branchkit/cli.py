@@ -24,8 +24,9 @@ n - 1 each (exit 2), counted from partition numbers before it lists a type
 or a weight.  `pieri` refuses a set of more than PIERI_MAX_MEMBERS members,
 or of more than PIERI_MAX_PARTS parts, n each (exit 2), counted by
 pieri_size before it builds any.  `triple` refuses n above TRIPLE_MAX_N
-(exit 2) before it builds a matrix or imports numpy.  JSON output goes to
-stdout in blocks as it is encoded.
+(exit 2) before it builds a matrix or imports numpy, and a type of rank above
+TYPE_MAX_N (exit 2) is refused before any tuple of n entries is built.  JSON
+output goes to stdout in blocks as it is encoded.
 """
 
 import argparse
@@ -33,6 +34,7 @@ import json
 import os
 import sys
 from itertools import islice
+from operator import sub
 
 from .branching import BranchEngine, branch
 from .fundamental import ClosedFormMismatchError, fundamental_branching
@@ -68,6 +70,13 @@ CACHE_VERSION = 1
 # interpreter start, and the matrices' lists grow as n^2 (0.7 s and 40 MB at
 # n = 500)
 TRIPLE_MAX_N = 300
+# a type of rank past this is refused where it is parsed, before a command
+# builds any of its n-long tuples: the weight's coefficients and H's diagonal
+# alone take 64 MB at rank 10^6, and `branch --partition 1` of principal
+# sl_{10^7} ended in MemoryError after 2 s under a 1 GB address-space limit.
+# On a 2-vCPU VM, `branch`, `fundamental` and `table` at rank 10^6 each ran past
+# 20 s; the cap is what can be held, not what finishes
+TYPE_MAX_N = 10**6
 # `verify` refuses a sweep of more (type, weight) pairs than this, counted
 # before it lists any.  README's largest sweep has 1922; every type of sl_20
 # up to 6 boxes, 18780 pairs, takes about 4.5 s with interpreter start on a
@@ -98,6 +107,8 @@ def _parse_ints(text, what):
 
 
 def _parse_type(text, n) -> SubalgebraType:
+    if n > TYPE_MAX_N:
+        raise ValueError(f"types are parsed only up to rank n={TYPE_MAX_N}, got n={n}")
     t = SubalgebraType(_parse_ints(text, "type"))
     if t.n != n:
         raise ValueError(f"type {t} is a partition of {t.n}, not of n={n}")
@@ -284,9 +295,8 @@ def cmd_branch(args) -> int:
         ) from None
     # with nothing computed, the file already holds every entry of the memo
     saved = bool(cache_path) and engine.stats["computed"] > 0
-    entries = engine.cache if saved or args.stats else {}  # one decode for file and count
     if saved:
-        save_cache(cache_path, entries)
+        save_cache(cache_path, engine.cache)
     _emit_multvector(args.format, mv, dim, {
         "n": args.n,
         "type": list(t.blocks),
@@ -295,7 +305,7 @@ def cmd_branch(args) -> int:
     })
     if args.stats:
         print(f"computed={engine.stats['computed']} hits={engine.stats['hits']} "
-              f"cache_entries={len(entries)} cache_saved={int(saved)}", file=sys.stderr)
+              f"cache_entries={len(engine)} cache_saved={int(saved)}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -349,7 +359,7 @@ def cmd_pieri(args) -> int:
                          f"{PIERI_MAX_PARTS} parts, n = {args.n} per member; "
                          f"P(lambda, {args.k}) has more, so lower --k or --n")
     for mu in sorted(pieri_set(lam, args.k), reverse=True):
-        omega_str = ",".join(str(a) for a in partition_to_omega(mu, args.n).coeffs)
+        omega_str = ",".join(map(str, map(sub, mu, mu[1:])))
         part_str = "(" + ",".join(str(x) for x in mu if x) + ")"
         print(f"{omega_str}  {part_str}")
     return EXIT_OK

@@ -23,8 +23,6 @@ cross-checks, run by fundamental_branching(verify=True):
     hook-content q-binomials: principal Res L(w_m) of sl_d has the character
     q^{-m(d-m)} (d choose m)_{q^2}, qcomb.spread_row packs it, a tensor product
     of two blocks is one multiply, and qcomb.decode_spread reads the sum once.
-    The k = 2 form builds on the principal branchings of the blocks, so on a
-    single block it would return the result under check.
 """
 
 from collections import Counter
@@ -170,13 +168,12 @@ def _verify_closed_forms(t, k, result):
 
 
 def branching_k2_general(t: SubalgebraType) -> MultVector:
-    """Res L(w_2) for an arbitrary type.
+    """Res L(w_2) = Lambda^2 W for an arbitrary type, W = sum_i F_{d_i - 1} the
+    natural module, from closed forms alone.
 
-    Pairs drawn inside a block of size d >= 3 contribute the principal
-    Res L(w_2) of sl_d, a pair inside a size-2 block sums to zero (one F_0
-    each), and pairs straddling blocks i < j contribute
-    F_{d_i - 1} (x) F_{d_j - 1}: half of (sum_i F_{d_i - 1})^{(x) 2} less the
-    squares F_{d-1} (x) F_{d-1} = F_0 + F_2 + ... + F_{2d-2}.
+    Lambda^2 W is the pairs straddling two blocks, half of W (x) W less the
+    squares F_{d-1} (x) F_{d-1} = F_0 + F_2 + ... + F_{2d-2}, plus each block's
+    own Lambda^2 F_{d-1} = F_{2d-4} + F_{2d-8} + ..., which is empty for d = 1.
     """
     n = t.n
     if n < 3:
@@ -184,16 +181,15 @@ def branching_k2_general(t: SubalgebraType) -> MultVector:
     # one cg_convolve of all the blocks rather than a range per pair, so that
     # this module's cg_convolve binding, which perfbench/tracer.py patches, stays in use
     tops = Counter(d - 1 for d in t.blocks)
-    pairs = Counter(cg_convolve(tops, tops))
-    acc: Counter = Counter()
+    # W (x) W, then twice Lambda^2 W: it holds each block's F_{d-1} (x) F_{d-1},
+    # so every j updated below is already a key
+    twice = cg_convolve(tops, tops)
     for d in t.blocks:
-        pairs.subtract(range(0, 2 * d - 1, 2))
-        if d >= 3:
-            acc.update(fundamental_branching(SubalgebraType((d,)), 2))
-        elif d == 2:
-            acc[0] += 1
-    acc.update({j: m // 2 for j, m in pairs.items()})
-    return {j: m for j, m in sorted(acc.items()) if m}
+        for j in range(0, 2 * d - 1, 2):
+            twice[j] -= 1
+        for j in range(2 * d - 4, -1, -4):
+            twice[j] += 2
+    return {j: m // 2 for j, m in twice.items() if m}
 
 
 def branching_hook(t: SubalgebraType, k: int) -> MultVector:

@@ -22,7 +22,7 @@ sum's multiplicities {j: m_j} once.
 
 import sys
 from functools import lru_cache
-from math import comb
+from math import prod
 from struct import calcsize
 
 QPolynomial = dict[int, int]
@@ -64,18 +64,17 @@ def digits(x: int, w: int) -> list[int]:
     return memoryview(raw).cast(_MACHINE[size]).tolist()
 
 
-def hook_content(shape, n: int, count: int) -> list[int]:
+def hook_content(shape, n: int) -> list[int]:
     """Coefficients of s_shape(1, q, ..., q^{n-1}) / q^{b(shape)}, of degree T, by
     Stanley's q-hook-content formula (EC2, Thm 7.21.2): the product over the
     boxes u of shape (at most n rows) of (1 - q^{n + c(u)}) / (1 - q^{h(u)}),
-    c the content and h the hook length; count (the dimension) bounds every
-    coefficient.  q -> Q maps Z[q]/(q^{T+1}) onto the integers mod Q^{T+1} and
-    the result is below Q^{T+1}, so one mask keeps every step exact; 1/(1 - q^h)
-    is (1 + q^h)(1 + q^{2h})(1 + q^{4h})... up to degree T.
-    """
-    w = width(count)
+    c the content and h the hook length; at q = 1 it is the dimension, which
+    bounds every coefficient.  q -> Q maps Z[q]/(q^{T+1}) onto the integers mod
+    Q^{T+1} and the result is below Q^{T+1}, so one mask keeps every step exact;
+    1/(1 - q^h) is (1 + q^h)(1 + q^{2h})(1 + q^{4h})... up to degree T."""
     cols = [sum(r > j for r in shape) for j in range(max(shape, default=0))]
     boxes = [(n + j - i, r - j + cols[j] - i - 1) for i, r in enumerate(shape) for j in range(r)]
+    w = width(prod(a for a, _ in boxes) // prod(h for _, h in boxes))
     top = sum(a - h for a, h in boxes)
     mask = (1 << 8 * w * (top + 1)) - 1
     x = 1
@@ -127,7 +126,7 @@ def guard_mask(w: int, bits: int, length: int) -> int:
 @lru_cache(maxsize=256)  # bounded, since each row holds n*k + 1 integers
 def _row(n: int, k: int) -> list[int]:
     """Coefficients of q^0 .. q^{nk} in (n+k choose k)_q: hook_content of one row."""
-    return hook_content((min(n, k),), max(n, k) + 1, comb(n + k, k))
+    return hook_content((min(n, k),), max(n, k) + 1)
 
 
 def spread_row(n: int, k: int, w: int) -> int:

@@ -275,6 +275,21 @@ def test_pieri_at_rank_1200(capsys):
     ]
 
 
+def test_pieri_prints_the_coefficients_of_each_member(capsys):
+    # each line's coefficients are those of the member's DominantWeight,
+    # full columns taken off, on every weight of sl_2 .. sl_6 up to 4 boxes
+    for n in range(2, 7):
+        for w in iter_dominant_weights(n, 4):
+            for k in range(1, n):
+                code, out, err = run(capsys, "pieri", "--n", str(n),
+                                     "--weight", ",".join(map(str, w.coeffs)), "--k", str(k))
+                assert code == 0, err
+                for line in out.splitlines():
+                    omega, parts = line.split("  ")
+                    mu = tuple(int(x) for x in parts.strip("()").split(",") if x)
+                    assert omega == ",".join(map(str, partition_to_omega(mu, n).coeffs)), line
+
+
 @pytest.mark.parametrize("n, k", [(24, 12), (180, 3)])
 def test_pieri_refuses_a_set_past_its_cap_before_building_it(capsys, monkeypatch, n, k):
     # C(24, 12) = 2704156 members, past PIERI_MAX_MEMBERS; C(180, 3) = 955860
@@ -622,8 +637,9 @@ def test_verify_refuses_a_huge_rank_before_listing(capsys, monkeypatch):
     monkeypatch.setattr(cli, "all_types", no_listing)
     monkeypatch.setattr(cli, "iter_dominant_weights", no_listing)
     cap = cli.VERIFY_MAX_COEFFS
-    # 7 pairs of 10^9 - 1 coefficients each, and 4 pairs (weights of at most
-    # 2 boxes) of cap / 4 + 1 each, just past the cap
+    # a type of rank 10^9, refused where it is parsed (past TYPE_MAX_N), and
+    # 4 pairs (weights of at most 2 boxes) of cap / 4 + 1 coefficients each,
+    # just past the cap
     for argv in (("--n", str(10**9), "--types", str(10**9), "--max-boxes", "3", "--budget", "0"),
                  ("--n", str(cap // 4 + 2), "--types", str(cap // 4 + 2), "--max-boxes", "2")):
         code, out, err = run(capsys, "verify", *argv)
@@ -634,6 +650,30 @@ def test_verify_refuses_a_huge_rank_before_listing(capsys, monkeypatch):
     n = cap // 4 + 1
     code, _, err = run(capsys, "verify", "--n", str(n), "--types", str(n), "--max-boxes", "2")
     assert code == 3 and f"nothing may be listed for ({n}, 2)" in err
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("branch", ("--partition", "1")),
+    ("fundamental", ("--k", "1")),
+    ("table", ()),
+])
+def test_a_type_past_the_rank_cap_is_refused_before_any_tuple_of_n(capsys, monkeypatch,
+                                                                   command, extra):
+    def n_long(*args):
+        raise AssertionError(f"an n-long tuple was built from {args}")
+
+    for name in ("partition_to_omega", "DominantWeight", "fundamental_branching"):
+        monkeypatch.setattr(cli, name, n_long)
+    for n in (cli.TYPE_MAX_N + 1, 999999999999):
+        code, out, err = run(capsys, command, "--n", str(n), "--type", str(n), *extra)
+        assert code == 2, (command, n, err)
+        assert err.startswith("error: ") and str(cli.TYPE_MAX_N) in err
+        assert out == ""
+
+
+def test_ranks_up_to_the_cap_are_parsed():
+    for n in (1200, cli.VERIFY_MAX_COEFFS // 4 + 2, cli.TYPE_MAX_N):
+        assert cli._parse_type(f"{n - 1},1", n) == SubalgebraType((n - 1, 1))
 
 
 def test_verify_counts_the_pairs_it_lists():
@@ -676,6 +716,27 @@ def test_cache_round_trip_and_warm_stats(tmp_path, capsys):
 
 
 BRANCH_5 = ["branch", "--n", "5", "--type", "3,2", "--partition", "3,2,1", "--format", "json"]
+
+
+def test_stats_count_the_memo_without_decoding_it(capsys, monkeypatch):
+    engines, unpacked = [], []
+
+    class Recorded(BranchEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+        def _unpack(self, p):
+            unpacked.append(p)
+            return super()._unpack(p)
+
+    monkeypatch.setattr(cli, "BranchEngine", Recorded)
+    code, out, err = run(capsys, *BRANCH_5, "--stats")
+    assert code == 0, err
+    assert len(engines) == 1 and len(unpacked) == 1  # the answer alone
+    (engine,) = engines
+    assert len(engine) == len(engine.cache) > 1
+    assert f"cache_entries={len(engine.cache)} cache_saved=0" in err
 
 
 def test_warm_run_leaves_cache_file_untouched(tmp_path, capsys, monkeypatch):
@@ -1006,12 +1067,17 @@ def int_lists(size):
 @st.composite
 def command_lines(draw):
     """An argv of the six commands, each option present or not; ranks up to
-    8, lists of at most 4 entries, or a type of sl_n or a weight of up to
-    sl_5 as often, and verify sweeps up to 4 boxes on one job."""
+    8 or past the cap on types, lists of at most 4 entries, or a type of sl_n
+    (two at a rank past the cap) or a weight of up to sl_5 as often, and
+    verify sweeps up to 4 boxes on one job."""
     command = draw(st.sampled_from(["branch", "fundamental", "table", "pieri", "triple", "verify"]))
-    n = draw(st.integers(-1, 8))
+    n = draw(st.integers(-1, 10))
+    if n > 8:  # one rank in six
+        n = (cli.TYPE_MAX_N + 1, 999999999999)[n - 9]
+        types = [str(n), f"{n - 1},1"]
+    else:
+        types = [",".join(map(str, t.blocks)) for t in all_types(n)] if n >= 2 else [""]
     argv = [command, "--n", str(n)]
-    types = [",".join(map(str, t.blocks)) for t in all_types(n)] if n >= 2 else [""]
     type_lists = st.one_of(LISTS, st.sampled_from(types))
     weights = st.one_of(LISTS, int_lists(n - 1)) if 2 <= n <= 5 else LISTS
 

@@ -204,9 +204,10 @@ def test_fundamental_branching_verify_mode_runs_all_closed_forms():
 
 
 def test_verify_skips_self_comparisons_on_one_block(monkeypatch):
-    # on a single block the k = 2 form returns the memoized result under
-    # check and the hook form reads the q-binomial of the principal checks,
-    # so verify leaves them to types with more than one block
+    # on a single block the k = 2 form is Lambda^2 F_{n-1} = F_{2n-4} +
+    # F_{2n-8} + ..., Macdonald's k = 2 formula, and the hook form reads the
+    # q-binomial of the principal checks, so verify leaves them to types with
+    # more than one block
     def self_comparison(*args):
         raise AssertionError("closed form compared with itself")
 
@@ -239,10 +240,48 @@ def test_branching_k2_general():
         )
 
 
-def test_branching_k2_general_matches_multiset_everywhere():
-    for n in range(3, 10):
-        for t in all_types(n):
-            assert branching_k2_general(t) == fundamental_branching(t, 2), t
+def no_weight_multisets(monkeypatch):
+    """Make every route to the weight multiset, memoized or not, raise."""
+    def weight_multiset_route(*args):
+        raise AssertionError(f"the k = 2 closed form read the weight multiset: {args}")
+
+    for name in ("_fundamental", "fundamental_branching", "wedge_weight_multiset"):
+        monkeypatch.setattr(fundamental, name, weight_multiset_route)
+
+
+def test_branching_k2_general_matches_multiset_everywhere(monkeypatch):
+    # the answers come first; then every route to them raises
+    types = [t for n in range(3, 15) for t in all_types(n)]
+    assert len(types) == 492
+    want = [fundamental_branching(t, 2) for t in types]
+    no_weight_multisets(monkeypatch)
+    for t, mv in zip(types, want):
+        assert branching_k2_general(t) == mv, t
+
+
+@st.composite
+def types_of_sl15_to_sl40(draw):
+    n = draw(st.integers(min_value=15, max_value=40))
+    blocks = [draw(st.integers(min_value=2, max_value=n))]
+    while (left := n - sum(blocks)) > 0:
+        blocks.append(draw(st.integers(min_value=1, max_value=left)))
+    return SubalgebraType(tuple(blocks))
+
+
+@settings(max_examples=40, deadline=None)
+@given(types_of_sl15_to_sl40())
+def test_branching_k2_general_matches_the_weight_multiset_up_to_sl40(t):
+    want = fundamental_branching(t, 2)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        no_weight_multisets(monkeypatch)
+        assert branching_k2_general(t) == want, t
+
+
+def test_branching_k2_general_leaves_the_fundamental_memo_alone():
+    for blocks in ((3, 2), (4, 3, 1), (5, 5), (7, 2, 2, 1), (6,) * 3):
+        before = fundamental._fundamental.cache_info()
+        branching_k2_general(SubalgebraType(blocks))
+        assert fundamental._fundamental.cache_info() == before, blocks
 
 
 def test_branching_hook():

@@ -17,6 +17,7 @@ from branchkit import (
     principal_highest_component,
     qpoly_str,
 )
+from branchkit import qcomb
 from branchkit.qcomb import (
     _row,
     decode_spread,
@@ -297,7 +298,7 @@ def principal_by_hook_content(w):
     q^{i-1} stands for the H-eigenvalue n + 1 - 2i, so the degree-e coefficient
     of s_lambda(1, q, ..., q^{n-1}) / q^{b(lambda)} counts the weight T - 2e,
     T the degree: the character is symmetric under negation."""
-    coeffs = hook_content(omega_to_partition(w), w.rank, dim_irrep(w))
+    coeffs = hook_content(omega_to_partition(w), w.rank)
     top = len(coeffs) - 1
     return mult_from_multiset(Counter({top - 2 * e: c for e, c in enumerate(coeffs)})), coeffs
 
@@ -323,3 +324,14 @@ def test_hook_content_gives_the_principal_branching(case):
 def test_hook_content_matches_the_recursion_at_size(n, lam):
     w = partition_to_omega(lam, n)
     assert principal_by_hook_content(w)[0] == BranchEngine().branch(SubalgebraType((n,)), w)
+
+
+def test_hook_content_sizes_its_digits_by_the_dimension(monkeypatch):
+    # the bound hook_content reads off its boxes is dim L(lambda), the count
+    # callers once passed, so it packs at the same width and gives the same digits
+    bounds = []
+    monkeypatch.setattr(qcomb, "width", lambda bound: bounds.append(bound) or width(bound))
+    for n, lam in SMALL_PRINCIPAL + [(5, (40, 30, 20, 10)), (300, (3, 3))]:
+        bounds.clear()
+        hook_content(lam, n)
+        assert bounds == [dim_irrep(partition_to_omega(lam, n))], (n, lam)
