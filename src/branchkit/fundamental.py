@@ -8,7 +8,10 @@ That multiset is the z^k coefficient e_k(q^{h_1}, ..., q^{h_n}) of
 prod_i (1 + z q^{h_i}) (Macdonald, Symmetric Functions and Hall Polynomials,
 I.2): wedge_character packs it at any width by qcomb.elementary, in O(n k)
 shifts and additions without listing the C(n, k) subsets; no rank cap.
-wedge_weight_multiset decodes it, and the recursion engine multiplies by it.
+The recursion engine multiplies by it, and the multiplicities are read off it
+by qcomb.decode_spread, one shift and subtract; wedge_weight_multiset decodes
+it into a Counter for callers that want the weights, and is not on the
+answer's path.
 
 The weight multiset always computes the result; the closed forms are only
 cross-checks, run by fundamental_branching(verify=True):
@@ -30,7 +33,7 @@ from functools import cache
 from math import comb
 
 from .qcomb import decode_spread, digits, elementary, p_k_n, pi, spread_row, width
-from .sl2 import MultVector, cg_convolve, mult_from_multiset
+from .sl2 import MultVector, cg_convolve
 from .subalgebra import SubalgebraType, h_diagonal, is_principal
 
 WeightMultiset = Counter
@@ -139,7 +142,8 @@ def fundamental_branching(t: SubalgebraType, k: int, verify: bool = False) -> Mu
 
 @cache
 def _fundamental(t: SubalgebraType, k: int) -> MultVector:
-    return mult_from_multiset(wedge_weight_multiset(t, k))
+    w = width(comb(t.n, k))
+    return decode_spread([wedge_character(t, k, w)], w)
 
 
 def _verify_closed_forms(t, k, result):

@@ -13,7 +13,10 @@ weight.  A strip is added one row at a time, so that the shapes that differ
 only in that row share one running sum, and a state is freed once the one sum
 it feeds has read it.  The number of tableaux is known up front from the
 hook-content formula: it sizes the digits, sets off the budget before any
-work, and must equal the sum of the digits read back.
+work, and must equal the sum of the digits read back.  One private core
+(_weight_counts) packs the counts for tableau_weight_multiset, which decodes
+them into a Counter, and for oracle_branch, which reads every m_j straight
+off them by one shift and subtract.
 
 Which state feeds which running sum, and which states a pass keeps, depends
 on the shape and n alone, so it is kept apart from the arithmetic: a
@@ -29,21 +32,17 @@ and no answer.
 
 Deliberately independent of the recursion and the closed forms: it imports
 nothing from fundamental or branching, only h_diagonal from subalgebra, the
-partition dictionary from weights, the dim-difference arithmetic
-(mult_from_multiset), InternalConsistencyError, DEFAULT_BUDGET and
-BudgetExceededError from sl2, and the table class, which holds no arithmetic,
-from tables.
+partition dictionary from weights, InternalConsistencyError, DEFAULT_BUDGET,
+BudgetExceededError and the MultVector alias from sl2, and the table class,
+which holds no arithmetic, from tables.  It applies the dim-difference rule
+itself, to its own packed counts.
 """
 
+import sys
 from collections import Counter
+from struct import calcsize
 
-from .sl2 import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
-    InternalConsistencyError,
-    MultVector,
-    mult_from_multiset,
-)
+from .sl2 import DEFAULT_BUDGET, BudgetExceededError, InternalConsistencyError, MultVector
 from .subalgebra import SubalgebraType, h_diagonal
 from .tables import Table
 from .weights import DominantWeight, Partition, canonical_partition, omega_to_partition
@@ -64,10 +63,26 @@ def tableau_weight_multiset(shape, values, budget: int | None = None) -> Counter
     """Multiset of sum-of-values weights over all SSYT of the shape.
 
     values[i] is the contribution of entry i + 1; entries run over
-    1..len(values).  A tableau's weight depends only on how many of each
-    entry it holds, and the number of tableaux with given such counts does
-    not change when the entries are relabelled (Kostka numbers are symmetric
-    in the content), so the entries are taken in ascending order of value.
+    1..len(values).  The counts come from _weight_counts, packed one digit
+    per weight; the digits read back must sum to the hook-content count, or
+    InternalConsistencyError.
+    """
+    shape = canonical_partition(shape)
+    packed, count, size, base = _weight_counts(shape, values, budget)
+    counts = _read_counts(packed, count, size, shape, len(values))
+    return Counter({base + e: c for e, c in enumerate(counts) if c})
+
+
+def _weight_counts(shape: Partition, values, budget: int | None) -> tuple[int, int, int, int]:
+    """(packed, count, size, base) for the SSYT of the canonical shape with
+    entries in 1..len(values): count tableaux by the hook-content formula,
+    packed at Q = 256**size with the tableaux of weight base + e in the digit
+    of Q^e.
+
+    A tableau's weight depends only on how many of each entry it holds, and
+    the number of tableaux with given such counts does not change when the
+    entries are relabelled (Kostka numbers are symmetric in the content), so
+    the entries are taken in ascending order of value.
 
     A tableau is then a chain of partitions nu(0) = () <= nu(1) <= ... <=
     nu(n) = shape, nu(v) holding its entries <= v, each step a horizontal
@@ -102,16 +117,14 @@ def tableau_weight_multiset(shape, values, budget: int | None = None) -> Counter
 
     A state's counts are packed into one integer: the partial tableaux of
     shape nu and weight min(values) * |nu| + e make up the digit of Q^e,
-    Q = 256^w, so adding a box of entry v multiplies by Q^(value - min), a
-    shift.  The hook-content count of the shape, which no digit can exceed,
-    sizes w; it raises BudgetExceededError before any state is built when it
-    is above `budget`, and the digits read back must sum to it, or
-    InternalConsistencyError.
+    so adding a box of entry v multiplies by Q^(value - min), a shift.  The
+    hook-content count of the shape, which no digit can exceed, sizes the
+    digits; it raises BudgetExceededError before any state is built when it
+    is above `budget`.
     """
-    shape = canonical_partition(shape)
-    n, rows = len(values), len(shape)
-    if rows > n:
-        return Counter()
+    n = len(values)
+    if len(shape) > n:
+        return 0, 0, 1, 0
     count = _tableau_count(shape, n)
     if budget is not None and count > budget:
         raise BudgetExceededError(
@@ -125,18 +138,32 @@ def tableau_weight_multiset(shape, values, budget: int | None = None) -> Counter
     states = [0, 1]
     for v, groups in _passes(shape, n) if plan is None else plan:
         states = _sum_pass(states, groups, steps[v - 1])
-    packed = states[-1]
-    raw = packed.to_bytes(-(-packed.bit_length() // 8), "little")
-    if size > 1:
-        raw = [int.from_bytes(raw[k:k + size], "little") for k in range(0, len(raw), size)]
-    base = low * sum(shape)
-    out = Counter({base + e: c for e, c in enumerate(raw) if c})
-    if sum(out.values()) != count:
+    return states[-1], count, size, low * sum(shape)
+
+
+# unsigned machine integer formats by size in bytes, for digits
+_MACHINE = {calcsize(f): f for f in "BHIQ"} if sys.byteorder == "little" else {}
+
+
+def _digits(x: int, size: int) -> list[int]:
+    """The digits of x >= 0 at Q = 256**size from Q^0 up to its top nonzero one:
+    one array read where a machine integer has the digit's size, else one
+    from_bytes a digit."""
+    raw = x.to_bytes(-(-x.bit_length() // (8 * size)) * size, "little")
+    if size in _MACHINE:
+        return memoryview(raw).cast(_MACHINE[size]).tolist()
+    return [int.from_bytes(raw[k:k + size], "little") for k in range(0, len(raw), size)]
+
+
+def _read_counts(packed: int, count: int, size: int, shape: Partition, n: int) -> list[int]:
+    """The digits of packed, which must sum to count, the number of tableaux."""
+    counts = _digits(packed, size)
+    if sum(counts) != count:
         raise InternalConsistencyError(
-            f"{sum(out.values())} tableaux of shape {shape} with entries <= {n} read back "
+            f"{sum(counts)} tableaux of shape {shape} with entries <= {n} read back "
             f"from {size}-byte digits, {count} by the hook-content formula"
         )
-    return out
+    return counts
 
 
 # A slot is one source index or one group, about 60 bytes, so a full table
@@ -221,9 +248,33 @@ def oracle_branch(
 ) -> MultVector:
     """Branching of L(w) computed from scratch by counting its tableaux by weight.
 
-    budget caps the number of tableaux; None lifts the cap.
+    budget caps the number of tableaux; None lifts the cap.  The multiplicities
+    are read off the packed counts: one read of every digit checks that they
+    are symmetric under negation of the weight and sum to the hook-content
+    count; then, with c the counts of weights 0, 1, ..., the digit j of
+    c - (c >> 2 digits) is m_j = c_j - c_{j+2}.  That difference is never
+    negative, but a c_j < c_{j+2} would borrow from the digit above; a borrow
+    adds Q (j + 1) - (j + 2) > 0 to sum_j m_j (j + 1), which without one is
+    c_0 + 2 (c_1 + c_2 + ...), the count, for symmetric counts.  So that sum
+    must equal the count, or InternalConsistencyError.
     """
     if w.rank != t.n:
         raise ValueError(f"weight rank {w.rank} does not match type {t} of sl_{t.n}")
-    ms = tableau_weight_multiset(omega_to_partition(w), h_diagonal(t), budget=budget)
-    return mult_from_multiset(ms)
+    shape = omega_to_partition(w)
+    packed, count, size, base = _weight_counts(shape, h_diagonal(t), budget)
+    counts = _read_counts(packed, count, size, shape, t.n)
+    # the digit of weight 0 is -base, and weight e sits as far above it as -e below
+    top = -base
+    full = counts + [0] * (2 * top + 1 - len(counts))
+    if len(full) != 2 * top + 1 or full != full[::-1]:
+        raise InternalConsistencyError(
+            f"tableaux of shape {shape} with entries <= {t.n} not symmetric under "
+            "negation of the weight"
+        )
+    c = packed >> 8 * size * top
+    out = {j: m for j, m in enumerate(_digits(c - (c >> 16 * size), size)) if m}
+    if sum(m * (j + 1) for j, m in out.items()) != count:
+        raise InternalConsistencyError(
+            f"tableaux of shape {shape} with entries <= {t.n}: some dim V_j < dim V_(j+2)"
+        )
+    return out

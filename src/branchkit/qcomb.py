@@ -21,6 +21,7 @@ sum's multiplicities {j: m_j} once.
 """
 
 import sys
+from collections import Counter
 from functools import lru_cache
 from math import prod
 from struct import calcsize
@@ -89,7 +90,12 @@ def hook_content(shape, n: int) -> list[int]:
 
 
 def elementary(exps, k: int, w: int) -> int:
-    """e_k(Q^{x_1}, ..., Q^{x_n}) at Q = 256**w for the exponents x = exps >= 0."""
+    """e_k(Q^{x_1}, ..., Q^{x_n}) at Q = 256**w for the exponents x = exps >= 0.
+
+    e_1 is the count of each exponent, packed once; a sum of shifts would
+    copy the growing integer once per exponent."""
+    if k == 1:
+        return pack(Counter(exps), w)
     e = [1] + [0] * k
     for i, x in enumerate(exps):
         # j stops at k - (n - 1 - i): a smaller j-subset can no longer grow to k

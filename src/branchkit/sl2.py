@@ -3,8 +3,10 @@
 A decomposition m_0 F_0 + m_1 F_1 + ... (F_j irreducible of highest weight j,
 dimension j + 1) is a sparse dict {j: m_j} holding only positive entries.
 A weight multiset {weight: dim V_weight} turns into one by the dim-difference
-rule m_j = dim V_j - dim V_{j+2}, the step that the wedge-power route and the
-tableau oracle share.
+rule m_j = dim V_j - dim V_{j+2} (mult_from_multiset).  The wedge-power route
+and the tableau oracle apply the same rule to their packed weight counts, by
+one shift and subtract each; mult_from_multiset is the reference the tests
+hold them to.
 
 The Clebsch-Gordan product costs O(|a|*|b| + span): one difference-array
 update per pair of components, then one running-sum pass over the output's

@@ -295,13 +295,13 @@ def test_clear_cache_forgets_fundamentals(monkeypatch):
     assert branch(t, w) == {2: 1, 6: 1}
     assert stats["computed"] == computed + 1  # the shared engine did not serve it
     calls = []
-    real = fundamental.wedge_weight_multiset
+    real = fundamental.wedge_character
 
-    def counting(t, k):
+    def counting(t, k, w):
         calls.append(k)
-        return real(t, k)
+        return real(t, k, w)
 
-    monkeypatch.setattr(fundamental, "wedge_weight_multiset", counting)
+    monkeypatch.setattr(fundamental, "wedge_character", counting)
     assert fundamental_branching(t, 2) == {2: 1, 6: 1}
     assert calls == [2]  # nor did the fundamental memo
 

@@ -63,6 +63,16 @@ def test_wedge_weight_multiset_matches_brute_force():
                 assert wedge_weight_multiset(t, k) == brute_force_multiset(t, k), (t, k)
 
 
+def test_fundamental_decode_matches_the_reference_rule():
+    # the memoized route reads the packed character by one shift and
+    # subtract; the reference decodes it into a Counter first
+    for n in range(2, 13):
+        for t in all_types(n):
+            for k in range(1, n):
+                want = mult_from_multiset(wedge_weight_multiset(t, k))
+                assert fundamental._fundamental.__wrapped__(t, k) == want, (t, k)
+
+
 @pytest.mark.parametrize("blocks", [(2,), (5,), (4, 3), (3, 2, 2), (6, 1, 1), (2, 2, 2, 2), (9,)])
 def test_wedge_character_at_two_widths(blocks):
     t = SubalgebraType(blocks)
@@ -245,7 +255,8 @@ def no_weight_multisets(monkeypatch):
     def weight_multiset_route(*args):
         raise AssertionError(f"the k = 2 closed form read the weight multiset: {args}")
 
-    for name in ("_fundamental", "fundamental_branching", "wedge_weight_multiset"):
+    for name in ("_fundamental", "fundamental_branching", "wedge_weight_multiset",
+                 "wedge_character"):
         monkeypatch.setattr(fundamental, name, weight_multiset_route)
 
 

@@ -23,6 +23,7 @@ from branchkit import (
 )
 from branchkit import oracle
 from branchkit.oracle import tableau_weight_multiset
+from branchkit.sl2 import mult_from_multiset
 from branchkit.tables import Table
 from branchkit.weights import canonical_partition, iter_partitions
 
@@ -106,6 +107,69 @@ def test_oracle_matches_fundamental_for_all_small_types():
             for k in range(1, n):
                 w = DominantWeight.omega(n, k)
                 assert oracle_branch(t, w) == fundamental_branching(t, k), (t, k)
+
+
+@st.composite
+def types_and_small_weights(draw):
+    """A type of sl_2..sl_7 and a weight of at most 8 boxes."""
+    n = draw(st.integers(2, 7))
+    t = draw(st.sampled_from(all_types(n)))
+    boxes = draw(st.integers(0, 8))
+    shape = draw(st.sampled_from(list(iter_partitions(boxes, max_parts=n - 1))))
+    return t, shape
+
+
+def reference_oracle(t, shape):
+    """The oracle's answer by the reference dim-difference rule on the Counter."""
+    return mult_from_multiset(tableau_weight_multiset(shape, h_diagonal(t)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(types_and_small_weights())
+def test_oracle_decode_matches_the_reference_rule(case):
+    t, shape = case
+    assert oracle_branch(t, partition_to_omega(shape, t.n)) == reference_oracle(t, shape)
+
+
+@pytest.mark.parametrize(
+    "blocks, shape, top",
+    # sl_3 has 1030301 tableaux, but no weight holds more than 5101 of them;
+    # sl_6 has 384384, and its weight 0 holds 67200, so a top byte is not 0
+    [((3,), (200, 100), 5101), ((2, 1, 1, 1, 1), (8, 7, 6, 5, 4), 67200)],
+    ids=["sl3-principal-200,100", "sl6-[2,1,1,1,1]-8,7,6,5,4"],
+)
+def test_oracle_decode_of_three_byte_digits(blocks, shape, top):
+    # more than 2**16 tableaux, so each count takes 3 bytes, a size no
+    # machine integer has, and the digits are read one at a time
+    t = SubalgebraType(blocks)
+    assert 2**16 < oracle._tableau_count(shape, t.n) < 2**24
+    assert max(tableau_weight_multiset(shape, h_diagonal(t)).values()) == top
+    w = partition_to_omega(shape, t.n)
+    assert oracle_branch(t, w, budget=None) == reference_oracle(t, shape)
+
+
+@pytest.mark.parametrize(
+    "counts, total, match",
+    [
+        ([1, 0, 2, 0, 0], 3, "not symmetric"),  # a tableau moved from weight 2 to 0
+        ([1, 0, 1, 0, 1], 4, "4 by the hook-content formula"),  # a tableau lost
+        ([2, 0, 0, 0, 2], 4, r"dim V_j < dim V_\(j\+2\)"),  # c_0 < c_2: m_0 borrows
+    ],
+    ids=["asymmetric", "lost-tableau", "borrow"],
+)
+def test_oracle_decode_rejects_doctored_counts(monkeypatch, counts, total, match):
+    # L(w_1) of sl_3 under the principal sl_2 is F_2: one tableau each of
+    # weights -2, 0 and 2, packed in one-byte digits from weight -2
+    def weight_counts(counts, total):
+        packed = int.from_bytes(bytes(counts), "little")
+        return lambda shape, values, budget: (packed, total, 1, -2)
+
+    t, w = SubalgebraType((3,)), DominantWeight(3, (1, 0))
+    monkeypatch.setattr(oracle, "_weight_counts", weight_counts([1, 0, 1, 0, 1], 3))
+    assert oracle_branch(t, w) == {2: 1}
+    monkeypatch.setattr(oracle, "_weight_counts", weight_counts(counts, total))
+    with pytest.raises(InternalConsistencyError, match=match):
+        oracle_branch(t, w)
 
 
 def test_oracle_budget():

@@ -10,10 +10,13 @@ from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
-# the converters left the recursion core before the tracer was frozen
+# the converters left the recursion core before the tracer was frozen, and
+# the wedge route and the oracle read their multiplicities off packed counts
 STALE = [
     "branchkit.branching.omega_to_partition",
     "branchkit.branching.partition_to_omega",
+    "branchkit.fundamental.mult_from_multiset",
+    "branchkit.oracle.mult_from_multiset",
     "branchkit.pieri.omega_to_partition",
     "branchkit.pieri.partition_to_omega",
 ]
