@@ -18,35 +18,39 @@ Res L(lambda) as a packed integer, the positive half of its Weyl numerator
 at once; any other weight takes a step: one multiply by the character of w_k,
 packed as the wedge recurrence leaves it, a few folded terms, and one checked
 subtraction per lower member.  Which k, lambda' and lower members a step uses
-depends on lambda and the pivot rule alone, so a step reads them with one
-dict.get from the process-wide shape table of its pivot rule (_shapes), keyed
-by the padded lambda.  A step that misses builds them: select_pivot, lambda
-minus the column, and the lower members from the process-wide strip table
-(_strips, read through _lower_strips), keyed by k and the equal adjacent rows
-of lambda', so pieri_set runs once per such pattern, not once per step or
+depends on lambda alone, so a step reads them with one dict.get from the
+process-wide shape table (_shapes), keyed by the padded lambda.  A step that
+misses builds them: select_pivot, lambda minus the column, and the lower
+members from the process-wide strip table (_strips, read through
+_lower_strips), keyed by k and the equal adjacent rows of lambda', so
+pieri_set runs once per such pattern, not once per step or
 engine; a query stops adding shapes once those it added pass its table's
 limit, so a query too big to fit neither churns the table nor keeps its
 shapes alive.  The character, its top weight and guard bits come from the
 table _characters, keyed by (blocks, k, width), so wedge_character runs once
 per key in the process, not once per engine; no engine keeps a copy, so one
-over the table's limit is built at each use.  All four tables are
+over the table's limit is built at each use.  All three tables are
 tables.Table, the class of the oracle's plan table too: bounded in bytes by
 tables.footprint, oldest value dropped first, nothing over the limit kept.
 Every engine may share them, since an entry is fixed by its key (width
 included) and holds no answer.  The guard masks are the engine's own.
-The dict Clebsch-Gordan product and subtraction of sl2 run only when a check
-finds a negative multiplicity, to name it; entries cross the engine's edges
-(`branch`, `BranchEngine.cache`, cache files) as {j: m_j} dicts, checked by _admit.
+Only when a check finds a negative multiplicity does a step read its digits
+into {j: m_j} dicts, to name it; entries cross the engine's edges (`branch`,
+`BranchEngine.cache`, cache files) as {j: m_j} dicts, checked by _admit.
+
+Every sl_2 module is self-dual, so Res L(lambda*) = Res L(lambda), where
+lambda* = (lambda_1 - lambda_n, ..., lambda_1 - lambda_1) has n lambda_1 -
+|lambda| boxes: `branch` solves whichever of the two has fewer boxes.
 """
 
 from itertools import accumulate
 from math import comb
 from operator import add, eq, mul, sub
 
-from .fundamental import _fundamental, fundamental_branching, wedge_character
+from .fundamental import _fundamental, wedge_character
 from .pieri import lex_max_member, pieri_set
 from .qcomb import digits, fold, guard_mask, pack, width
-from .sl2 import InternalConsistencyError, MultVector, cg_convolve, mv_subtract
+from .sl2 import InternalConsistencyError, MultVector
 from .subalgebra import SubalgebraType, h_diagonal
 from .tables import Table, footprint
 from .weights import DominantWeight, Partition, canonical_partition, dim_irrep, padded_partition
@@ -60,13 +64,11 @@ __all__ = [
 ]
 
 
-def select_pivot(lam: Partition, largest: bool = True) -> int:
-    """Largest (its row count) or smallest (its first descent) k with a_k > 0 in padded lam."""
+def select_pivot(lam: Partition) -> int:
+    """The largest k with a_k > 0 in padded lam: its row count."""
     if not lam[0]:
         raise ValueError("zero weight has no pivot")
-    if largest:
-        return lam.index(0)
-    return next(k for k in range(1, len(lam)) if lam[k - 1] > lam[k])
+    return lam.index(0)
 
 
 class _TooNarrow(Exception):
@@ -80,10 +82,9 @@ class BranchEngine:
     partition lambda, so every weight ever requested shares subproblems and a
     lookup is one dict.get.  At the edges (`branch`'s answers, `cache`, cache
     files) an entry is keyed (n, blocks, lambda without trailing zeros).
-    `pivot` selects which w_k is split off at each step ("largest" or
-    "smallest" coefficient index); the result is the same either way, which
-    the test suite checks, but distinct engines keep distinct caches so the
-    comparison is honest.
+    Each step splits off w_k for the largest k with a_k > 0 (select_pivot),
+    and a query on lambda solves lambda* instead when that has fewer boxes:
+    the memo holds the weights solved, `branch`'s answers the weights asked.
 
     Inside, a memo value is the packed Weyl numerator P = sum_j m_j Q^{j+1}
     of qcomb at one width per engine, whose every digit keeps its top bit
@@ -94,9 +95,9 @@ class BranchEngine:
     P(lambda') by the character (qcomb.fold) and subtracts the lower Pieri
     members one by one, each checked by a sign test and one AND against the
     digits' top bits.  k, lambda' and the members come from the process-wide
-    shape table of the engine's pivot rule (_shapes), and a step that misses
-    it builds them from the strip table (_strips); both hold only the Pieri
-    rule, no answer, so every engine shares them.  The character comes from
+    shape table (_shapes), and a step that misses it builds them from the
+    strip table (_strips); both hold only the Pieri rule, no answer, so every
+    engine shares them.  The character comes from
     _characters at every step, or is built when the table lacks it: an entry
     is fixed by its key, width included, and holds no answer, so all share
     them.  These tables are bounded in bytes (see tables).  Each guard mask
@@ -114,10 +115,7 @@ class BranchEngine:
     repeat is a dict copy.
     """
 
-    def __init__(self, pivot: str = "largest", cache: dict | None = None):
-        if pivot not in ("largest", "smallest"):
-            raise ValueError(f"unknown pivot rule {pivot!r}")
-        self.pivot = pivot
+    def __init__(self, cache: dict | None = None):
         self.cache = {} if cache is None else cache
         self.stats = {"computed": 0, "hits": 0}
 
@@ -156,13 +154,15 @@ class BranchEngine:
         if mv is not None:
             self.stats["hits"] += 1
             return dict(mv)
+        if t.n * lam[0] < 2 * sum(lam):  # lambda* has fewer boxes, and Res L(lambda*) = Res L(lambda)
+            lam = tuple(lam[0] - x for x in reversed(lam))
         memo = self._memos.setdefault((t.n, t.blocks), {})
         if lam not in memo:
             rows = lam.index(0)
             self._widen(width(dim_irrep(w) * comb(t.n, min(rows, t.n - rows))))
             # the query's weights lie below lam: 2 + lam's top weight digits bound its values
             self._digits = 2 + sum(map(mul, lam, sorted(h_diagonal(t), reverse=True)))
-        self._room = _shapes[self.pivot].limit  # bytes of shapes this query may still add
+        self._room = _shapes.limit  # bytes of shapes this query may still add
         while True:
             try:
                 p = self._solve(t, memo, lam)
@@ -176,14 +176,13 @@ class BranchEngine:
         p = self._get(t, memo, lam)
         if p is not None:
             return p
-        shapes = _shapes[self.pivot]
-        steps = [self._step(t, memo, shapes, lam)]
+        steps = [self._step(t, memo, lam)]
         while steps:  # suspended steps on a list, not the call stack: no depth limit
             p = steps[-1].send(p)
             if isinstance(p, int):  # a step's last yield: its own value
                 next(steps.pop(), None)  # finish it: closing a suspended one throws GeneratorExit
             else:  # a weight the memo lacks: start its step
-                steps.append(self._step(t, memo, shapes, p))
+                steps.append(self._step(t, memo, p))
                 p = None
         return p
 
@@ -205,9 +204,9 @@ class BranchEngine:
             p = memo[lam] = self._pack(p)
         return p
 
-    def _step(self, t, memo, shapes, lam):
+    def _step(self, t, memo, lam):
         """Yields each weight it needs that the memo lacks, is sent its value, yields its own."""
-        k, prev, members = shapes.entries.get(lam) or self._add_shape(shapes, lam)
+        k, prev, members = _shapes.entries.get(lam) or self._add_shape(lam)
         if (p := self._get(t, memo, prev)) is None:
             p = yield prev
         lower = []
@@ -217,7 +216,7 @@ class BranchEngine:
         c, top, guard = self._character(t, k)
         if p & self._mask(guard, p.bit_length()):
             raise _TooNarrow
-        r = fold(p, c, top, self._w)
+        r = product = fold(p, c, top, self._w)
         sign = self._mask(1, r.bit_length())
         # each member is nonnegative with its top bits clear, so r's digits
         # stay exact and a negative one shows at once; a sum of wrong cache
@@ -225,38 +224,41 @@ class BranchEngine:
         for m in lower:
             r -= m
             if r < 0 or r & sign:
-                r = self._by_dicts(t, lam, p, k, lower)
+                r = self._by_dicts(t, lam, product, lower)
                 break
         memo[lam] = r
         yield r
 
-    def _add_shape(self, shapes, lam):
+    def _add_shape(self, lam):
         """(k, lam', the members of P(lam', k) but lam) for a step that missed
-        shapes, lam' being lam less the column of w_k, all padded partitions;
-        while the query has room, it goes to shapes and its footprint off the
+        _shapes, lam' being lam less the column of w_k, all padded partitions;
+        while the query has room, it goes to _shapes and its footprint off the
         room."""
-        shapes.misses += 1
-        k = select_pivot(lam, largest=self.pivot == "largest")
+        _shapes.misses += 1
+        k = select_pivot(lam)
         prev = tuple(map(sub, lam, (1,) * k + (0,) * (len(lam) - k)))
         strips = _lower_strips(k, *map(eq, prev, prev[1:]))
         shape = k, prev, tuple([tuple(map(add, prev, d)) for d in strips])
         if self._room >= 0:
             size = footprint(lam, shape)
             self._room -= size
-            shapes.put(lam, size, shape)
+            _shapes.put(lam, size, shape)
         return shape
 
-    def _by_dicts(self, t, lam, p, k, lower):
-        """The step on {j: m_j} dicts, which names the negative multiplicity."""
-        total: MultVector = {}
+    def _by_dicts(self, t, lam, product, lower):
+        """The step's value from the digits of the folded product less those of
+        the lower members; InternalConsistencyError names the lowest j whose
+        multiplicity went negative."""
+        mv: MultVector = self._unpack(product)
         for m in lower:
             for j, x in self._unpack(m).items():
-                total[j] = total.get(j, 0) + x
-        product = cg_convolve(self._unpack(p), fundamental_branching(t, k))
-        try:
-            return self._pack(mv_subtract(product, total))
-        except InternalConsistencyError as err:
-            raise InternalConsistencyError(f"{err} in branch({t}, {lam[: lam.index(0)]})") from None
+                mv[j] = mv.get(j, 0) - x
+        negative = [j for j, m in mv.items() if m < 0]
+        if negative:
+            j = min(negative)
+            raise InternalConsistencyError(f"multiplicity of F_{j} went negative ({mv[j]}) "
+                                           f"in branch({t}, {lam[: lam.index(0)]})")
+        return self._pack({j: m for j, m in mv.items() if m})
 
     def _character(self, t, k):
         """(packed character of w_k at the engine's width, its top, guard bits),
@@ -304,15 +306,14 @@ class BranchEngine:
 
 # Every table holds structure that engines of every type and width share, no
 # answer.  A 20 s run of the recursion benchmark (seed 7, 2520 fresh engines)
-# fills them with 847 characters (356 KB), 3919 shapes of the largest pivot
-# (2.6 MB) and 273 strip patterns (208 KB), and drops nothing.  Principal
-# sl_300's w_150 alone takes 1.8 MB, and is not kept; principal sl_3
-# (600, 300) takes 68k steps, and adds shapes only until they fill the
-# limit.  sl_13 [6, 4, 2, 1] (20, 15, 10, 5, 3, 1) reads 207 strip
-# patterns, 330 KB; one pattern of sl_14 with all rows distinct takes about
-# 550 KB, and still fits.
+# fills them with 832 characters (349 KB), 3816 shapes (2.6 MB) and 241 strip
+# patterns (187 KB), and drops nothing.  Principal sl_300's w_150 alone
+# takes 1.8 MB, and is not kept; principal sl_3 (600, 300) takes 68k steps,
+# and adds shapes only until they fill the limit.  sl_13 [6, 4, 2, 1]
+# (20, 15, 10, 5, 3, 1) reads 207 strip patterns, 330 KB; one pattern of
+# sl_14 with all rows distinct takes about 550 KB, and still fits.
 _characters = Table(2**20)
-_shapes = {"largest": Table(3 * 2**20), "smallest": Table(3 * 2**20)}
+_shapes = Table(3 * 2**20)
 _strips = Table(2**22)
 
 

@@ -24,7 +24,7 @@ n - 1 each (exit 2), counted from partition numbers before it lists a type
 or a weight.  `pieri` refuses a set of more than PIERI_MAX_MEMBERS members,
 or of more than PIERI_MAX_PARTS parts, n each (exit 2), counted by
 pieri_size before it builds any.  `triple` refuses n above TRIPLE_MAX_N
-(exit 2) before it builds a matrix or imports numpy, and a type of rank above
+(exit 2) before it builds a matrix, and a type of rank above
 TYPE_MAX_N (exit 2) is refused before any tuple of n entries is built.  JSON
 output goes to stdout in blocks as it is encoded.
 """
@@ -66,9 +66,8 @@ EXIT_BUDGET = 4
 CACHE_ENV_VAR = "BRANCHKIT_CACHE"
 CACHE_VERSION = 1
 # `triple` prints three dense n x n matrices as indented JSON, streamed; at
-# this rank that takes about 0.4 s and 33 MB of peak RSS on a 2-vCPU VM, with
-# interpreter start, and the matrices' lists grow as n^2 (0.7 s and 40 MB at
-# n = 500)
+# this rank that takes about 0.16 s and 19 MB of peak RSS on a 2-vCPU VM, with
+# interpreter start, and the matrices' tuples grow as n^2
 TRIPLE_MAX_N = 300
 # a type of rank past this is refused where it is parsed, before a command
 # builds any of its n-long tuples: the weight's coefficients and H's diagonal
@@ -371,13 +370,7 @@ def cmd_triple(args) -> int:
                          f"got n={args.n}")
     t = _parse_type(args.type, args.n)
     H, X, Y = build_triple(t)
-    payload = {
-        "n": args.n,
-        "type": list(t.blocks),
-        "H": H.tolist(),
-        "X": X.tolist(),
-        "Y": Y.tolist(),
-    }
+    payload = {"n": args.n, "type": list(t.blocks), "H": H, "X": X, "Y": Y}
     _print_json(payload)
     return EXIT_OK
 

@@ -66,27 +66,27 @@ def h_diagonal(t: SubalgebraType) -> tuple[int, ...]:
     return tuple(out)
 
 
-def build_triple(t: SubalgebraType):
-    """Integer matrices (H, X, Y) generating the subalgebra.
+def build_triple(t: SubalgebraType) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Integer matrices (H, X, Y) generating the subalgebra, each a tuple of
+    n rows, each row a tuple of n ints.
 
     Per block of size r: H_r = diag(r-1, r-3, ..., -(r-1)), X_r has ones on
     the superdiagonal, and Y_r has i(r-i) at subdiagonal position (i+1, i) --
     exactly the entries that make [H,X] = 2X, [H,Y] = -2Y, [X,Y] = H hold.
     """
-    import numpy as np  # only the triple needs it; keeps `import branchkit` light
-
     n = t.n
-    H = np.zeros((n, n), dtype=np.int64)
-    X = np.zeros((n, n), dtype=np.int64)
-    Y = np.zeros((n, n), dtype=np.int64)
-    np.fill_diagonal(H, h_diagonal(t))
+    H = [[0] * n for _ in range(n)]
+    X = [[0] * n for _ in range(n)]
+    Y = [[0] * n for _ in range(n)]
+    for i, h in enumerate(h_diagonal(t)):
+        H[i][i] = h
     offset = 0
     for r in t.blocks:
         for i in range(1, r):
-            X[offset + i - 1, offset + i] = 1
-            Y[offset + i, offset + i - 1] = i * (r - i)
+            X[offset + i - 1][offset + i] = 1
+            Y[offset + i][offset + i - 1] = i * (r - i)
         offset += r
-    return H, X, Y
+    return tuple(tuple(map(tuple, m)) for m in (H, X, Y))
 
 
 def is_principal(t: SubalgebraType) -> bool:

@@ -5,7 +5,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one line per criterion.
 
 from math import comb
 
-import numpy as np
 import pytest
 
 from branchkit import (
@@ -33,6 +32,8 @@ from branchkit import (
     rep_dimension,
 )
 from branchkit.fundamental import branching_two_blocks
+from test_branching import branch_by_dicts, dual_partition
+from test_subalgebra import assert_sl2_brackets
 
 # criterion-5 grid: (rank, max boxes, types or None for all)
 GRIDS = [
@@ -173,19 +174,20 @@ def test_criterion_8_principal_components(sweep):
 
 
 def test_criterion_9_pivot_independence(sweep):
-    other = BranchEngine(pivot="smallest")
+    # the dict recursion splits off the largest k and never swaps; on lambda*
+    # it takes the steps that the smallest k takes on lambda
+    memo = {}
     for t, w, vec in sweep:
-        assert other.branch(t, w) == vec, (t, w)
-    _passed(9, f"largest-k and smallest-k pivots agree on {len(sweep)} grid points")
+        lam = padded_partition(w)
+        assert branch_by_dicts(t, lam, memo) == vec, (t, w)
+        assert branch_by_dicts(t, dual_partition(lam), memo) == vec, (t, w)
+    _passed(9, f"largest-k and smallest-k recursions agree with branch on {len(sweep)} grid points")
 
 
 def test_criterion_10_triple_self_test():
     count = 0
     for n in range(2, 9):
         for t in all_types(n):
-            H, X, Y = build_triple(t)
-            assert np.array_equal(H @ X - X @ H, 2 * X), t
-            assert np.array_equal(H @ Y - Y @ H, -2 * Y), t
-            assert np.array_equal(X @ Y - Y @ X, H), t
+            assert_sl2_brackets(*build_triple(t))
             count += 1
     _passed(10, f"[H,X]=2X, [H,Y]=-2Y, [X,Y]=H exactly for {count} types")

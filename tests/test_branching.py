@@ -33,7 +33,7 @@ from branchkit.fundamental import fundamental_branching, wedge_character
 from branchkit.qcomb import width
 from branchkit.sl2 import mv_subtract
 from branchkit.tables import Table, footprint
-from branchkit.weights import dual_weight, iter_partitions
+from branchkit.weights import dual_weight, iter_partitions, padded_partition
 from test_qcomb import principal_by_hook_content
 
 
@@ -101,8 +101,6 @@ def test_select_pivot():
     assert select_pivot((3, 0, 0, 0)) == 1  # 3w1
     with pytest.raises(ValueError):
         select_pivot((0, 0, 0, 0))
-    assert select_pivot((3, 1, 1, 0, 0), largest=False) == 1
-    assert select_pivot((2, 2, 1, 0), largest=False) == 2  # w2 + w3
 
 
 def test_branch_principal_sl5_spot_values():
@@ -170,14 +168,16 @@ def test_oracle_equivalence_small_grid():
 
 
 def test_pivot_rules_agree():
-    largest = BranchEngine(pivot="largest")
-    smallest = BranchEngine(pivot="smallest")
+    # splitting off the smallest k on lambda takes the steps of the largest k
+    # on lambda*: the dict recursion on both sides runs both rules' trees
+    engine = BranchEngine()
     for n in (3, 4):
         for t in all_types(n):
             for w in iter_dominant_weights(n, 5):
-                assert largest.branch(t, w) == smallest.branch(t, w), (t, w)
-    with pytest.raises(ValueError):
-        BranchEngine(pivot="median")
+                lam = padded_partition(w)
+                want = branch_by_dicts(t, lam, {})
+                assert branch_by_dicts(t, dual_partition(lam), {}) == want, (t, w)
+                assert engine.branch(t, w) == want, (t, w)
 
 
 def test_branch_self_dual():
@@ -222,9 +222,10 @@ def small_type_and_weight(draw):
 @given(small_type_and_weight())
 def test_both_pivots_match_oracle(case):
     t, w = case
+    lam = padded_partition(w)
     want = oracle_branch(t, w)
-    assert BranchEngine(pivot="largest").branch(t, w) == want
-    assert BranchEngine(pivot="smallest").branch(t, w) == want
+    assert BranchEngine().branch(t, w) == want
+    assert branch_by_dicts(t, lam, {}) == branch_by_dicts(t, dual_partition(lam), {}) == want
 
 
 def test_engine_cache_statistics():
@@ -276,13 +277,15 @@ def test_principal_sl300_of_two_rows():
     assert highest_component(v) == principal_highest_component(w)
 
 
-@pytest.mark.parametrize("pivot", ["largest", "smallest"])
-def test_fresh_engine_reads_every_fundamental_off_its_wedge_character(pivot):
+def test_fresh_engine_reads_every_fundamental_off_its_wedge_character():
+    # w_k past n / 2 is the dual of w_{n-k}, of fewer boxes: that is solved
     for n in range(2, 10):
         for t in all_types(n):
             for k in range(1, n):
-                got = BranchEngine(pivot).branch(t, DominantWeight.omega(n, k))
+                engine = BranchEngine()
+                got = engine.branch(t, DominantWeight.omega(n, k))
                 assert got == fundamental_branching(t, k), (t, k)
+                assert list(engine.cache) == [(n, t.blocks, (1,) * min(k, n - k))], (t, k)
 
 
 def test_clear_cache_forgets_fundamentals(monkeypatch):
@@ -306,9 +309,15 @@ def test_clear_cache_forgets_fundamentals(monkeypatch):
     assert calls == [2]  # nor did the fundamental memo
 
 
+def dual_partition(lam):
+    """The padded lambda* of padded lambda, the highest weight of L(lambda)*."""
+    return tuple(lam[0] - x for x in reversed(lam))
+
+
 def branch_by_dicts(t, lam, memo):
     """Reference: the recursion on {j: m_j} dicts over memo, as the engine ran
-    it before its memo held packed numerators."""
+    it before its memo held packed numerators, splitting off the largest k and
+    never swapping lam for its dual."""
     key = (t.n, t.blocks, lam[: lam.index(0)])
     if key not in memo:
         k = lam.index(0)
@@ -571,16 +580,13 @@ def test_the_strip_table_gives_every_lower_pieri_member():
 def fresh_tables(bound=None):
     """Every process-wide table of branching swapped for an empty one of `bound`
     bytes (of its own bound by default), the process's own put back.  Yields
-    the new tables by name, the shape tables by pivot rule."""
-    def empty(table):
-        return Table(table.bound if bound is None else bound)
-
-    tables = {"characters": empty(branching._characters), "strips": empty(branching._strips),
-              **{pivot: empty(table) for pivot, table in branching._shapes.items()}}
+    the new tables by name."""
+    names = ("characters", "shapes", "strips")
+    tables = {name: Table(getattr(branching, f"_{name}").bound if bound is None else bound)
+              for name in names}
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(branching, "_characters", tables["characters"])
-        mp.setattr(branching, "_strips", tables["strips"])
-        mp.setattr(branching, "_shapes", {pivot: tables[pivot] for pivot in branching._shapes})
+        for name in names:
+            mp.setattr(branching, f"_{name}", tables[name])
         yield tables
 
 
@@ -608,22 +614,20 @@ def counting_pieri_set(monkeypatch):
 def test_pieri_set_runs_once_per_pattern_of_the_process(monkeypatch):
     calls = counting_pieri_set(monkeypatch)
     queries = [(t, w) for t in all_types(6) for w in iter_dominant_weights(6, 6)]
-    for pivot in ("largest", "smallest"):
-        # an empty strip table, and empty shape tables in front of it: a shape
-        # they hold calls nothing
-        with fresh_tables() as tables:
-            calls.clear()
-            engine = BranchEngine(pivot=pivot)
-            answers = [engine.branch(t, w) for t, w in queries]
-            assert calls and len(calls) == len(set(calls)), pivot
-            assert len(tables["strips"].entries) == tables["strips"].misses == len(calls), pivot
-            # the table outlives the engine and clear_cache: a fresh engine takes
-            # every pattern from it
-            calls.clear()
-            clear_cache()
-            fresh = BranchEngine(pivot=pivot)
-            assert [fresh.branch(t, w) for t, w in queries] == answers
-            assert calls == [], pivot
+    # an empty strip table, and an empty shape table in front of it: a shape
+    # it holds calls nothing
+    with fresh_tables() as tables:
+        engine = BranchEngine()
+        answers = [engine.branch(t, w) for t, w in queries]
+        assert calls and len(calls) == len(set(calls))
+        assert len(tables["strips"].entries) == tables["strips"].misses == len(calls)
+        # the table outlives the engine and clear_cache: a fresh engine takes
+        # every pattern from it
+        calls.clear()
+        clear_cache()
+        fresh = BranchEngine()
+        assert [fresh.branch(t, w) for t, w in queries] == answers
+        assert calls == []
 
 
 def test_strip_table_is_bounded():
@@ -685,7 +689,7 @@ def test_each_table_counts_at_least_what_it_holds():
     with fresh_tables() as tables:
         for t, w in queries:
             BranchEngine().branch(t, w)
-        for name in ("characters", "strips", "largest"):
+        for name in ("characters", "strips", "shapes"):
             table = tables[name]
             assert table.entries and table.evictions == 0, name
             assert table.size >= held_bytes(table), name
@@ -695,7 +699,7 @@ def test_each_table_counts_at_least_what_it_holds():
     with fresh_tables(20000) as tables:
         for t, w in queries:
             BranchEngine().branch(t, w)
-        for name in ("characters", "largest"):
+        for name in ("characters", "shapes"):
             table = tables[name]
             assert table.evictions > 0, name
             assert table.size >= held_bytes(table), name
@@ -725,12 +729,12 @@ WIDE_ENTRY = {(5, (5,), (1,)): {0: 2**31 - 1, 2: 2**31 - 1, 4: 2**31 - 1}}
 
 
 def interleaved_answers(schedule, empty_between):
-    """Each (engine index, query) of schedule on engines 0 (largest pivot), 1
-    (smallest) and 2 (holding a wide omega_1 entry of principal sl_5, so that
-    its first query, (2) of that type, widens it to eight bytes and restarts),
-    with the tables emptied before every query or not."""
-    engines = [BranchEngine(), BranchEngine(pivot="smallest"), BranchEngine(cache=WIDE_ENTRY)]
-    schedule = [(2, (SubalgebraType((5,)), partition_to_omega((2,), 5))), *schedule]
+    """Each (engine index, query) of schedule on engines 0 (empty) and 1
+    (holding a wide omega_1 entry of principal sl_5, so that its first query,
+    (2) of that type, widens it to eight bytes and restarts), with the tables
+    emptied before every query or not."""
+    engines = [BranchEngine(), BranchEngine(cache=WIDE_ENTRY)]
+    schedule = [(1, (SubalgebraType((5,)), partition_to_omega((2,), 5))), *schedule]
     answers = []
     for i, (t, w) in schedule:
         if empty_between:
@@ -738,17 +742,17 @@ def interleaved_answers(schedule, empty_between):
                 answers.append(engines[i].branch(t, w))
         else:
             answers.append(engines[i].branch(t, w))
-    assert engines[2]._w == 8
+    assert engines[1]._w == 8
     return answers
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 2), st.sampled_from(
+@given(st.lists(st.tuples(st.integers(0, 1), st.sampled_from(
     [(t, w) for n in (2, 3, 4) for t in all_types(n) for w in iter_dominant_weights(n, 9)])),
     min_size=1, max_size=8))
 def test_engines_of_every_width_share_the_tables_as_if_each_had_its_own(schedule):
-    # engines 0 and 1 work at one or two bytes and engine 2 at eight, on the
-    # same types, so a character of the wrong width would show
+    # engine 0 works at one or two bytes and engine 1 at eight, on the same
+    # types, so a character of the wrong width would show
     with fresh_tables() as tables:
         assert interleaved_answers(schedule, False) == interleaved_answers(schedule, True)
         assert {w for _, _, w in tables["characters"].entries} >= {8}
@@ -821,29 +825,55 @@ def types_and_weights_to_ten_boxes(draw):
 @given(types_and_weights_to_ten_boxes())
 def test_both_pivots_match_the_dict_recursion(case):
     t, lam = case
-    want = branch_by_dicts(t, lam + (0,) * (t.n - len(lam)), {})
-    w = partition_to_omega(lam, t.n)
-    assert BranchEngine(pivot="largest").branch(t, w) == want
-    assert BranchEngine(pivot="smallest").branch(t, w) == want
+    lam += (0,) * (t.n - len(lam))
+    want = branch_by_dicts(t, lam, {})
+    assert BranchEngine().branch(t, partition_to_omega(lam, t.n)) == want
+    assert branch_by_dicts(t, dual_partition(lam), {}) == want
+
+
+@st.composite
+def types_and_weights_to_sixteen_boxes(draw):
+    n = draw(st.integers(2, 8))
+    t = draw(st.sampled_from(all_types(n)))
+    lam = draw(st.sampled_from(list(iter_partitions(draw(st.integers(0, 16)), n - 1))))
+    return t, lam + (0,) * (n - len(lam))
+
+
+@settings(max_examples=60, deadline=None)
+@given(types_and_weights_to_sixteen_boxes())
+@example((SubalgebraType((3, 2)), (4, 4, 1, 1, 0)))  # a tie: its dual (4, 3, 3) has 10 boxes too
+def test_a_weight_and_its_dual_answer_as_the_dict_recursion_on_each(case):
+    # the engine solves the side with fewer boxes, lambda on a tie, and keeps
+    # the answer under the weight asked; the memo holds only the side solved
+    t, lam = case
+    dual = dual_partition(lam)
+    solved, other = (dual, lam) if sum(dual) < sum(lam) else (lam, dual)
+    engine = BranchEngine()
+    for asked in (lam, dual):
+        got = engine.branch(t, partition_to_omega(asked, t.n))
+        assert got == branch_by_dicts(t, asked, {}), asked
+        keys = engine.cache
+        assert (t.n, t.blocks, solved[: solved.index(0)]) in keys
+        assert sum(other) == sum(solved) or (t.n, t.blocks, other[: other.index(0)]) not in keys
+    assert engine.stats["hits"] >= 1 and len(engine._answers) == len({lam, dual})
 
 
 def assert_shapes_hold_the_pieri_rule(tables):
-    for pivot in ("largest", "smallest"):
-        table = tables[pivot]
-        assert_bounded(table)
-        for lam, size in table.order:
-            k, prev, members = table.entries[lam]
-            assert k == select_pivot(lam, largest=pivot == "largest"), (pivot, lam)
-            assert prev == tuple(x - (i < k) for i, x in enumerate(lam)), (pivot, lam)
-            assert len(members) == len(set(members))
-            assert set(members) == pieri_set(prev, k) - {lam}, (pivot, lam)
-            assert size == footprint(lam, table.entries[lam]), (pivot, lam)
+    table = tables["shapes"]
+    assert_bounded(table)
+    for lam, size in table.order:
+        k, prev, members = table.entries[lam]
+        assert k == select_pivot(lam), lam
+        assert prev == tuple(x - (i < k) for i, x in enumerate(lam)), lam
+        assert len(members) == len(set(members))
+        assert set(members) == pieri_set(prev, k) - {lam}, lam
+        assert size == footprint(lam, table.entries[lam]), lam
 
 
 @st.composite
 def shape_schedules(draw):
     """(engine index, type, weight) of sl_2..sl_8 for the engines of shape_runs;
-    engine 2 takes no type of WIDE_ENTRY's, whose wrong entry may rightly make a
+    engine 1 takes no type of WIDE_ENTRY's, whose wrong entry may rightly make a
     multiplicity negative."""
     schedule = []
     for _ in range(draw(st.integers(1, 6))):
@@ -851,23 +881,22 @@ def shape_schedules(draw):
         t = draw(st.sampled_from(all_types(n)))
         boxes = draw(st.integers(0, 12 if n <= 4 else 7))
         lam = draw(st.sampled_from(list(iter_partitions(boxes, n - 1))))
-        engines = [0, 1, 3] if (n, t.blocks) == (5, (5,)) else [0, 1, 2, 3]
+        engines = [0, 2] if (n, t.blocks) == (5, (5,)) else [0, 1, 2]
         schedule.append((draw(st.sampled_from(engines)), t, partition_to_omega(lam, n)))
     return schedule
 
 
 def shape_runs(schedule, tables):
-    """Answers, caches and stats of schedule on engines 0 (largest pivot), 1
-    (smallest), 2 (WIDE_ENTRY, widened by its first query) and 3 (cache= of
-    principal sl_4's answers up to 4 boxes, smallest pivot), with the
-    process-wide tables shared ("shared"), emptied before each query
-    ("emptied") or of `tables` bytes each (an int), small enough to evict."""
+    """Answers, caches and stats of schedule on engines 0 (empty), 1
+    (WIDE_ENTRY, widened by its first query) and 2 (cache= of principal sl_4's
+    answers up to 4 boxes), with the process-wide tables shared ("shared"),
+    emptied before each query ("emptied") or of `tables` bytes each (an int),
+    small enough to evict."""
     donor = BranchEngine()
     for w in iter_dominant_weights(4, 4):
         donor.branch(SubalgebraType((4,)), w)
-    engines = [BranchEngine(), BranchEngine(pivot="smallest"), BranchEngine(cache=WIDE_ENTRY),
-               BranchEngine(pivot="smallest", cache=donor.cache)]
-    schedule = [(2, SubalgebraType((5,)), partition_to_omega((2,), 5)), *schedule]
+    engines = [BranchEngine(), BranchEngine(cache=WIDE_ENTRY), BranchEngine(cache=donor.cache)]
+    schedule = [(1, SubalgebraType((5,)), partition_to_omega((2,), 5)), *schedule]
     answers = []
     with fresh_tables(None if isinstance(tables, str) else tables) as held:
         for i, t, w in schedule:
@@ -879,7 +908,7 @@ def shape_runs(schedule, tables):
         assert_shapes_hold_the_pieri_rule(held)
         assert_tables_hold_what_they_are_keyed_by(held)
         assert_bounded(held["strips"])
-    assert engines[2]._w == 8
+    assert engines[1]._w == 8
     return answers, [e.cache for e in engines], [e.stats for e in engines]
 
 
@@ -902,7 +931,7 @@ def test_shape_tables_keep_their_bound_and_each_query_its_limit():
     queries.append((SubalgebraType((3,)), partition_to_omega((60, 30), 3)))
     want = [BranchEngine().branch(t, w) for t, w in queries]
     with fresh_tables(20000) as tables:
-        table = tables["largest"]
+        table = tables["shapes"]
         added = []
         real = table.put
         table.put = lambda lam, size, shape: added[-1].append(size) or real(lam, size, shape)
@@ -924,14 +953,13 @@ def test_shape_tables_keep_their_bound_and_each_query_its_limit():
 def test_the_shape_tables_outlive_their_engine_and_clear_cache():
     queries = [(t, w) for t in all_types(6) for w in iter_dominant_weights(6, 6)]
     with fresh_tables() as tables:
-        shapes = {p: tables[p] for p in ("largest", "smallest")}
-        answers = {p: [BranchEngine(pivot=p).branch(t, w) for t, w in queries] for p in shapes}
-        kept = {p: (dict(table.entries), table.misses) for p, table in shapes.items()}
-        assert all(misses for _, misses in kept.values())
+        table = tables["shapes"]
+        answers = [BranchEngine().branch(t, w) for t, w in queries]
+        kept = dict(table.entries), table.misses
+        assert kept[1]
         clear_cache()
-        for p, table in shapes.items():
-            assert [BranchEngine(pivot=p).branch(t, w) for t, w in queries] == answers[p]
-            assert (table.entries, table.misses, table.evictions) == (*kept[p], 0), p
+        assert [BranchEngine().branch(t, w) for t, w in queries] == answers
+        assert (table.entries, table.misses, table.evictions) == (*kept, 0)
 
 
 def test_tables_count_their_hits_misses_and_evictions():
@@ -946,7 +974,7 @@ def test_tables_count_their_hits_misses_and_evictions():
     # takes as much as (3)'s; a query may add two
     t, size = SubalgebraType((3,)), footprint((3, 0, 0), (1, (2, 0, 0), ((2, 1, 0),)))
     with fresh_tables(4 * size) as tables:
-        shapes = tables["largest"]
+        shapes = tables["shapes"]
         BranchEngine().branch(t, partition_to_omega((3,), 3))  # steps on (3), (2), (2, 1)
         assert (shapes.misses, shapes.evictions) == (3, 0)
         assert list(shapes.entries) == [(3, 0, 0), (2, 0, 0)]
@@ -957,7 +985,11 @@ def test_tables_count_their_hits_misses_and_evictions():
         BranchEngine().branch(t, partition_to_omega((4,), 3))
         assert (shapes.misses, shapes.evictions) == (6, 0)
         assert list(shapes.entries) == [(3, 0, 0), (2, 0, 0), (4, 0, 0), (2, 1, 0)]
-        BranchEngine().branch(t, partition_to_omega((2, 2), 3))  # a miss, dropping (3)
+        # (2, 2) has the 2 boxes of its dual (2) against its own 4: (2) is
+        # solved, a hit
+        BranchEngine().branch(t, partition_to_omega((2, 2), 3))
+        assert (shapes.misses, shapes.evictions) == (6, 0)
+        BranchEngine().branch(t, partition_to_omega((3, 1), 3))  # a miss, dropping (3)
         assert (shapes.misses, shapes.evictions) == (7, 1)
-        assert list(shapes.entries) == [(2, 0, 0), (4, 0, 0), (2, 1, 0), (2, 2, 0)]
-        assert shapes.size == 4 * size and tables["smallest"].misses == 0
+        assert list(shapes.entries) == [(2, 0, 0), (4, 0, 0), (2, 1, 0), (3, 1, 0)]
+        assert shapes.size == 4 * size

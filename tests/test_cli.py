@@ -8,7 +8,6 @@ import subprocess
 import sys
 import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,6 +22,7 @@ from branchkit import (
     partition_to_omega,
 )
 from branchkit.cli import main
+from test_subalgebra import assert_sl2_brackets
 
 
 def run(capsys, *argv):
@@ -391,13 +391,9 @@ def test_triple_export_brackets(capsys):
     code, out, _ = run(capsys, "triple", "--n", "7", "--type", "4,3")
     assert code == 0
     payload = json.loads(out)
-    H = np.array(payload["H"])
-    X = np.array(payload["X"])
-    Y = np.array(payload["Y"])
-    assert np.diagonal(H).tolist() == [3, 1, -1, -3, 2, 0, -2]
-    assert np.array_equal(H @ X - X @ H, 2 * X)
-    assert np.array_equal(H @ Y - Y @ H, -2 * Y)
-    assert np.array_equal(X @ Y - Y @ X, H)
+    H = payload["H"]
+    assert [H[i][i] for i in range(7)] == [3, 1, -1, -3, 2, 0, -2]
+    assert_sl2_brackets(H, payload["X"], payload["Y"])
 
 
 def test_triple_refuses_a_rank_past_its_cap_before_building(capsys, monkeypatch):
@@ -424,7 +420,7 @@ def test_triple_streams_its_json():
     # CPython 3.11: json.dumps(indent=2) held a traced peak of 23.7 MiB at
     # n = 300, the blocks written one by one about 4.5 MiB
     with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
-        assert main(["triple", "--n", "2", "--type", "2"]) == 0  # numpy imported untraced
+        assert main(["triple", "--n", "2", "--type", "2"]) == 0  # first use, untraced
         tracemalloc.start()
         try:
             assert main(["triple", "--n", "300", "--type", "300"]) == 0
@@ -755,6 +751,34 @@ def test_warm_run_leaves_cache_file_untouched(tmp_path, capsys, monkeypatch):
     assert "computed=0" in err2 and "cache_saved=0" in err2
     assert cache.read_bytes() == before
     assert cache.stat().st_mtime_ns == mtime
+
+
+def test_a_cache_file_holds_the_dual_that_was_solved(tmp_path, capsys):
+    # (20^6, 18) of sl_8 has 138 boxes and its dual (20, 2) 22: a cold run
+    # solves and writes the dual's entries, which a warm run answers from
+    cache = tmp_path / "memo.json"
+    argv = ["branch", "--n", "8", "--type", "3,3,2", "--partition", "20,20,20,20,20,20,18",
+            "--cache", str(cache), "--stats"]
+    code1, out1, err1 = run(capsys, *argv)
+    assert code1 == 0, err1
+    assert "cache_entries=130 cache_saved=1" in err1
+    before = cache.read_bytes()
+    entries = json.loads(before)["entries"]
+    assert len(entries) == 130 and "8|3,3,2|20,2" in entries
+    assert not any(key.startswith("8|3,3,2|20,20") for key in entries)
+    code2, out2, err2 = run(capsys, *argv)
+    assert code2 == 0, err2
+    assert out2 == out1
+    assert "computed=0 " in err2 and "cache_saved=0" in err2
+    assert cache.read_bytes() == before
+
+
+def test_triple_runs_without_numpy(capsys, monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)  # any import of numpy fails
+    code, out, err = run(capsys, "triple", "--n", "7", "--type", "4,3")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert_sl2_brackets(payload["H"], payload["X"], payload["Y"])
 
 
 def test_cache_file_is_compact_sorted_version_1(tmp_path, capsys):

@@ -10,9 +10,13 @@ from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
-# the converters left the recursion core before the tracer was frozen, and
-# the wedge route and the oracle read their multiplicities off packed counts
+# the converters left the recursion core before the tracer was frozen, the
+# wedge route and the oracle read their multiplicities off packed counts, and
+# the engine names a negative multiplicity from packed digits
 STALE = [
+    "branchkit.branching.cg_convolve",
+    "branchkit.branching.fundamental_branching",
+    "branchkit.branching.mv_subtract",
     "branchkit.branching.omega_to_partition",
     "branchkit.branching.partition_to_omega",
     "branchkit.fundamental.mult_from_multiset",
