@@ -277,11 +277,14 @@ def test_principal_sl300_of_two_rows():
     assert highest_component(v) == principal_highest_component(w)
 
 
-def test_fresh_engine_reads_every_fundamental_off_its_wedge_character():
-    # w_k past n / 2 is the dual of w_{n-k}, of fewer boxes: that is solved
+@pytest.mark.parametrize("half", ["largest", "smallest"])
+def test_fresh_engine_reads_every_fundamental_off_its_wedge_character(half):
+    # the smallest k <= n / 2 are solved as asked; w_k for the largest k, past
+    # n / 2, is the dual of w_{n-k}, of fewer boxes: that is solved
     for n in range(2, 10):
+        ks = range(1, n // 2 + 1) if half == "smallest" else range(n // 2 + 1, n)
         for t in all_types(n):
-            for k in range(1, n):
+            for k in ks:
                 engine = BranchEngine()
                 got = engine.branch(t, DominantWeight.omega(n, k))
                 assert got == fundamental_branching(t, k), (t, k)
