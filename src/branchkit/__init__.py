@@ -11,7 +11,7 @@ from first principles, counting tableaux by weight as chains of horizontal
 strips in one loop over the entries, with no recursion.
 
 The top level exports what the README, the demos and the benchmark use, plus
-the exception types.  Helpers such as the hook and two-block closed forms, the
+the exception types.  Helpers such as the block-product closed form, the
 partition utilities and the tableau enumerator stay importable from their
 modules.  The oracle's names load the oracle on first use, so that importing
 the package, or running `branchkit branch`, does not.
@@ -22,7 +22,6 @@ from .branching import (
     branch,
     clear_cache,
     principal_highest_component,
-    select_pivot,
 )
 from .fundamental import (
     ClosedFormMismatchError,
@@ -36,7 +35,6 @@ from .pieri import lex_max_member, pieri_set
 from .qcomb import gaussian_binomial, p_k_n, pi, qpoly_str
 from .sl2 import (
     BudgetExceededError,
-    CorruptMultisetError,
     InternalConsistencyError,
     cg_convolve,
     highest_component,
@@ -68,7 +66,6 @@ __all__ = [
     "BranchEngine",
     "BudgetExceededError",
     "ClosedFormMismatchError",
-    "CorruptMultisetError",
     "DominantWeight",
     "InternalConsistencyError",
     "SubalgebraType",
@@ -98,7 +95,6 @@ __all__ = [
     "principal_highest_component",
     "qpoly_str",
     "rep_dimension",
-    "select_pivot",
     "ssyt_count",
     "wedge_weight_multiset",
 ]

@@ -20,7 +20,7 @@ packed as the wedge recurrence leaves it, a few folded terms, and one checked
 subtraction per lower member.  Which k, lambda' and lower members a step uses
 depends on lambda alone, so a step reads them with one dict.get from the
 process-wide shape table (_shapes), keyed by the padded lambda.  A step that
-misses builds them: select_pivot, lambda minus the column, and the lower
+misses builds them: k = lambda's row count, lambda minus the column, and the lower
 members from the process-wide strip table (_strips, read through
 _lower_strips), keyed by k and the equal adjacent rows of lambda', so
 pieri_set runs once per such pattern, not once per step or
@@ -53,22 +53,14 @@ from .qcomb import digits, fold, guard_mask, pack, width
 from .sl2 import InternalConsistencyError, MultVector
 from .subalgebra import SubalgebraType, h_diagonal
 from .tables import Table, footprint
-from .weights import DominantWeight, Partition, canonical_partition, dim_irrep, padded_partition
+from .weights import DominantWeight, canonical_partition, dim_irrep, padded_partition
 
 __all__ = [
     "BranchEngine",
     "branch",
     "clear_cache",
-    "select_pivot",
     "principal_highest_component",
 ]
-
-
-def select_pivot(lam: Partition) -> int:
-    """The largest k with a_k > 0 in padded lam: its row count."""
-    if not lam[0]:
-        raise ValueError("zero weight has no pivot")
-    return lam.index(0)
 
 
 class _TooNarrow(Exception):
@@ -82,7 +74,7 @@ class BranchEngine:
     partition lambda, so every weight ever requested shares subproblems and a
     lookup is one dict.get.  At the edges (`branch`'s answers, `cache`, cache
     files) an entry is keyed (n, blocks, lambda without trailing zeros).
-    Each step splits off w_k for the largest k with a_k > 0 (select_pivot),
+    Each step splits off w_k for the largest k with a_k > 0, lambda's row count,
     and a query on lambda solves lambda* instead when that has fewer boxes:
     the memo holds the weights solved, `branch`'s answers the weights asked.
 
@@ -235,7 +227,7 @@ class BranchEngine:
         while the query has room, it goes to _shapes and its footprint off the
         room."""
         _shapes.misses += 1
-        k = select_pivot(lam)
+        k = lam.index(0)
         prev = tuple(map(sub, lam, (1,) * k + (0,) * (len(lam) - k)))
         strips = _lower_strips(k, *map(eq, prev, prev[1:]))
         shape = k, prev, tuple([tuple(map(add, prev, d)) for d in strips])

@@ -21,8 +21,9 @@ cross-checks, run by fundamental_branching(verify=True):
     qcomb's hook-content product (p_k_n is pi shifted by the staircase), so
     together they are one check of the weight multiset: a product formula
     against the recurrence, independent although both are packed alike;
-  * types of more than one block: [r, 1, ..., 1] and [r, s] for k up to
-    floor(n/2), and k = 2 for any type.  The first two multiply the blocks'
+  * types of more than one block: the product over the blocks
+    (branching_by_blocks), for [r, 1, ..., 1] and [r, s] with k up to
+    floor(n/2), and k = 2 for any type.  It multiplies the blocks'
     hook-content q-binomials: principal Res L(w_m) of sl_d has the character
     q^{-m(d-m)} (d choose m)_{q^2}, qcomb.spread_row packs it, a tensor product
     of two blocks is one multiply, and qcomb.decode_spread reads the sum once.
@@ -33,7 +34,7 @@ from functools import cache
 from math import comb
 
 from .qcomb import decode_spread, digits, elementary, p_k_n, pi, spread_row, width
-from .sl2 import MultVector, cg_convolve
+from .sl2 import MultVector
 from .subalgebra import SubalgebraType, h_diagonal, is_principal
 
 WeightMultiset = Counter
@@ -156,13 +157,11 @@ def _verify_closed_forms(t, k, result):
             forms.append(("macdonald", mult_macdonald))
         for name, f in forms:
             checks.append((name, {j: m for j in range(top + 1) if (m := f(n, k, j))}))
-    else:
-        if k == 2:
-            checks.append(("k2-general", branching_k2_general(t)))
-        if all(d == 1 for d in t.blocks[1:]) and k <= n // 2:
-            checks.append(("hook", branching_hook(t, k)))
-        if len(t.blocks) == 2 and k <= n // 2:
-            checks.append(("two-blocks", branching_two_blocks(t, k)))
+    elif k == 2 or k <= n // 2 and (len(t.blocks) == 2 or t.blocks[1] == 1):
+        # only k = 2 and the hook and two-block types up to n/2: a check of every
+        # non-principal (type, k <= n/2) doubled the median check on the bench's
+        # fundamental ops, a general type costing about 5 times a hook
+        checks.append(("blocks", branching_by_blocks(t, k)))
     for name, other in checks:
         if other != result:
             raise ClosedFormMismatchError(
@@ -171,71 +170,42 @@ def _verify_closed_forms(t, k, result):
             )
 
 
-def branching_k2_general(t: SubalgebraType) -> MultVector:
-    """Res L(w_2) = Lambda^2 W for an arbitrary type, W = sum_i F_{d_i - 1} the
-    natural module, from closed forms alone.
+def branching_by_blocks(t: SubalgebraType, k: int) -> MultVector:
+    """Res L(w_k) for any type, from the blocks' principal characters alone.
 
-    Lambda^2 W is the pairs straddling two blocks, half of W (x) W less the
-    squares F_{d-1} (x) F_{d-1} = F_0 + F_2 + ... + F_{2d-2}, plus each block's
-    own Lambda^2 F_{d-1} = F_{2d-4} + F_{2d-8} + ..., which is empty for d = 1.
+    A k-subset of the basis takes m of its vectors from a block of size d, so
+    Res L(w_k) is the z^k coefficient of the product over the blocks of
+    sum_m z^m Res_[d] L(w_m), and the principal Res_[d] L(w_m) has character
+    q^{-m(d-m)} (d choose m)_{q^2}: qcomb's hook-content row (spread_row), with
+    w_0 and w_d read as F_0.  A DP over the blocks of size > 1 keeps one packed
+    character per z-degree, at min(k, n - k), and a tensor product is one
+    multiply; the last such block's terms go straight to decode_spread, each
+    times C(ones, j) for the j vectors that the unit blocks, all F_0, supply.
     """
     n = t.n
-    if n < 3:
-        raise ValueError(f"k=2 needs rank >= 3, got {n}")
-    # one cg_convolve of all the blocks rather than a range per pair, so that
-    # this module's cg_convolve binding, which perfbench/tracer.py patches, stays in use
-    tops = Counter(d - 1 for d in t.blocks)
-    # W (x) W, then twice Lambda^2 W: it holds each block's F_{d-1} (x) F_{d-1},
-    # so every j updated below is already a key
-    twice = cg_convolve(tops, tops)
-    for d in t.blocks:
-        for j in range(0, 2 * d - 1, 2):
-            twice[j] -= 1
-        for j in range(2 * d - 4, -1, -4):
-            twice[j] += 2
-    return {j: m // 2 for j, m in twice.items() if m}
-
-
-def branching_hook(t: SubalgebraType, k: int) -> MultVector:
-    """Res L(w_k) for type [r, 1, ..., 1].
-
-    Basis vectors split by how many indices j land in the zero tail:
-    sum_{j=max(0,k-r)}^{min(k,n-r)} C(n-r, j) Res_{[r]} L(w_{k-j}).  The
-    principal Res_{[r]} L(w_m) has character q^{-m(r-m)} (r choose m)_{q^2}, read
-    from qcomb's hook-content row (spread_row), so L(w_0) is F_0.
-    """
-    n = t.n
-    r = t.blocks[0]
-    if any(d != 1 for d in t.blocks[1:]):
-        raise ValueError(f"type {t} is not of shape [r, 1, ..., 1]")
-    ones = n - r
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"wedge power index {k} out of range for rank {n}")
-    if ones and k > n // 2:
-        raise ValueError(f"hook formula covers k <= {n // 2} for rank {n}, got k={k}")
+    k = min(k, n - k)
     w = width(comb(n, k))
+    *blocks, last = [d for d in t.blocks if d > 1]
+    ones = t.blocks.count(1)
+    left = n  # basis vectors in the blocks not yet taken
+    terms = {0: (1, 0)}  # z-degree s -> (x, top): x packed from its lowest weight -top
+    for d in blocks:
+        left -= d
+        grown = {}
+        for s, (x, top) in terms.items():
+            # the blocks after this one can still supply the k - s - m vectors left
+            for m in range(max(0, k - s - left), min(d, k - s) + 1):
+                y, ty = x * spread_row(d - m, m, w), top + m * (d - m)
+                if s + m in grown:  # align the smaller top to the other's lowest weight
+                    z, tz = grown[s + m]
+                    if ty > tz:
+                        y, ty, z, tz = z, tz, y, ty
+                    y, ty = z + (y << 8 * w * (tz - ty)), tz
+                grown[s + m] = y, ty
+        terms = grown
     return decode_spread(
-        [(comb(ones, j) * spread_row(r - k + j, k - j, w), (k - j) * (r - k + j))
-         for j in range(max(0, k - r), min(k, ones) + 1)],
-        w,
-    )
-
-
-def branching_two_blocks(t: SubalgebraType, k: int) -> MultVector:
-    """Res L(w_k) for type [r, s]: sum over how many indices fall in the
-    second block, sum_{j=0}^{min(k,s)} Res_{[r]} L(w_{k-j}) (x) Res_{[s]} L(w_j),
-    each factor the principal character q^{-m(d-m)} (d choose m)_{q^2} of
-    qcomb's hook-content row (spread_row), and each tensor product one multiply."""
-    if len(t.blocks) != 2:
-        raise ValueError(f"type {t} does not have exactly two blocks")
-    r, s = t.blocks
-    n = t.n
-    if not 1 <= k <= n // 2:
-        raise ValueError(f"two-block formula covers 1 <= k <= {n // 2} for rank {n}, got k={k}")
-    w = width(comb(n, k))
-    return decode_spread(
-        [(spread_row(r - k + j, k - j, w) * spread_row(s - j, j, w),
-          (k - j) * (r - k + j) + j * (s - j))
-         for j in range(0, min(k, s) + 1)],
+        [(comb(ones, k - s - m) * x * spread_row(last - m, m, w), top + m * (last - m))
+         for s, (x, top) in terms.items()
+         for m in range(max(0, k - s - ones), min(last, k - s) + 1)],
         w,
     )

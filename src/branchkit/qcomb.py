@@ -15,8 +15,8 @@ once: a negative coefficient borrows from the digit above and so sets its own
 top bit, and clear guard bits leave room for a product to carry no digit.
 
 spread_row packs the Gaussian binomial row at q = Q**2, one digit a unit of
-weight: the principal character of one block.  The hook and two-block closed
-forms of fundamental multiply and sum such rows, and decode_spread reads the
+weight: the principal character of one block.  The block-product closed
+form of fundamental multiplies and sums such rows, and decode_spread reads the
 sum's multiplicities {j: m_j} once.
 """
 

@@ -12,9 +12,9 @@ The Clebsch-Gordan product costs O(|a|*|b| + span): one difference-array
 update per pair of components, then one running-sum pass over the output's
 range of j, however long each F_{|j-j'|} + ... + F_{j+j'} run is.  The
 recursion engine multiplies packed Weyl numerators by packed wedge characters
-instead (qcomb.fold), and the hook and two-block closed forms multiply packed
-q-binomials (qcomb.spread_row).  Only the straddling pairs of the k = 2
-closed form and the demos call cg_convolve.  No module of the package calls
+instead (qcomb.fold), and the block-product closed form multiplies packed
+q-binomials (qcomb.spread_row).  Only the demos and the tests' dict
+references call cg_convolve.  No module of the package calls
 mv_subtract: the engine names a negative multiplicity from packed digits, and
 mv_subtract is kept for the dict recursion that the tests hold the engine to.
 """

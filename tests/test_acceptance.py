@@ -31,7 +31,7 @@ from branchkit import (
     principal_highest_component,
     rep_dimension,
 )
-from branchkit.fundamental import branching_two_blocks
+from branchkit.fundamental import branching_by_blocks
 from test_branching import branch_by_dicts, dual_partition
 from test_subalgebra import assert_sl2_brackets
 
@@ -79,9 +79,9 @@ def test_criterion_2_type_43_fundamental():
     t = SubalgebraType((4, 3))
     expected = {0: 1, 1: 1, 2: 2, 3: 2, 4: 1, 5: 1, 6: 1}
     assert fundamental_branching(t, 3) == expected
-    assert branching_two_blocks(t, 3) == expected
+    assert branching_by_blocks(t, 3) == expected
     assert oracle_branch(t, DominantWeight.omega(7, 3)) == expected
-    _passed(2, "[4,3] in sl_7, k=3: multiset = two-block formula = oracle")
+    _passed(2, "[4,3] in sl_7, k=3: multiset = block-product formula = oracle")
 
 
 def test_criterion_3_principal_sl5_examples():

@@ -26,7 +26,6 @@ from branchkit import (
     partition_to_omega,
     principal_highest_component,
     rep_dimension,
-    select_pivot,
 )
 from branchkit import branching, fundamental, pieri_set
 from branchkit.fundamental import fundamental_branching, wedge_character
@@ -93,14 +92,6 @@ def test_mv_subtract_raises_on_negative():
         mv_subtract({2: 1}, {4: 1})
     assert mv_subtract({2: 3, 4: 1}, {2: 3}) == {4: 1}
     assert list(mv_subtract({0: 1, 2: 3, 4: 1, 6: 2}, {4: 1, 2: 1})) == [0, 2, 6]
-
-
-def test_select_pivot():
-    assert select_pivot((3, 1, 1, 0, 0)) == 3  # 2w1 + w3
-    assert select_pivot((1, 1, 0, 0, 0)) == 2  # w2
-    assert select_pivot((3, 0, 0, 0)) == 1  # 3w1
-    with pytest.raises(ValueError):
-        select_pivot((0, 0, 0, 0))
 
 
 def test_branch_principal_sl5_spot_values():
@@ -866,7 +857,7 @@ def assert_shapes_hold_the_pieri_rule(tables):
     assert_bounded(table)
     for lam, size in table.order:
         k, prev, members = table.entries[lam]
-        assert k == select_pivot(lam), lam
+        assert k == lam.index(0), lam
         assert prev == tuple(x - (i < k) for i, x in enumerate(lam)), lam
         assert len(members) == len(set(members))
         assert set(members) == pieri_set(prev, k) - {lam}, lam

@@ -208,9 +208,12 @@ def test_fundamental_verify_mismatch_exits_1(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("blocks, k, form", [("5,1,1,1", "3", "hook"), ("5,3", "3", "two-blocks")])
-def test_fundamental_verify_multi_block_mismatch_exits_1(capsys, monkeypatch, blocks, k, form):
-    # one copy of the top F_j of the queried (type, k) moves up to F_{j+1}
+@pytest.mark.parametrize(
+    "blocks, k, family", [("5,1,1,1", "3", "hook"), ("5,3", "3", "two-blocks")]
+)
+def test_fundamental_verify_multi_block_mismatch_exits_1(capsys, monkeypatch, blocks, k, family):
+    # one copy of the top F_j of the queried (type, k) moves up to F_{j+1};
+    # every family of types goes to the one block-product form
     real = fundamental._fundamental
 
     def moved(t, m):
@@ -224,7 +227,7 @@ def test_fundamental_verify_multi_block_mismatch_exits_1(capsys, monkeypatch, bl
     monkeypatch.setattr(fundamental, "_fundamental", moved)
     code, _, err = run(capsys, "fundamental", "--n", "8", "--type", blocks, "--k", k, "--verify")
     assert code == 1
-    assert err.startswith(f"error: closed form {form} disagrees")
+    assert err.startswith("error: closed form blocks disagrees")
     assert "Traceback" not in err
 
 

@@ -19,9 +19,7 @@ from branchkit import (
 from branchkit import fundamental
 from branchkit.fundamental import (
     ClosedFormMismatchError,
-    branching_hook,
-    branching_k2_general,
-    branching_two_blocks,
+    branching_by_blocks,
     wedge_character,
 )
 from branchkit.qcomb import digits, width
@@ -213,39 +211,58 @@ def test_fundamental_branching_verify_mode_runs_all_closed_forms():
             fundamental_branching(t, k, verify=True)
 
 
+def recorded_block_checks(monkeypatch):
+    """The (blocks, k) of every branching_by_blocks call that verify makes, in order."""
+    calls = []
+
+    def recorded(t, k):
+        calls.append((t.blocks, k))
+        return branching_by_blocks(t, k)
+
+    monkeypatch.setattr(fundamental, "branching_by_blocks", recorded)
+    return calls
+
+
 def test_verify_skips_self_comparisons_on_one_block(monkeypatch):
-    # on a single block the k = 2 form is Lambda^2 F_{n-1} = F_{2n-4} +
-    # F_{2n-8} + ..., Macdonald's k = 2 formula, and the hook form reads the
-    # q-binomial of the principal checks, so verify leaves them to types with
-    # more than one block
-    def self_comparison(*args):
-        raise AssertionError("closed form compared with itself")
-
-    hook_calls = []
-
-    def recorded_hook(t, k):
-        hook_calls.append((t.blocks, k))
-        return branching_hook(t, k)
-
-    monkeypatch.setattr(fundamental, "branching_hook", self_comparison)
-    monkeypatch.setattr(fundamental, "branching_k2_general", self_comparison)
+    # on a single block the product over the blocks is the one q-binomial
+    # that the principal checks read, and at k = 2 it is Lambda^2 F_{n-1} =
+    # F_{2n-4} + F_{2n-8} + ..., Macdonald's k = 2 formula, so verify leaves
+    # it to types with more than one block
+    calls = recorded_block_checks(monkeypatch)
     for n in range(2, 11):
         for k in range(1, n):
             fundamental_branching(SubalgebraType((n,)), k, verify=True)
-    monkeypatch.setattr(fundamental, "branching_hook", recorded_hook)
+    assert calls == []
     fundamental_branching(SubalgebraType((4, 1, 1)), 1, verify=True)
-    assert hook_calls == [((4, 1, 1), 1)]
+    assert calls == [((4, 1, 1), 1)]
+
+
+def test_verify_checks_the_same_pairs_as_the_three_forms_it_replaced(monkeypatch):
+    # k = 2 on any type, and k <= n/2 on [r, 1, ..., 1] and [r, s]: 514 of the
+    # 2243 non-principal (type, k) of sl_3..sl_12, since checking them all
+    # would double the median check's time
+    calls = recorded_block_checks(monkeypatch)
+    want = []
+    for n in range(3, 13):
+        for t in all_types(n)[1:]:
+            hook, two_blocks = all(d == 1 for d in t.blocks[1:]), len(t.blocks) == 2
+            for k in range(1, n):
+                fundamental_branching(t, k, verify=True)
+                if k == 2 or k <= n // 2 and (hook or two_blocks):
+                    want.append((t.blocks, k))
+    assert calls == want
+    assert len(want) == 514
 
 
 def test_branching_k2_general():
-    assert branching_k2_general(SubalgebraType((3, 2))) == {0: 1, 1: 1, 2: 1, 3: 1}
+    assert branching_by_blocks(SubalgebraType((3, 2)), 2) == {0: 1, 1: 1, 2: 1, 3: 1}
     # [2,2]: two internal pairs give 2F_0, the cross pair F_1(x)F_1 = F_0 + F_2,
     # total dimension C(4,2) = 6
     expected = {0: 3, 2: 1}
-    assert branching_k2_general(SubalgebraType((2, 2))) == expected
+    assert branching_by_blocks(SubalgebraType((2, 2)), 2) == expected
     assert rep_dimension(expected) == comb(4, 2)
     for n in range(3, 10):
-        assert branching_k2_general(SubalgebraType((n,))) == fundamental_branching(
+        assert branching_by_blocks(SubalgebraType((n,)), 2) == fundamental_branching(
             SubalgebraType((n,)), 2
         )
 
@@ -253,7 +270,7 @@ def test_branching_k2_general():
 def no_weight_multisets(monkeypatch):
     """Make every route to the weight multiset, memoized or not, raise."""
     def weight_multiset_route(*args):
-        raise AssertionError(f"the k = 2 closed form read the weight multiset: {args}")
+        raise AssertionError(f"the block-product closed form read the weight multiset: {args}")
 
     for name in ("_fundamental", "fundamental_branching", "wedge_weight_multiset",
                  "wedge_character"):
@@ -261,13 +278,13 @@ def no_weight_multisets(monkeypatch):
 
 
 def test_branching_k2_general_matches_multiset_everywhere(monkeypatch):
-    # the answers come first; then every route to them raises
-    types = [t for n in range(3, 15) for t in all_types(n)]
-    assert len(types) == 492
-    want = [fundamental_branching(t, 2) for t in types]
+    # every k, not only 2; the answers come first, then every route to them raises
+    cases = [(t, k) for n in range(2, 13) for t in all_types(n) for k in range(1, n)]
+    assert len(cases) == 2309
+    want = [fundamental_branching(t, k) for t, k in cases]
     no_weight_multisets(monkeypatch)
-    for t, mv in zip(types, want):
-        assert branching_k2_general(t) == mv, t
+    for (t, k), mv in zip(cases, want):
+        assert branching_by_blocks(t, k) == mv, (t, k)
 
 
 @st.composite
@@ -285,28 +302,24 @@ def test_branching_k2_general_matches_the_weight_multiset_up_to_sl40(t):
     want = fundamental_branching(t, 2)
     with pytest.MonkeyPatch.context() as monkeypatch:
         no_weight_multisets(monkeypatch)
-        assert branching_k2_general(t) == want, t
+        assert branching_by_blocks(t, 2) == want, t
 
 
 def test_branching_k2_general_leaves_the_fundamental_memo_alone():
     for blocks in ((3, 2), (4, 3, 1), (5, 5), (7, 2, 2, 1), (6,) * 3):
         before = fundamental._fundamental.cache_info()
-        branching_k2_general(SubalgebraType(blocks))
+        branching_by_blocks(SubalgebraType(blocks), 2)
         assert fundamental._fundamental.cache_info() == before, blocks
 
 
 def test_branching_hook():
-    assert branching_hook(SubalgebraType((3, 1, 1)), 2) == {0: 1, 2: 3}
+    assert branching_by_blocks(SubalgebraType((3, 1, 1)), 2) == {0: 1, 2: 3}
     # degenerate hook: a single block is just the principal branching
     for r in range(2, 8):
         for k in range(1, r):
-            assert branching_hook(SubalgebraType((r,)), k) == fundamental_branching(
+            assert branching_by_blocks(SubalgebraType((r,)), k) == fundamental_branching(
                 SubalgebraType((r,)), k
             )
-    with pytest.raises(ValueError):
-        branching_hook(SubalgebraType((3, 2)), 1)
-    with pytest.raises(ValueError):
-        branching_hook(SubalgebraType((3, 1, 1)), 3)  # k beyond floor(n/2)
 
 
 def test_branching_hook_matches_multiset():
@@ -315,19 +328,15 @@ def test_branching_hook_matches_multiset():
             if any(d != 1 for d in t.blocks[1:]):
                 continue
             for k in range(1, n // 2 + 1):
-                assert branching_hook(t, k) == fundamental_branching(t, k), (t, k)
+                assert branching_by_blocks(t, k) == fundamental_branching(t, k), (t, k)
 
 
 def test_branching_two_blocks():
-    assert branching_two_blocks(SubalgebraType((4, 3)), 3) == FUND_43_K3
+    assert branching_by_blocks(SubalgebraType((4, 3)), 3) == FUND_43_K3
     for r in range(2, 7):
         t = SubalgebraType((r, 1))
-        assert branching_two_blocks(t, 1) == {r - 1: 1, 0: 1}
-    assert branching_two_blocks(SubalgebraType((3, 2)), 2) == {0: 1, 1: 1, 2: 1, 3: 1}
-    with pytest.raises(ValueError):
-        branching_two_blocks(SubalgebraType((3, 1, 1)), 1)
-    with pytest.raises(ValueError):
-        branching_two_blocks(SubalgebraType((4, 3)), 4)
+        assert branching_by_blocks(t, 1) == {r - 1: 1, 0: 1}
+    assert branching_by_blocks(SubalgebraType((3, 2)), 2) == {0: 1, 1: 1, 2: 1, 3: 1}
 
 
 def test_branching_two_blocks_matches_multiset():
@@ -336,7 +345,7 @@ def test_branching_two_blocks_matches_multiset():
             if len(t.blocks) != 2:
                 continue
             for k in range(1, n // 2 + 1):
-                assert branching_two_blocks(t, k) == fundamental_branching(t, k), (t, k)
+                assert branching_by_blocks(t, k) == fundamental_branching(t, k), (t, k)
 
 
 def test_dimension_and_summand_count():
@@ -424,17 +433,17 @@ def reference_k2(t):
 
 def assert_closed_forms_match_the_reference(t, k):
     # items, not dicts, so that the keys must also ascend
+    got = list(branching_by_blocks(t, k).items())
     if all(d == 1 for d in t.blocks[1:]):
-        assert list(branching_hook(t, k).items()) == list(reference_hook(t, k).items()), (t, k)
+        assert got == list(reference_hook(t, k).items()), (t, k)
     if len(t.blocks) == 2:
-        two_blocks = branching_two_blocks(t, k).items()
-        assert list(two_blocks) == list(reference_two_blocks(t, k).items()), (t, k)
+        assert got == list(reference_two_blocks(t, k).items()), (t, k)
 
 
 def test_packed_closed_forms_match_dict_products_up_to_sl14():
     for n in range(3, 15):
         for t in all_types(n):
-            assert list(branching_k2_general(t).items()) == list(reference_k2(t).items()), t
+            assert list(branching_by_blocks(t, 2).items()) == list(reference_k2(t).items()), t
             for k in range(1, n // 2 + 1):
                 assert_closed_forms_match_the_reference(t, k)
 
@@ -457,14 +466,19 @@ def test_packed_closed_forms_match_dict_products_up_to_sl40(case):
     t, k = case
     assert_closed_forms_match_the_reference(t, k)
     if k == 2:
-        assert list(branching_k2_general(t).items()) == list(reference_k2(t).items()), t
+        assert list(branching_by_blocks(t, 2).items()) == list(reference_k2(t).items()), t
 
 
-@pytest.mark.parametrize("blocks", [(40, 30), (40,) + (1,) * 30])
+@pytest.mark.parametrize(
+    "blocks", [(40, 30), (40,) + (1,) * 30, (20, 15, 10, 10, 5, 3, 2) + (1,) * 5]
+)
 def test_packed_closed_forms_match_dict_products_wider_than_64_bits(blocks):
-    # C(70, 35) > 2**64: the rows are spread at 9 bytes a digit
+    # C(70, 35) > 2**64: the rows are spread at 9 bytes a digit, and the
+    # seven-block type runs the DP through six blocks before the last
     assert width(comb(70, 35)) == 9
-    assert_closed_forms_match_the_reference(SubalgebraType(blocks), 35)
+    t = SubalgebraType(blocks)
+    assert_closed_forms_match_the_reference(t, 35)
+    assert branching_by_blocks(t, 35) == fundamental_branching(t, 35)
 
 
 def move_one_multiplicity(monkeypatch, t, k):
@@ -482,15 +496,16 @@ def move_one_multiplicity(monkeypatch, t, k):
     monkeypatch.setattr(fundamental, "_fundamental", moved)
 
 
-@pytest.mark.parametrize("blocks, k, form", [
+@pytest.mark.parametrize("blocks, k, family", [
     ((5, 1, 1, 1), 3, "hook"),
     ((2, 1, 1), 1, "hook"),
     ((5, 3), 3, "two-blocks"),
     ((4, 4), 1, "two-blocks"),
 ])
-def test_a_moved_multiplicity_fails_its_closed_form(monkeypatch, blocks, k, form):
+def test_a_moved_multiplicity_fails_its_closed_form(monkeypatch, blocks, k, family):
+    # every family of types goes to the one block-product form
     t = SubalgebraType(blocks)
     fundamental_branching(t, k, verify=True)
     move_one_multiplicity(monkeypatch, t, k)
-    with pytest.raises(ClosedFormMismatchError, match=f"closed form {form} disagrees"):
+    with pytest.raises(ClosedFormMismatchError, match="closed form blocks disagrees"):
         fundamental_branching(t, k, verify=True)

@@ -3,22 +3,31 @@
 perfbench/tracer.py is frozen with the benchmark, so a binding it patches
 must not disappear from branchkit; a lost one only shows as a "not traced"
 warning in a traced bench run.  This keeps the check in the tier-1 suite.
+The tracer imports numpy, but installing and restoring its patches never
+reads it, so where numpy is absent a stand-in module serves the import.
 """
 
 import importlib.util
+import sys
+import types
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 # the converters left the recursion core before the tracer was frozen, the
-# wedge route and the oracle read their multiplicities off packed counts, and
-# the engine names a negative multiplicity from packed digits
+# wedge route and the oracle read their multiplicities off packed counts, the
+# engine names a negative multiplicity from packed digits, and one product
+# over the blocks replaced the hook, two-block and k = 2 closed forms
 STALE = [
     "branchkit.branching.cg_convolve",
     "branchkit.branching.fundamental_branching",
     "branchkit.branching.mv_subtract",
     "branchkit.branching.omega_to_partition",
     "branchkit.branching.partition_to_omega",
+    "branchkit.fundamental.branching_hook",
+    "branchkit.fundamental.branching_k2_general",
+    "branchkit.fundamental.branching_two_blocks",
+    "branchkit.fundamental.cg_convolve",
     "branchkit.fundamental.mult_from_multiset",
     "branchkit.oracle.mult_from_multiset",
     "branchkit.pieri.omega_to_partition",
@@ -29,7 +38,16 @@ STALE = [
 def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    try:
+        import numpy  # noqa: F401
+    except ImportError:
+        sys.modules["numpy"] = types.ModuleType("numpy")
+        try:
+            spec.loader.exec_module(module)
+        finally:
+            del sys.modules["numpy"]
+    else:
+        spec.loader.exec_module(module)
     return module
 
 
