@@ -374,10 +374,11 @@ def branch(t: SubalgebraType, w: DominantWeight) -> MultVector:
 def clear_cache():
     """Forget every memoized branching: the shared engine's and the fundamentals'.
 
-    The process-wide tables of branching (_shapes, _strips, _characters),
-    each bounded in bytes, and the tableau oracle's plan table stay: all four
-    are tables.Table, they hold the Pieri rule or an entry fixed by its key,
-    not an answer, and no cache= or cache file writes to them.
+    The process-wide tables of branching (_shapes, _strips, _characters) and
+    qcomb's packed q-binomial rows (_spread_rows), each bounded in bytes, and
+    the tableau oracle's plan table stay: all five are tables.Table, they hold
+    the Pieri rule or an entry fixed by its key, not an answer, and no cache=
+    or cache file writes to them.
     """
     _DEFAULT_ENGINE.cache = {}
     _fundamental.cache_clear()

@@ -25,8 +25,10 @@ cross-checks, run by fundamental_branching(verify=True):
     (branching_by_blocks), for [r, 1, ..., 1] and [r, s] with k up to
     floor(n/2), and k = 2 for any type.  It multiplies the blocks'
     hook-content q-binomials: principal Res L(w_m) of sl_d has the character
-    q^{-m(d-m)} (d choose m)_{q^2}, qcomb.spread_row packs it, a tensor product
-    of two blocks is one multiply, and qcomb.decode_spread reads the sum once.
+    q^{-m(d-m)} (d choose m)_{q^2}, qcomb.spread_row packs it once per process
+    into qcomb's bounded row table and reads it from there after, a tensor
+    product of two blocks is one multiply, and qcomb.decode_spread reads the
+    sum once.
 """
 
 from collections import Counter
@@ -158,9 +160,11 @@ def _verify_closed_forms(t, k, result):
         for name, f in forms:
             checks.append((name, {j: m for j in range(top + 1) if (m := f(n, k, j))}))
     elif k == 2 or k <= n // 2 and (len(t.blocks) == 2 or t.blocks[1] == 1):
-        # only k = 2 and the hook and two-block types up to n/2: a check of every
-        # non-principal (type, k <= n/2) doubled the median check on the bench's
-        # fundamental ops, a general type costing about 5 times a hook
+        # only k = 2 and the hook and two-block types up to n/2: with the rows
+        # read from qcomb's table, a check of every non-principal (type, k)
+        # still takes the median check of the bench's fundamental ops from
+        # about 20 to 45 us (seed 1, warm), a general type costing about 5
+        # times a hook
         checks.append(("blocks", branching_by_blocks(t, k)))
     for name, other in checks:
         if other != result:
@@ -179,8 +183,9 @@ def branching_by_blocks(t: SubalgebraType, k: int) -> MultVector:
     q^{-m(d-m)} (d choose m)_{q^2}: qcomb's hook-content row (spread_row), with
     w_0 and w_d read as F_0.  A DP over the blocks of size > 1 keeps one packed
     character per z-degree, at min(k, n - k), and a tensor product is one
-    multiply; the last such block's terms go straight to decode_spread, each
-    times C(ones, j) for the j vectors that the unit blocks, all F_0, supply.
+    multiply; each block's rows are read once, before its step, and the last
+    such block's terms go straight to decode_spread, each times C(ones, j) for
+    the j vectors that the unit blocks, all F_0, supply.
     """
     n = t.n
     k = min(k, n - k)
@@ -191,11 +196,14 @@ def branching_by_blocks(t: SubalgebraType, k: int) -> MultVector:
     terms = {0: (1, 0)}  # z-degree s -> (x, top): x packed from its lowest weight -top
     for d in blocks:
         left -= d
+        # the blocks after this one can still supply the k - s - m vectors left;
+        # each row of this block is read once, rows[m - lo] for m boxes
+        lo = max(0, k - max(terms) - left)
+        rows = [spread_row(d - m, m, w) for m in range(lo, min(d, k) + 1)]
         grown = {}
         for s, (x, top) in terms.items():
-            # the blocks after this one can still supply the k - s - m vectors left
             for m in range(max(0, k - s - left), min(d, k - s) + 1):
-                y, ty = x * spread_row(d - m, m, w), top + m * (d - m)
+                y, ty = x * rows[m - lo], top + m * (d - m)
                 if s + m in grown:  # align the smaller top to the other's lowest weight
                     z, tz = grown[s + m]
                     if ty > tz:
@@ -203,8 +211,10 @@ def branching_by_blocks(t: SubalgebraType, k: int) -> MultVector:
                     y, ty = z + (y << 8 * w * (tz - ty)), tz
                 grown[s + m] = y, ty
         terms = grown
+    lo = max(0, k - max(terms) - ones)
+    rows = [spread_row(last - m, m, w) for m in range(lo, min(last, k) + 1)]
     return decode_spread(
-        [(comb(ones, k - s - m) * x * spread_row(last - m, m, w), top + m * (last - m))
+        [(comb(ones, k - s - m) * x * rows[m - lo], top + m * (last - m))
          for s, (x, top) in terms.items()
          for m in range(max(0, k - s - ones), min(last, k - s) + 1)],
         w,

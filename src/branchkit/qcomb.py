@@ -17,7 +17,10 @@ top bit, and clear guard bits leave room for a product to carry no digit.
 spread_row packs the Gaussian binomial row at q = Q**2, one digit a unit of
 weight: the principal character of one block.  The block-product closed
 form of fundamental multiplies and sums such rows, and decode_spread reads the
-sum's multiplicities {j: m_j} once.
+sum's multiplicities {j: m_j} once.  A packed row is fixed by (n, k, w), so
+one process-wide tables.Table (_spread_rows) keeps the rows packed so far,
+bounded in bytes; like the recursion's tables it holds no answer, and
+clear_cache leaves it.
 """
 
 import sys
@@ -25,6 +28,8 @@ from collections import Counter
 from functools import lru_cache
 from math import prod
 from struct import calcsize
+
+from .tables import Table, footprint
 
 QPolynomial = dict[int, int]
 
@@ -135,10 +140,25 @@ def _row(n: int, k: int) -> list[int]:
     return hook_content((min(n, k),), max(n, k) + 1)
 
 
+# packed rows by (n, k, w), sized by footprint: 2**20 bytes holds the 306
+# distinct rows of a whole `fundamental` benchmark run
+_spread_rows = Table(2**20)
+
+
 def spread_row(n: int, k: int, w: int) -> int:
     """(n+k choose k)_q at q = Q**2, Q = 256**w: the coefficients of _row(n, k),
-    each below Q, packed one empty digit apart."""
-    return int.from_bytes(b"".join(c.to_bytes(2 * w, "little") for c in _row(n, k)), "little")
+    each below Q, packed one empty digit apart.
+
+    Read from the row table _spread_rows, whose misses it counts; a miss packs
+    the row and offers it to the table, which keeps it unless it is past the
+    table's limit."""
+    key = n, k, w
+    x = _spread_rows.entries.get(key)
+    if x is None:
+        _spread_rows.misses += 1
+        x = int.from_bytes(b"".join(c.to_bytes(2 * w, "little") for c in _row(n, k)), "little")
+        _spread_rows.put(key, footprint(key, x), x)
+    return x
 
 
 def decode_spread(terms, w: int) -> dict[int, int]:

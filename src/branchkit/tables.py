@@ -1,10 +1,10 @@
 """The one bounded table class of branchkit, and the bytes an entry costs it.
 
 The recursion's process-wide tables (characters, shapes and strips, in
-branching), sized in bytes by footprint, and the tableau oracle's plan table,
-sized in slots, are all instances of Table.  It holds no arithmetic and
-imports nothing from the package, so the oracle that uses it still shares no
-arithmetic with the recursion it checks.
+branching) and qcomb's packed q-binomial rows, sized in bytes by footprint,
+and the tableau oracle's plan table, sized in slots, are all instances of
+Table.  It holds no arithmetic and imports nothing from the package, so the
+oracle that uses it still shares no arithmetic with the recursion it checks.
 """
 
 from collections import deque

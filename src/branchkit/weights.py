@@ -14,7 +14,7 @@ precision integers.
 """
 
 from itertools import accumulate
-from math import prod
+from math import comb, prod
 from operator import ge, index, mul, sub
 
 Partition = tuple[int, ...]
@@ -149,18 +149,25 @@ def dim_irrep(w: DominantWeight) -> int:
     With l_i = lambda_i + n - i (lambda_n = 0), the dimension is
     prod_{i<j} (l_i - l_j) / (j - i).  A pair of equal rows has
     l_i - l_j = j - i and contributes 1, so the product runs only over the
-    pairs of distinct rows, whose upper row is nonzero.  The quotient is
+    pairs of distinct rows, whose upper row is nonzero.  Below the r nonzero
+    rows every lambda_j is 0, so the factors of row i < r with j >= r make one
+    ratio of binomials, C(lambda_i + n - 1 - i, lambda_i) /
+    C(lambda_i + r - 1 - i, lambda_i), and the pairs are only those of nonzero
+    rows: a weight of few rows costs about the same at any rank.  The quotient is
     taken once at the end so all arithmetic stays integral; each side is a
-    balanced product tree down to a few factors, since folding O(n^2) factors
-    one at a time into a growing product costs about n^4 at large n.
+    balanced product tree down to a few factors, since folding O(r^2) factors
+    one at a time into a growing product costs about r^4 at large r.
     """
     n, lam = w.rank, w._padded
+    r = lam.index(0)
     num, den = [], []
-    for i in range(lam.index(0)):
-        for j in range(i + 1, n):
+    for i in range(r):
+        for j in range(i + 1, r):
             if lam[i] != lam[j]:
                 num.append(lam[i] - lam[j] + j - i)
                 den.append(j - i)
+        num.append(comb(lam[i] + n - 1 - i, lam[i]))
+        den.append(comb(lam[i] + r - 1 - i, lam[i]))
     return _tree_prod(num) // _tree_prod(den)
 
 

@@ -27,9 +27,9 @@ from branchkit import (
     principal_highest_component,
     rep_dimension,
 )
-from branchkit import branching, fundamental, pieri_set
+from branchkit import branching, fundamental, pieri_set, qcomb
 from branchkit.fundamental import fundamental_branching, wedge_character
-from branchkit.qcomb import width
+from branchkit.qcomb import _row, pack, spread_row, width
 from branchkit.sl2 import mv_subtract
 from branchkit.tables import Table, footprint
 from branchkit.weights import dual_weight, iter_partitions, padded_partition
@@ -570,17 +570,22 @@ def test_the_strip_table_gives_every_lower_pieri_member():
     assert cases == 20592
 
 
+# each process-wide table sized in bytes, by name, and the module that holds it
+# as _<name>
+TABLE_OWNERS = {"characters": branching, "shapes": branching, "strips": branching,
+                "spread_rows": qcomb}
+
+
 @contextlib.contextmanager
 def fresh_tables(bound=None):
-    """Every process-wide table of branching swapped for an empty one of `bound`
-    bytes (of its own bound by default), the process's own put back.  Yields
-    the new tables by name."""
-    names = ("characters", "shapes", "strips")
-    tables = {name: Table(getattr(branching, f"_{name}").bound if bound is None else bound)
-              for name in names}
+    """Every process-wide table of branching, and qcomb's row table, swapped
+    for an empty one of `bound` bytes (of its own bound by default), the
+    process's own put back.  Yields the new tables by name."""
+    tables = {name: Table(getattr(owner, f"_{name}").bound if bound is None else bound)
+              for name, owner in TABLE_OWNERS.items()}
     with pytest.MonkeyPatch.context() as mp:
-        for name in names:
-            mp.setattr(branching, f"_{name}", tables[name])
+        for name, owner in TABLE_OWNERS.items():
+            mp.setattr(owner, f"_{name}", tables[name])
         yield tables
 
 
@@ -646,6 +651,44 @@ def test_strip_table_is_bounded():
         assert list(strips.order) == kept and (6, eqs) not in strips.entries
 
 
+def test_row_table_is_bounded_and_counts_its_misses():
+    # the rows (d - m, m) of every block up to 40 at width 5 take more than a
+    # 64 KiB table; each is the packed row of its key
+    keys = [(d - m, m, 5) for d in range(2, 41) for m in range(d + 1)]
+    with fresh_tables(2**16) as tables:
+        rows = tables["spread_rows"]
+        for key in keys:
+            spread_row(*key)
+        assert rows.misses == len(keys) and rows.evictions > 0
+        assert_bounded(rows)
+        assert rows.size == sum(footprint(key, rows.entries[key]) for key, _ in rows.order)
+        for (n, k, w), x in rows.entries.items():
+            assert x == pack({2 * d: c for d, c in enumerate(_row(n, k))}, w), (n, k, w)
+        # a kept row is read without a miss
+        spread_row(*keys[-1])
+        assert rows.misses == len(keys)
+        # the row (40, 40) at width 9, 28 KB, is past a quarter of the bound:
+        # it is returned, but not kept
+        kept = list(rows.order)
+        got = spread_row(40, 40, 9)
+        assert footprint((40, 40, 9), got) > 2**16 // 4
+        assert got == pack({2 * d: c for d, c in enumerate(_row(40, 40))}, 9)
+        assert list(rows.order) == kept and rows.misses == len(keys) + 1
+
+
+def test_the_row_table_outlives_clear_cache():
+    # a packed row is fixed by its key and holds no answer
+    pairs = [(t, k) for n in range(3, 9) for t in all_types(n)[1:] for k in range(1, n)]
+    with fresh_tables() as tables:
+        rows = tables["spread_rows"]
+        answers = [fundamental_branching(t, k, verify=True) for t, k in pairs]
+        kept = dict(rows.entries), rows.misses
+        assert kept[1] == len(kept[0]) > 0
+        clear_cache()
+        assert [fundamental_branching(t, k, verify=True) for t, k in pairs] == answers
+        assert (rows.entries, rows.misses, rows.evictions) == (*kept, 0)
+
+
 def assert_tables_hold_what_they_are_keyed_by(tables):
     characters = tables["characters"]
     sizes = dict(characters.order)
@@ -675,7 +718,7 @@ def held_bytes(table):
 
 def test_each_table_counts_at_least_what_it_holds():
     # characters at several widths, strip patterns, and shapes with parts past
-    # the small ints
+    # the small ints; the rows of the block-product check on sl_3..sl_12
     queries = [(t, w) for n in range(3, 7) for t in all_types(n) for w in iter_dominant_weights(n, 5)]
     queries += [(SubalgebraType((3,)), partition_to_omega((60, 30), 3)),
                 (SubalgebraType((2, 1)), partition_to_omega((300,), 3)),
@@ -683,7 +726,11 @@ def test_each_table_counts_at_least_what_it_holds():
     with fresh_tables() as tables:
         for t, w in queries:
             BranchEngine().branch(t, w)
-        for name in ("characters", "strips", "shapes"):
+        for n in range(3, 13):
+            for t in all_types(n)[1:]:
+                for k in range(1, n):
+                    fundamental_branching(t, k, verify=True)
+        for name in ("characters", "strips", "shapes", "spread_rows"):
             table = tables[name]
             assert table.entries and table.evictions == 0, name
             assert table.size >= held_bytes(table), name

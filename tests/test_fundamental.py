@@ -24,6 +24,7 @@ from branchkit.fundamental import (
 )
 from branchkit.qcomb import digits, width
 from branchkit.sl2 import CorruptMultisetError, cg_convolve, mult_from_multiset
+from test_branching import fresh_tables
 
 # weight multiset of the third wedge power for type [4,3], written out in full
 LAMBDA3_43 = Counter(
@@ -252,6 +253,39 @@ def test_verify_checks_the_same_pairs_as_the_three_forms_it_replaced(monkeypatch
                     want.append((t.blocks, k))
     assert calls == want
     assert len(want) == 514
+
+
+@pytest.mark.parametrize("bound", [None, 64], ids=["emptied", "below-one-row"])
+def test_the_block_check_holds_however_the_row_table_is_filled(bound):
+    # the 514 checked (type, k) of sl_3..sl_12, with qcomb's row table emptied
+    # at its own bound, or shrunk below one row so that it keeps none
+    with fresh_tables(bound) as tables:
+        rows = tables["spread_rows"]
+        for n in range(3, 13):
+            for t in all_types(n)[1:]:
+                for k in range(1, n):
+                    fundamental_branching(t, k, verify=True)
+        assert rows.misses > 0 and rows.evictions == 0
+        assert len(rows.entries) == (0 if bound else rows.misses)
+
+
+def test_the_block_check_reads_each_row_it_uses_once(monkeypatch):
+    reads = []
+    real = fundamental.spread_row
+    monkeypatch.setattr(fundamental, "spread_row",
+                        lambda n, k, w: reads.append((n, k, w)) or real(n, k, w))
+    # [2, 2, 1, 1] at k = 2: the DP's (s, m) pairs take 9 rows, 3 of them
+    # distinct, and each block reads its 3 once
+    branching_by_blocks(SubalgebraType((2, 2, 1, 1)), 2)
+    assert reads == [(2, 0, 1), (1, 1, 1), (0, 2, 1)] * 2
+    # [5, 2] at k = 3: the 5-block gives at least one box, the 2-block takes
+    # what is left; [5, 1] at k = 2: the unit block leaves at least one box to the 5
+    reads.clear()
+    branching_by_blocks(SubalgebraType((5, 2)), 3)
+    assert reads == [(4, 1, 1), (3, 2, 1), (2, 3, 1), (2, 0, 1), (1, 1, 1), (0, 2, 1)]
+    reads.clear()
+    branching_by_blocks(SubalgebraType((5, 1)), 2)
+    assert reads == [(4, 1, 1), (3, 2, 1)]
 
 
 def test_branching_k2_general():

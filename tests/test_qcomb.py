@@ -30,6 +30,7 @@ from branchkit.qcomb import (
     width,
 )
 from branchkit.sl2 import mult_from_multiset
+from branchkit.tables import Table
 from branchkit.weights import iter_partitions
 
 
@@ -256,16 +257,24 @@ FULL_ROWS = (7, 12, 16, 20, 25, 29, 33, 37, 41)
 
 
 @pytest.mark.parametrize("w", range(1, 10))
-def test_spread_row_packs_the_row_one_digit_apart(w):
+def test_spread_row_packs_the_row_one_digit_apart(w, monkeypatch):
     # widths 1 to 9 bytes, past the 8 of a machine integer; (n, 0), (0, k) and
-    # (0, 0) are rows of one coefficient, and the full row sets the top byte of a digit
+    # (0, 0) are rows of one coefficient, and the full row sets the top byte of
+    # a digit.  Each row is packed on a miss of an empty row table and read
+    # back on a hit, the same int
+    table = Table(qcomb._spread_rows.bound)
+    monkeypatch.setattr(qcomb, "_spread_rows", table)
     m = FULL_ROWS[w - 1]
     assert 256 ** (w - 1) <= max(_row(m, m)) < 256**w
     rows = [(0, 0), (5, 0), (0, 7), (1, 1), (3, 2), (6, 4), (20, 3), (m, m)]
     for n, k in rows:
         if max(_row(n, k)) < 256**w:
             expected = pack({2 * d: c for d, c in enumerate(_row(n, k))}, w)
+            misses = table.misses
             assert spread_row(n, k, w) == expected, (n, k, w)
+            assert table.misses == misses + 1 and table.entries[n, k, w] == expected
+            assert spread_row(n, k, w) == expected, (n, k, w)
+            assert table.misses == misses + 1
     assert spread_row(0, 3, w) == 1
     assert digits(spread_row(2, 2, w), w) == [1, 0, 1, 0, 2, 0, 1, 0, 1]
 

@@ -1,5 +1,5 @@
 import pickle
-from math import comb
+from math import comb, prod
 from operator import index
 
 import pytest
@@ -169,8 +169,36 @@ def test_dim_irrep_with_long_runs_of_equal_rows():
                         assert dim_irrep(w) == weyl_product(w), (n, a, b, c)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 12).flatmap(
+    lambda n: st.lists(st.integers(0, 6), min_size=n - 1, max_size=n - 1).map(
+        lambda coeffs: DominantWeight(n, tuple(coeffs)))))
+def test_dim_irrep_is_the_weyl_product_on_random_weights(w):
+    assert dim_irrep(w) == weyl_product(w), w
+
+
+def hook_content_dim(lam, n):
+    """Reference: dim L(lambda) of sl_n as the product over the boxes of
+    (n + content) / hook length."""
+    cols = [sum(r > j for r in lam) for j in range(lam[0])]
+    boxes = [(n + j - i, r - j + cols[j] - i - 1) for i, r in enumerate(lam) for j in range(r)]
+    num, den = prod(a for a, _ in boxes), prod(h for _, h in boxes)
+    assert num % den == 0
+    return num // den
+
+
+def test_dim_irrep_of_few_rows_at_rank_10_6():
+    # the zero rows below the nonzero ones enter as one ratio of binomials
+    # per nonzero row, so the rank adds no factor
+    n = 10**6
+    for lam in [(1,), (2,), (7,), (1, 1), (2, 1), (3, 3, 1), (5, 2, 2, 1)]:
+        assert dim_irrep(partition_to_omega(lam, n)) == hook_content_dim(lam, n), lam
+    assert dim_irrep(partition_to_omega((1,), n)) == n
+
+
 def test_dim_irrep_of_omega_1199_at_rank_1200():
-    # 1199 equal rows: only the 1199 pairs with the zero row are multiplied
+    # 1199 equal rows: no pair of them is multiplied, and the zero row below
+    # enters as one ratio a row
     assert dim_irrep(DominantWeight.omega(1200, 1199)) == 1200
 
 
